@@ -3,27 +3,23 @@
 Every subcommand assembles one payload dictionary and prints it either
 as readable text or as JSON (--format json), so the two formats always
 carry the same content.  Exit codes: 0 success, 1 a verification suite
-found a failing case, 2 bad usage.
-
-Set GIAMBELLI_CACHE_DIR to persist the memo tables between runs.  The
-cache file is a versioned pickle; deleting it only costs warm-up time.
+found a failing case, 2 bad usage.  Each run starts from empty memo
+tables; nothing is read from or written to disk.
 """
 
 import argparse
 import json
-import os
-import pickle
 import sys
 import time
 from fractions import Fraction
 
-from . import cohomology, raising, substitution, theta, weyl
+from . import theta, weyl
 from .cohomology import (giambelli, multiply, pieri, stable_n,
                          theta_route_product, verify_presentation)
-from .formal import combine, scaled
-from .partitions import (contains, count_bases, get, in_rect, is_k_strict,
-                         k_strict_partitions, length_gt_k, partitions_of,
-                         rect_partitions, strip, weight)
+from .formal import combine, scaled, sum_to_json
+from .partitions import (count_bases, get, in_rect, is_k_strict,
+                         k_strict_partitions, length_gt_k, rect_partitions,
+                         strip, subpartitions, weight)
 from .polyeval import (e_list, evaluate, p_det, p_mul, q_basis_poly,
                        q_det_poly, q_list, schur_conj_poly)
 from .raising import c_set, expand, strict_pairs
@@ -57,6 +53,13 @@ def parse_partition(text: str) -> tuple:
     return strip(parts)
 
 
+def nonnegative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be nonnegative, got %d" % value)
+    return value
+
+
 def parse_perm(text: str) -> tuple:
     try:
         w = tuple(int(tok) for tok in text.strip().split(","))
@@ -72,23 +75,10 @@ def parse_perm(text: str) -> tuple:
 
 # ---------------------------------------------------------------- rendering
 
-def _key_json(key):
-    return [_key_json(x) if isinstance(x, tuple) else x for x in key]
-
-
 def _key_text(key) -> str:
     if key and isinstance(key[0], tuple):
         return " | ".join(_key_text(part) for part in key)
     return ",".join(str(x) for x in key) if key else "-"
-
-
-def terms_json(f: dict) -> list:
-    rows = []
-    for key in sorted(f):
-        c = Fraction(f[key])
-        rows.append({"key": _key_json(key), "num": str(c.numerator),
-                     "den": str(c.denominator)})
-    return rows
 
 
 def term_lines(f: dict) -> list:
@@ -97,57 +87,11 @@ def term_lines(f: dict) -> list:
     return ["%s -> %s" % (_key_text(key), f[key]) for key in sorted(f)]
 
 
-# ---------------------------------------------------------------- caching
-
-_CACHE_TAG = "isoschub-memo-v1"
-_CACHES = [(raising, "_EXPAND_CACHE"), (substitution, "_EV_CACHE"),
-           (cohomology, "_PIERI_CACHE"), (cohomology, "_REDUCE_CACHE"),
-           (theta, "_STRAIGHTEN_CACHE"), (theta, "_HAT_PRODUCT_CACHE"),
-           (weyl, "_WORDS_CACHE")]
-
-
-def _cache_path():
-    root = os.environ.get("GIAMBELLI_CACHE_DIR")
-    return os.path.join(root, "memo.pickle") if root else None
-
-
-def _load_caches() -> None:
-    path = _cache_path()
-    if not path or not os.path.exists(path):
-        return
-    try:
-        with open(path, "rb") as fh:
-            blob = pickle.load(fh)
-        if blob.get("tag") != _CACHE_TAG:
-            return
-        for mod, name in _CACHES:
-            getattr(mod, name).update(blob.get(name, {}))
-    except Exception:
-        pass  # disposable file: a stale or foreign cache is just ignored
-
-
-def _save_caches() -> None:
-    path = _cache_path()
-    if not path:
-        return
-    try:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        blob = {"tag": _CACHE_TAG}
-        for mod, name in _CACHES:
-            blob[name] = getattr(mod, name)
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as fh:
-            pickle.dump(blob, fh, protocol=4)
-        os.replace(tmp, path)
-    except Exception:
-        pass
-
-
 # ---------------------------------------------------------------- commands
 
 def _check_rect(lam, k, n):
-    if k < 0 or n < k:
-        raise _Usage("need 0 <= k <= n, got k=%d n=%d" % (k, n))
+    if n < k:
+        raise _Usage("need k <= n, got k=%d n=%d" % (k, n))
     if not is_k_strict(lam, k):
         raise _Usage("lambda must be %d-strict (parts above %d distinct): %s"
                      % (k, k, _key_text(lam)))
@@ -164,8 +108,8 @@ def _cmd_giambelli(args):
         raw = scaled(raw, Fraction(1, 1 << length_gt_k(lam, k)))
     reduced = giambelli(lam, k, n, args.type)
     payload = {"command": "giambelli", "family": args.type, "n": n, "k": k,
-               "lam": list(lam), "terms": terms_json(raw),
-               "reduces_to": terms_json(reduced)}
+               "lam": list(lam), "terms": sum_to_json(raw),
+               "reduces_to": sum_to_json(reduced)}
     lines = ["special class expansion of %s (family %s, n=%d, k=%d):"
              % (_key_text(lam), args.type, n, k)]
     lines += term_lines(raw)
@@ -177,11 +121,11 @@ def _cmd_giambelli(args):
 def _cmd_pieri(args):
     lam, k, n, p = args.lam, args.k, args.n, args.p
     _check_rect(lam, k, n)
-    if not 0 <= p <= n + k:
-        raise _Usage("p must lie in 0..n+k, got %d" % p)
+    if not 1 <= p <= n + k:
+        raise _Usage("p must lie in 1..n+k, got %d" % p)
     res = pieri(lam, p, k, n, args.type)
     payload = {"command": "pieri", "family": args.type, "n": n, "k": k,
-               "lam": list(lam), "p": p, "terms": terms_json(res)}
+               "lam": list(lam), "p": p, "terms": sum_to_json(res)}
     return 0, payload, term_lines(res)
 
 
@@ -191,7 +135,7 @@ def _cmd_product(args):
     _check_rect(mu, k, n)
     res = multiply({lam: 1}, {mu: 1}, k, n, args.type)
     payload = {"command": "product", "family": args.type, "n": n, "k": k,
-               "lam": list(lam), "mu": list(mu), "terms": terms_json(res)}
+               "lam": list(lam), "mu": list(mu), "terms": sum_to_json(res)}
     return 0, payload, term_lines(res)
 
 
@@ -201,7 +145,7 @@ def _cmd_theta(args):
         raise _Usage("lambda must be %d-strict: %s" % (k, _key_text(lam)))
     res = theta.theta(lam, k)
     payload = {"command": "theta", "k": k, "lam": list(lam),
-               "terms": terms_json(res)}
+               "terms": sum_to_json(res)}
     return 0, payload, term_lines(res)
 
 
@@ -209,7 +153,7 @@ def _cmd_skews(args):
     lam, mu, k = args.lam, args.mu, args.k
     res = skew_S(lam, mu, k)
     payload = {"command": "skews", "k": k, "lam": list(lam), "mu": list(mu),
-               "terms": terms_json(res)}
+               "terms": sum_to_json(res)}
     return 0, payload, term_lines(res)
 
 
@@ -230,7 +174,7 @@ def _cmd_wlambda(args):
 def _cmd_stanley(args):
     res = stanley_F(args.perm)
     payload = {"command": "stanley", "perm": list(args.perm),
-               "terms": terms_json(res)}
+               "terms": sum_to_json(res)}
     return 0, payload, term_lines(res)
 
 
@@ -253,7 +197,7 @@ def _cmd_bh(args):
         raise _Usage("lambda must be %d-strict: %s" % (k, _key_text(lam)))
     res = bh_expand(lam, k)
     payload = {"command": "bh", "k": k, "lam": list(lam),
-               "terms": terms_json(res)}
+               "terms": sum_to_json(res)}
     return 0, payload, term_lines(res)
 
 
@@ -269,7 +213,7 @@ def _cmd_forest(args):
     payload = {"command": "forest", "k": k, "lam": list(lam), "p": p,
                "modified": args.modified, "roots": len(res["roots"]),
                "psi0": len(res["psi0"]), "psi1": len(res["psi1"]),
-               "product": terms_json(prod)}
+               "product": sum_to_json(prod)}
     lines = ["roots %d" % len(res["roots"]), "psi0 %d" % len(res["psi0"]),
              "psi1 %d" % len(res["psi1"]), "product:"]
     lines += term_lines(prod)
@@ -291,8 +235,6 @@ def _cmd_forest(args):
 
 
 def _cmd_count_bases(args):
-    if args.d < 0 or args.k < 0:
-        raise _Usage("d and k must be nonnegative")
     a, b = count_bases(args.d, args.k)
     payload = {"command": "count-bases", "d": args.d, "k": args.k,
                "strict": a, "odd": b, "equal": a == b}
@@ -447,15 +389,6 @@ def _suite_stanley_corollary(mw):
     return True, ""
 
 
-def _subpartitions(lam):
-    out = []
-    for d in range(weight(lam) + 1):
-        for nu in partitions_of(d, lam[0] if lam else 0, len(lam)):
-            if contains(lam, nu):
-                out.append(nu)
-    return out
-
-
 def _closed_form_a_holds(lam, k):
     # no pair of parts exceeds the threshold: compare against the
     # Jacobi-Trudi style sum over subshapes
@@ -465,7 +398,7 @@ def _closed_form_a_holds(lam, k):
     nv = m + k
     qs = q_list(m, nv, bound)
     rhs: dict = {}
-    for mu in _subpartitions(lam):
+    for mu in subpartitions(lam):
         sp = schur_conj_poly(lam, mu, m, m + k, nv, bound)
         if sp:
             combine(rhs, p_mul(q_det_poly(mu, qs, nv, bound), sp, bound))
@@ -484,7 +417,7 @@ def _closed_form_b_holds(lam, k):
     top = lam[0] if lam else 1
     es = e_list(m, m + k, nv, top)
     rhs: dict = {}
-    for mu in _subpartitions(lam):
+    for mu in subpartitions(lam):
         if not is_k_strict(mu, 0) or len(mu) < ell - 1:
             continue
         mat = []
@@ -584,7 +517,7 @@ def _parser():
                        "element plus its reduction")
     p.add_argument("--type", choices=("B", "C"), default="C")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=nonnegative, required=True)
     p.add_argument("--lambda", dest="lam", type=parse_partition, required=True)
     common(p)
     p.set_defaults(fn=_cmd_giambelli)
@@ -592,7 +525,7 @@ def _parser():
     p = sub.add_parser("pieri", help="product with a special class")
     p.add_argument("--type", choices=("B", "C"), default="C")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=nonnegative, required=True)
     p.add_argument("--lambda", dest="lam", type=parse_partition, required=True)
     p.add_argument("--p", type=int, required=True)
     common(p)
@@ -601,20 +534,20 @@ def _parser():
     p = sub.add_parser("product", help="product of two basis elements")
     p.add_argument("--type", choices=("B", "C"), default="C")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=nonnegative, required=True)
     p.add_argument("--lambda", dest="lam", type=parse_partition, required=True)
     p.add_argument("--mu", type=parse_partition, required=True)
     common(p)
     p.set_defaults(fn=_cmd_product)
 
     p = sub.add_parser("theta", help="monomial expansion of a theta class")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=nonnegative, required=True)
     p.add_argument("--lambda", dest="lam", type=parse_partition, required=True)
     common(p)
     p.set_defaults(fn=_cmd_theta)
 
     p = sub.add_parser("skews", help="skew determinant in the k-strict basis")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=nonnegative, required=True)
     p.add_argument("--lambda", dest="lam", type=parse_partition, required=True)
     p.add_argument("--mu", type=parse_partition, default=())
     common(p)
@@ -622,7 +555,7 @@ def _parser():
 
     p = sub.add_parser("wlambda", help="signed permutation attached to a "
                        "k-strict partition")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=nonnegative, required=True)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--lambda", dest="lam", type=parse_partition, required=True)
     common(p)
@@ -642,14 +575,14 @@ def _parser():
     p.set_defaults(fn=_cmd_ktableaux)
 
     p = sub.add_parser("bh", help="two-variable expansion of a basis element")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=nonnegative, required=True)
     p.add_argument("--lambda", dest="lam", type=parse_partition, required=True)
     common(p)
     p.set_defaults(fn=_cmd_bh)
 
     p = sub.add_parser("forest", help="substitution forest for a one-row "
                        "product")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=nonnegative, required=True)
     p.add_argument("--lambda", dest="lam", type=parse_partition, required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--modified", action="store_true")
@@ -667,8 +600,8 @@ def _parser():
 
     p = sub.add_parser("count-bases", help="count the two spanning families "
                        "in one degree")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--d", type=nonnegative, required=True)
+    p.add_argument("--k", type=nonnegative, required=True)
     common(p)
     p.set_defaults(fn=_cmd_count_bases)
 
@@ -677,7 +610,6 @@ def _parser():
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    _load_caches()
     try:
         code, payload, lines = args.fn(args)
     except _Usage as exc:
@@ -687,7 +619,6 @@ def main(argv=None) -> int:
         print(json.dumps(payload, sort_keys=True))
     else:
         print("\n".join(lines))
-    _save_caches()
     return code
 
 

@@ -13,6 +13,7 @@ is obtained from the B-family rule through it.
 """
 
 from fractions import Fraction
+from functools import cache
 
 from .formal import add_into, combine, is_zero, scaled
 from .partitions import (get, in_rect, is_k_strict, k_related, length_gt_k,
@@ -122,9 +123,6 @@ def _candidates(lam, p, k, n):
     return out
 
 
-_PIERI_CACHE: dict = {}
-
-
 def pieri(lam, p: int, k: int, n: int, family: str = "B") -> dict:
     """Multiply the basis class of lam by the p-th special class.
 
@@ -132,28 +130,31 @@ def pieri(lam, p: int, k: int, n: int, family: str = "B") -> dict:
     "C" returns sigma_p * sigma_lam, the same sum rescaled by
     2^(l_k(lam) - l_k(mu)). Coefficients are always positive integers.
     """
-    lam = strip(lam)
+    return dict(_pieri(strip(lam), p, k, n, family))
+
+
+@cache
+def _pieri(lam, p, k, n, family):
+    if family == "C":
+        # the B-family terms 2^N tau_mu, rescaled by 2^(l_k(lam) - l_k(mu))
+        ell = length_gt_k(lam, k)
+        out = {}
+        for mu, c in _pieri(lam, p, k, n, "B").items():
+            e = c.bit_length() - 1 + ell - length_gt_k(mu, k)
+            assert e >= 0, (lam, p, mu, e)
+            out[mu] = 1 << e
+        return out
+    assert family == "B", family
+    # validated on a miss only: the checks depend on the arguments alone
     assert in_rect(lam, k, n), (lam, k, n)
     assert 1 <= p <= n + k, p
-    base = _PIERI_CACHE.get((lam, p, k, n))
-    if base is None:
-        base = []
-        for mu in _candidates(lam, p, k, n):
-            m = pieri_match(lam, mu, k)
-            if m is not None:
-                base.append((mu, m["N"]))
-        base.sort()
-        _PIERI_CACHE[(lam, p, k, n)] = base
-    if family == "B":
-        return {mu: 1 << N for mu, N in base}
-    assert family == "C", family
-    out = {}
-    ell = length_gt_k(lam, k)
-    for mu, N in base:
-        e = N + ell - length_gt_k(mu, k)
-        assert e >= 0, (lam, p, mu, e)
-        out[mu] = 1 << e
-    return out
+    base = []
+    for mu in _candidates(lam, p, k, n):
+        m = pieri_match(lam, mu, k)
+        if m is not None:
+            base.append((mu, m["N"]))
+    base.sort()
+    return {mu: 1 << N for mu, N in base}
 
 
 def pieri_apply(elem: dict, p: int, k: int, n: int, family: str) -> dict:
@@ -169,9 +170,6 @@ def pieri_apply(elem: dict, p: int, k: int, n: int, family: str) -> dict:
     return out
 
 
-_REDUCE_CACHE: dict = {}
-
-
 def reduce_monomial(beta, k: int, n: int, family: str = "C") -> dict:
     """Product of special classes with indices beta in the Schubert basis.
 
@@ -185,16 +183,11 @@ def reduce_monomial(beta, k: int, n: int, family: str = "C") -> dict:
     return dict(_reduce(key, k, n, family))
 
 
+@cache
 def _reduce(key, k, n, family):
-    res = _REDUCE_CACHE.get((key, k, n, family))
-    if res is None:
-        if not key:
-            res = {(): 1}
-        else:
-            res = pieri_apply(_reduce(key[:-1], k, n, family),
-                              key[-1], k, n, family)
-        _REDUCE_CACHE[(key, k, n, family)] = res
-    return res
+    if not key:
+        return {(): 1}
+    return pieri_apply(_reduce(key[:-1], k, n, family), key[-1], k, n, family)
 
 
 def giambelli(lam, k: int, n: int, family: str = "C") -> dict:

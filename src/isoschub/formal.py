@@ -8,7 +8,6 @@ so equality of dicts is equality of elements.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 
 
@@ -45,19 +44,21 @@ def is_zero(f: dict) -> bool:
     return not f
 
 
-def from_terms(terms) -> dict:
-    acc: dict = {}
-    for key, c in terms:
-        add_into(acc, key, c)
-    return acc
+def _key_json(key):
+    return [_key_json(x) if isinstance(x, tuple) else x for x in key]
 
 
 def sum_to_json(f: dict) -> list[dict]:
-    """Wire format: [{"key": [...], "num": str, "den": str}, ...] sorted by key."""
+    """Wire format: [{"key": [...], "num": str, "den": str}, ...] sorted by key.
+
+    Tuples inside a key, such as the two halves of a (mu, nu) pair key,
+    become nested lists.
+    """
     rows = []
     for key in sorted(f):
         c = Fraction(f[key])
-        rows.append({"key": list(key), "num": str(c.numerator), "den": str(c.denominator)})
+        rows.append({"key": _key_json(key), "num": str(c.numerator),
+                     "den": str(c.denominator)})
     return rows
 
 
@@ -67,7 +68,3 @@ def sum_from_json(rows) -> dict:
         c = Fraction(int(row["num"]), int(row["den"]))
         add_into(acc, tuple(row["key"]), c)
     return acc
-
-
-def dumps(f: dict, **kw) -> str:
-    return json.dumps(sum_to_json(f), **kw)

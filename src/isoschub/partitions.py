@@ -167,6 +167,16 @@ def rect_partitions(k: int, n: int) -> list[tuple[int, ...]]:
     return out
 
 
+def subpartitions(lam) -> list[tuple[int, ...]]:
+    """Partitions contained in lam, in order of increasing weight."""
+    out = []
+    for d in range(weight(lam) + 1):
+        for nu in partitions_of(d, lam[0] if lam else 0, len(lam)):
+            if contains(lam, nu):
+                out.append(nu)
+    return out
+
+
 def k_odd_partitions(d: int, k: int) -> list[tuple[int, ...]]:
     """Partitions of d whose parts greater than 2k are all odd."""
     return [lam for lam in partitions_of(d)

@@ -18,6 +18,8 @@ the columns of D and unbounded inside them, with coefficient
 
 from __future__ import annotations
 
+from functools import cache
+
 from .formal import add_into
 from .partitions import get, strip
 
@@ -144,9 +146,6 @@ def diagonal_count(D) -> int:
     return sum(1 for i, j in D if i == j)
 
 
-_EXPAND_CACHE: dict = {}
-
-
 def expand(D, lam) -> dict[tuple[int, ...], int]:
     """Monomial expansion of the operator series applied to the sequence lam.
 
@@ -161,26 +160,20 @@ def expand(D, lam) -> dict[tuple[int, ...], int]:
     return dict(_expand(Dr, lam))
 
 
+@cache
 def _expand(D, lam):
-    res = _EXPAND_CACHE.get((D, lam))
-    if res is not None:
-        return res
     ell = len(lam)
     if ell == 0:
-        res = {(): 1}
-    elif ell == 1:
+        return {(): 1}
+    if ell == 1:
         r = lam[0]
-        res = {} if r < 0 else ({(): 1} if r == 0 else {(r,): 1})
-    else:
-        mu, r = lam[:-1], lam[-1]
-        res = {}
-        if r >= 0:
-            in_d = tuple((i, ell) in D for i in range(1, ell))
-            _alpha_walk(D, mu, r, in_d, 0, (), 0, 0, res)
-        else:
-            # negative last entry: empty alpha budget, the term vanishes
-            res = {}
-    _EXPAND_CACHE[(D, lam)] = res
+        return {} if r < 0 else ({(): 1} if r == 0 else {(r,): 1})
+    mu, r = lam[:-1], lam[-1]
+    res = {}
+    # a negative last entry leaves an empty alpha budget: the term vanishes
+    if r >= 0:
+        in_d = tuple((i, ell) in D for i in range(1, ell))
+        _alpha_walk(D, mu, r, in_d, 0, (), 0, 0, res)
     return res
 
 
@@ -226,9 +219,6 @@ def _mul_monomial_sums(f: dict, g: dict, sign: int) -> dict:
     return acc
 
 
-_PF_CACHE: dict = {}
-
-
 def pfaffian_expand(lam) -> dict[tuple[int, ...], int]:
     """Pfaffian-recursion route for strict partitions.
 
@@ -246,20 +236,16 @@ def pfaffian_expand(lam) -> dict[tuple[int, ...], int]:
     return dict(_pf(seq))
 
 
+@cache
 def _pf(seq):
-    res = _PF_CACHE.get(seq)
-    if res is not None:
-        return res
     if len(seq) == 2:
-        res = two_special(*seq)
-    else:
-        res = {}
-        rest = seq[1:]
-        for idx, b in enumerate(rest):
-            blk = two_special(seq[0], b)
-            sub = _pf(rest[:idx] + rest[idx + 1:])
-            part = _mul_monomial_sums(blk, sub, -1 if idx % 2 else 1)
-            for key, c in part.items():
-                add_into(res, key, c)
-    _PF_CACHE[seq] = res
+        return two_special(*seq)
+    res = {}
+    rest = seq[1:]
+    for idx, b in enumerate(rest):
+        blk = two_special(seq[0], b)
+        sub = _pf(rest[:idx] + rest[idx + 1:])
+        part = _mul_monomial_sums(blk, sub, -1 if idx % 2 else 1)
+        for key, c in part.items():
+            add_into(res, key, c)
     return res

@@ -14,6 +14,7 @@ product terms; stopped leaves cancel in pairs under an involution.
 """
 
 from fractions import Fraction
+from functools import cache
 
 from .cohomology import pieri, pieri_match, reduce_monomial, stable_n
 from .formal import add_into, combine
@@ -265,9 +266,6 @@ def build_forest(lam, p: int, k: int, modified: bool = False,
     return out
 
 
-_EV_CACHE: dict = {}
-
-
 def ev(psi, k: int, n: int) -> dict:
     """Evaluation of a 4-tuple in the weight-graded basis.
 
@@ -275,15 +273,15 @@ def ev(psi, k: int, n: int) -> dict:
     part of D, each monomial reduced through the one-row products.
     Exact dyadic coefficients; independent of S and h.
     """
-    D, mu = psi[0], psi[1]
-    key = (frozenset(D), tuple(mu), k, n)
-    res = _EV_CACHE.get(key)
-    if res is None:
-        factor = Fraction(1, 1 << diagonal_count(D))
-        res = {}
-        for mono, c in expand(strict_pairs(D), mu).items():
-            combine(res, reduce_monomial(mono, k, n, "B"), factor * c)
-        _EV_CACHE[key] = res
+    return dict(_ev(frozenset(psi[0]), tuple(psi[1]), k, n))
+
+
+@cache
+def _ev(D, mu, k, n):
+    factor = Fraction(1, 1 << diagonal_count(D))
+    res = {}
+    for mono, c in expand(strict_pairs(D), mu).items():
+        combine(res, reduce_monomial(mono, k, n, "B"), factor * c)
     return res
 
 
@@ -379,7 +377,7 @@ def verify_claim2(lam, p: int, k: int):
             fixed += 1
             assert not ev(psi, k, n), (psi,)
         else:
-            total = dict(ev(psi, k, n))
+            total = ev(psi, k, n)
             combine(total, ev(other, k, n))
             assert not total, (psi, other, total)
     return len(leaves), fixed

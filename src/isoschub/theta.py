@@ -13,13 +13,12 @@ theta(lam, 0) are the Schur Q-functions.
 
 from collections import defaultdict
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
 
 from .formal import add_into, combine
 from .partitions import get, is_k_strict, k_strict_partitions, strip, weight
 from .raising import c_set, expand, strict_pairs
-
-_STRAIGHTEN_CACHE: dict = {}
 
 
 def straighten(alpha, k: int) -> dict[tuple[int, ...], int]:
@@ -34,11 +33,8 @@ def straighten(alpha, k: int) -> dict[tuple[int, ...], int]:
     return dict(_straighten(key, k))
 
 
+@cache
 def _straighten(key, k):
-    res = _STRAIGHTEN_CACHE.get((key, k))
-    if res is not None:
-        return res
-    res = None
     for i in range(len(key) - 1):
         # leftmost adjacent equal pair above the threshold
         if key[i] == key[i + 1] and key[i] > k:
@@ -49,14 +45,8 @@ def _straighten(key, k):
                 sub = tuple(sorted((a for a in rest + (m + j, m - j) if a),
                                    reverse=True))
                 combine(res, _straighten(sub, k), 2 if j % 2 else -2)
-            break
-    if res is None:
-        res = {key: 1}
-    _STRAIGHTEN_CACHE[(key, k)] = res
-    return res
-
-
-_THETA_CACHE: dict = {}
+            return res
+    return {key: 1}
 
 
 def theta(lam, k: int) -> dict[tuple[int, ...], int]:
@@ -70,14 +60,15 @@ def theta(lam, k: int) -> dict[tuple[int, ...], int]:
     """
     lam = strip(lam)
     assert is_k_strict(lam, k), (lam, k)
-    res = _THETA_CACHE.get((lam, k))
-    if res is None:
-        raw = expand(strict_pairs(c_set(lam, k)), lam)
-        res = {}
-        for key, co in raw.items():
-            combine(res, _straighten(key, k), co)
-        _THETA_CACHE[(lam, k)] = res
-    return dict(res)
+    return dict(_theta(lam, k))
+
+
+@cache
+def _theta(lam, k):
+    res = {}
+    for key, co in expand(strict_pairs(c_set(lam, k)), lam).items():
+        combine(res, _straighten(key, k), co)
+    return res
 
 
 def hat_theta(r: int, k: int) -> dict[tuple[int, ...], int]:
@@ -164,18 +155,11 @@ def theta_sum(f: dict, k: int) -> dict:
     return out
 
 
-_HAT_PRODUCT_CACHE: dict = {}
-
-
+@cache
 def _hat_product(alpha, k):
-    res = _HAT_PRODUCT_CACHE.get((alpha, k))
-    if res is None:
-        if not alpha:
-            res = {(): 1}
-        else:
-            res = multiply(_hat_product(alpha[1:], k), hat_theta(alpha[0], k), k)
-        _HAT_PRODUCT_CACHE[(alpha, k)] = res
-    return res
+    if not alpha:
+        return {(): 1}
+    return multiply(_hat_product(alpha[1:], k), hat_theta(alpha[0], k), k)
 
 
 def _solve(rows, rhs):

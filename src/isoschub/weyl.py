@@ -7,9 +7,11 @@ element; trim picks the shortest spelling.  Generators are s_0 (negate
 the first value) and s_i (swap values i, i+1) for i >= 1.
 """
 
+from functools import cache
+
 from .formal import add_into
-from .partitions import (conjugate, contains, get, in_rect, is_k_strict,
-                         partitions_of, split_columns, strip, weight)
+from .partitions import (conjugate, get, in_rect, is_k_strict, split_columns,
+                         strip, subpartitions)
 
 
 def check_window(w):
@@ -114,29 +116,24 @@ def grassmannian_element(lam, k, n=None):
     return w
 
 
-_WORDS_CACHE: dict = {}
-
-
 def reduced_words(w):
     """All reduced words for w, as a tuple of letter tuples.
 
     Words multiply left to right: (a, b) stands for s_a s_b.  The count
     grows fast with length(w); intended for desk-scale elements only.
     """
-    w = trim(w)
-    res = _WORDS_CACHE.get(w)
-    if res is not None:
-        return res
+    return _reduced_words(trim(w))
+
+
+@cache
+def _reduced_words(w):
     if not w:
-        res = ((),)
-    else:
-        out = []
-        for i in sorted(descents(w)):
-            for word in reduced_words(apply_s(w, i)):
-                out.append(word + (i,))
-        res = tuple(out)
-    _WORDS_CACHE[w] = res
-    return res
+        return ((),)
+    out = []
+    for i in sorted(descents(w)):
+        for word in _reduced_words(trim(apply_s(w, i))):
+            out.append(word + (i,))
+    return tuple(out)
 
 
 def word_product(word, n=0):
@@ -249,15 +246,6 @@ def right_factors(w):
     return found
 
 
-def _subpartitions(lam):
-    out = []
-    for d in range(weight(lam) + 1):
-        for nu in partitions_of(d, lam[0] if lam else 0, len(lam)):
-            if contains(lam, nu):
-                out.append(nu)
-    return out
-
-
 def bh_expand(lam, k):
     """Two-variable expansion of the one-row-product class for lam.
 
@@ -273,7 +261,7 @@ def bh_expand(lam, k):
     w = trim(grassmannian_element(lam, k))
     _, lam2, _ = split_columns(lam, k)
     cands = {}
-    for nu in _subpartitions(lam2):
+    for nu in subpartitions(lam2):
         cands[trim(grassmannian_element(nu, k))] = nu
     found = {v for v in right_factors(w)
              if all(a > 0 for a in v) and descents(v) <= {k}}

@@ -148,6 +148,20 @@ def test_usage_errors(capsys):
     assert code == 2
     code, _ = run(["theta", "--k", "1", "--lambda", "2,2"], capsys)
     assert code == 2
+    code, _ = run(["pieri", "--type", "C", "--n", "7", "--k", "1",
+                   "--lambda", "2,1,1", "--p", "0"], capsys)
+    assert code == 2
+    for argv in (["bh", "--lambda", "3,2,1"], ["wlambda", "--lambda", "2,1"],
+                 ["forest", "--lambda", "2,1", "--p", "1"],
+                 ["theta", "--lambda", "2,1"], ["skews", "--lambda", "2,1"],
+                 ["pieri", "--n", "5", "--lambda", "1", "--p", "1"],
+                 ["count-bases", "--d", "3"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--k", "-1"])
+        assert exc.value.code == 2, argv
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["count-bases", "--d", "-1", "--k", "1"])
+    assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         cli.main(["giambelli", "--n", "5", "--k", "1", "--lambda", "1,3"])
     assert exc.value.code == 2
@@ -197,20 +211,6 @@ def test_verify_reports_failure(capsys, monkeypatch):
                      "--format", "json"], capsys)
     assert code == 1
     assert json.loads(out)["ok"] is False
-
-
-def test_cache_roundtrip(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("GIAMBELLI_CACHE_DIR", str(tmp_path))
-    code, first = run(["pieri", "--type", "B", "--n", "7", "--k", "1",
-                       "--lambda", "2,1,1", "--p", "1"], capsys)
-    assert code == 0
-    assert (tmp_path / "memo.pickle").exists()
-    code, second = run(["pieri", "--type", "B", "--n", "7", "--k", "1",
-                        "--lambda", "2,1,1", "--p", "1"], capsys)
-    assert code == 0 and second == first
-    (tmp_path / "memo.pickle").write_bytes(b"not a pickle")
-    code, third = run(["count-bases", "--d", "3", "--k", "1"], capsys)
-    assert code == 0
 
 
 def test_console_entry_subprocess():

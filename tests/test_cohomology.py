@@ -7,6 +7,30 @@ from isoschub.cohomology import (giambelli, multiply, pieri, pieri_apply,
                                  theta_route_product, verify_presentation)
 from isoschub.partitions import (k_strict_partitions, length_gt_k,
                                  rect_partitions, weight)
+from isoschub.raising import c_set, expand, pfaffian_expand, strict_pairs
+from isoschub.substitution import ev
+from isoschub.theta import straighten, theta
+
+MEMOIZED = [
+    (expand, (strict_pairs(c_set((3, 2, 1), 1)), (3, 2, 1))),
+    (pfaffian_expand, ((4, 2, 1),)),
+    (straighten, ((2, 2), 1)),
+    (theta, ((3, 1), 1)),
+    (pieri, ((2, 1, 1), 1, 1, 7, "B")),
+    (reduce_monomial, ((2, 1), 1, 5, "C")),
+    (ev, ((frozenset({(1, 1)}), (2, 1, 1, 1), frozenset(), 0), 1, 10)),
+]
+
+
+@pytest.mark.parametrize("fn, args", MEMOIZED,
+                         ids=[fn.__name__ for fn, _ in MEMOIZED])
+def test_memoized_results_are_fresh_copies(fn, args):
+    first = fn(*args)
+    want = dict(first)
+    assert want
+    first.clear()
+    first[(99,)] = 7
+    assert fn(*args) == want
 
 
 def test_pieri_frozen_examples():
