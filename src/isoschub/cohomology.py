@@ -15,9 +15,9 @@ is obtained from the B-family rule through it.
 from fractions import Fraction
 from functools import cache
 
-from .formal import add_into, combine, is_zero, scaled
-from .partitions import (get, in_rect, is_k_strict, k_related, length_gt_k,
-                         strip, weight)
+from .formal import add_into, combine, scaled
+from .partitions import (check_rect, get, in_rect, is_k_strict, k_related,
+                         length_gt_k, strip, weight)
 from .raising import c_set, expand, strict_pairs
 from . import theta as theta_ring
 
@@ -129,6 +129,8 @@ def pieri(lam, p: int, k: int, n: int, family: str = "B") -> dict:
     Family "B" returns c_p * tau_lam = sum 2^N(lam,mu) tau_mu; family
     "C" returns sigma_p * sigma_lam, the same sum rescaled by
     2^(l_k(lam) - l_k(mu)). Coefficients are always positive integers.
+    Raises ValueError unless lam is a class of the space, 1 <= p <= n + k
+    and the family is "B" or "C".
     """
     return dict(_pieri(strip(lam), p, k, n, family))
 
@@ -144,10 +146,13 @@ def _pieri(lam, p, k, n, family):
             assert e >= 0, (lam, p, mu, e)
             out[mu] = 1 << e
         return out
-    assert family == "B", family
-    # validated on a miss only: the checks depend on the arguments alone
-    assert in_rect(lam, k, n), (lam, k, n)
-    assert 1 <= p <= n + k, p
+    # validated on a miss only: the checks depend on the arguments alone,
+    # and functools.cache stores no exception, so bad input raises every time
+    if family != "B":
+        raise ValueError("family must be B or C, got %r" % (family,))
+    check_rect(lam, k, n)
+    if not 1 <= p <= n + k:
+        raise ValueError("p must lie in 1..n+k, got %d" % p)
     base = []
     for mu in _candidates(lam, p, k, n):
         m = pieri_match(lam, mu, k)
@@ -195,17 +200,20 @@ def giambelli(lam, k: int, n: int, family: str = "C") -> dict:
 
     Family C reduces the expansion of sigma-monomials directly; family
     B carries the prefactor 2^(-l_k(lam)) on c-monomials. Either way
-    the result must be exactly {lam: 1}, and that is asserted.
+    the result must be exactly {lam: 1}; anything else raises
+    RuntimeError. Raises ValueError unless lam is a class of the space.
     """
     lam = strip(lam)
-    assert in_rect(lam, k, n), (lam, k, n)
+    check_rect(lam, k, n)
     raw = expand(strict_pairs(c_set(lam, k)), lam)
     acc: dict = {}
     for key, c in raw.items():
         combine(acc, reduce_monomial(key, k, n, family), c)
     if family == "B":
         acc = scaled(acc, Fraction(1, 1 << length_gt_k(lam, k)))
-    assert acc == {lam: 1}, (lam, k, n, family, acc)
+    if acc != {lam: 1}:
+        raise RuntimeError("giambelli(%r, k=%d, n=%d, %s) reduced to %r"
+                           % (lam, k, n, family, acc))
     return acc
 
 
@@ -213,11 +221,13 @@ def multiply(a: dict, b: dict, k: int, n: int, family: str = "C") -> dict:
     """Product of two basis elements by Giambelli expansion plus Pieri.
 
     Each key of a is replaced by its special-class expansion and folded
-    onto b one special class at a time.
+    onto b one special class at a time. Raises ValueError unless every
+    key of a and b is a class of the space.
     """
+    for lam in (*a, *b):
+        check_rect(lam, k, n)
     out: dict = {}
     for lam, ca in a.items():
-        assert in_rect(lam, k, n), (lam, k, n)
         raw = expand(strict_pairs(c_set(lam, k)), lam)
         if family == "B":
             ca = Fraction(ca, 1 << length_gt_k(lam, k))
@@ -237,7 +247,11 @@ def multiply(a: dict, b: dict, k: int, n: int, family: str = "C") -> dict:
 def theta_route_product(a: dict, b: dict, k: int, n: int,
                         family: str = "C") -> dict:
     """Product through the theta ring: multiply upstairs, convert to the
-    canonical basis, and drop keys that fall outside the rectangle."""
+    canonical basis, and drop keys that fall outside the rectangle.
+    Raises ValueError unless every key of a and b is a class of the
+    space."""
+    for lam in (*a, *b):
+        check_rect(lam, k, n)
     ea = theta_ring.theta_sum(_sigma_weights(a, k, family), k)
     eb = theta_ring.theta_sum(_sigma_weights(b, k, family), k)
     prod = theta_ring.to_theta_basis(theta_ring.multiply(ea, eb, k), k)
@@ -278,7 +292,7 @@ def verify_presentation(k: int, n: int, r: int, family: str = "C") -> bool:
     for i in range(1, n + k - r + 1):
         term = reduce_monomial((r + i, r - i), k, n, family)
         combine(acc, term, -2 if i % 2 else 2)
-    return is_zero(acc)
+    return not acc
 
 
 def stable_n(d: int, k: int) -> int:

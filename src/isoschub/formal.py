@@ -40,10 +40,6 @@ def scaled(f: dict, scale) -> dict:
     return {key: norm_scalar(scale * c) for key, c in f.items()}
 
 
-def is_zero(f: dict) -> bool:
-    return not f
-
-
 def _key_json(key):
     return [_key_json(x) if isinstance(x, tuple) else x for x in key]
 

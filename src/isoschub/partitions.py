@@ -32,20 +32,14 @@ def get(seq, j: int) -> int:
     return seq[j - 1] if 1 <= j <= len(seq) else 0
 
 
-def is_partition(seq) -> bool:
-    """Weakly decreasing with nonnegative entries, trailing zeros stripped."""
-    seq = tuple(seq)
-    if seq != strip(seq):
-        return False
-    return all(a >= b for a, b in zip(seq, seq[1:])) and (not seq or seq[-1] >= 0)
-
-
 def is_k_strict(lam, k: int) -> bool:
-    """Partition test plus: every part greater than k occurs once."""
+    """A partition (weakly decreasing, positive parts, no trailing zeros)
+    in which every part greater than k occurs once."""
     lam = tuple(lam)
-    if not is_partition(lam):
-        return False
-    return all(lam[i] > lam[i + 1] for i in range(len(lam) - 1) if lam[i] > k)
+    for a, b in zip(lam, lam[1:]):
+        if a < b or a == b > k:
+            return False
+    return not lam or lam[-1] > 0
 
 
 def conjugate(lam) -> tuple[int, ...]:
@@ -107,6 +101,21 @@ def in_rect(lam, k: int, n: int) -> bool:
     """Membership of a k-strict partition in the (n-k) x (n+k) rectangle."""
     lam = strip(lam)
     return is_k_strict(lam, k) and len(lam) <= n - k and (not lam or lam[0] <= n + k)
+
+
+def check_rect(lam, k: int, n: int | None = None) -> None:
+    """Raise ValueError unless lam is k-strict and, when n is given, k <= n
+    and lam fits the (n-k) x (n+k) rectangle."""
+    if is_k_strict(strip(lam), k) if n is None else in_rect(lam, k, n):
+        return
+    text = ",".join(str(x) for x in lam) or "-"
+    if n is not None and n < k:
+        raise ValueError("need k <= n, got k=%d n=%d" % (k, n))
+    if not is_k_strict(strip(lam), k):
+        raise ValueError("lambda must be %d-strict (parts above %d distinct): "
+                         "%s" % (k, k, text))
+    raise ValueError("lambda %s does not fit in the (%d x %d) rectangle for "
+                     "n=%d, k=%d" % (text, n - k, n + k, n, k))
 
 
 def schubert_indices(lam, k: int, n: int, family: str) -> tuple[int, ...]:
@@ -189,6 +198,9 @@ def count_bases(d: int, k: int) -> tuple[int, int]:
 
     The two counts agree for every d; both sides index homogeneous bases
     of the same graded ring, and the equality is asserted by tests rather
-    than here.
+    than here.  The enumeration time grows about sixfold for every 10
+    added to d (5 s at d = 50), so d above 50 raises ValueError.
     """
+    if d > 50:
+        raise ValueError("d must be at most 50, got %d" % d)
     return len(k_strict_partitions(d, k)), len(k_odd_partitions(d, k))

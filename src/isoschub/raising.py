@@ -100,35 +100,6 @@ def outside_rim(D, jmax: int, diagonal: bool = True) -> list[tuple[int, int]]:
     return out
 
 
-def inner_rim(D, diagonal: bool = True) -> list[tuple[int, int]]:
-    """Rim pairs with a left neighbor in D, plus the middle-row diagonal pair.
-
-    Unlike the full rim this set is finite with no column bound: the first
-    row only contributes columns adjacent to existing members.
-    """
-    S = set(D)
-    m = middle_row(D)
-    max_col = max((j for _, j in S), default=0)
-    out = []
-    for i, j in outside_rim(D, max_col + 1, diagonal):
-        if (i, j - 1) in S or (i == j == m):
-            out.append((i, j))
-    return out
-
-
-def pair_set_geometry(D, jmax: int | None = None, diagonal: bool = True) -> dict:
-    S = frozenset(D)
-    if jmax is None:
-        jmax = max((j for _, j in S), default=0) + 1
-    return {
-        "valid": is_valid_pairs(S, diagonal),
-        "outer_corners": outer_corners(S, diagonal),
-        "rim": outside_rim(S, jmax, diagonal),
-        "rim1": inner_rim(S, diagonal),
-        "middle_row": middle_row(S),
-    }
-
-
 def c_set(lam, k: int, t: int | None = None) -> frozenset[tuple[int, int]]:
     """Pairs (i, j), i <= j <= t, with lam_i + lam_j > 2k + j - i."""
     lam = strip(lam)

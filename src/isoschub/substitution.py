@@ -18,53 +18,47 @@ from functools import cache
 
 from .cohomology import pieri, pieri_match, reduce_monomial, stable_n
 from .formal import add_into, combine
-from .partitions import get, is_k_strict, strip, weight
+from .partitions import check_rect, get, is_k_strict, strip, weight
 from .raising import (c_set, diagonal_count, expand, is_valid_pairs,
                       middle_row, outer_corner_in_col, outer_corner_in_row,
                       outside_rim, strict_pairs)
 
 
-def rank_r(y: int, lam, k: int, ell: int | None = None) -> int:
-    """Largest r <= ell+1 with lam_{r-1} > 2k + r - y.
+def rank_r(y: int, lam, k: int) -> int:
+    """Largest r <= ell+1 with lam_{r-1} > 2k + r - y, ell = len(lam).
 
     The 0th part counts as infinite, so the result is at least 1.
     """
     lam = strip(lam)
-    if ell is None:
-        ell = len(lam)
-    for r in range(ell + 1, 1, -1):
+    for r in range(len(lam) + 1, 1, -1):
         if get(lam, r - 1) > 2 * k + r - y:
             return r
     return 1
 
 
-def r_boxes(lam, k: int, mu, ell: int | None = None) -> set:
+def r_boxes(lam, k: int, mu) -> set:
     """Boxes [i, c] of mu minus lam past column k whose rank row has
     already filled up: mu_{r(i+c)} <= 2k + r(i+c) - i - c."""
     lam = strip(lam)
-    if ell is None:
-        ell = len(lam)
     mu = tuple(mu)
     out = set()
     for i in range(1, len(mu) + 1):
         for c in range(max(get(lam, i), k) + 1, get(mu, i) + 1):
-            r = rank_r(i + c, lam, k, ell)
+            r = rank_r(i + c, lam, k)
             if get(mu, r) <= 2 * k + r - i - c:
                 out.add((i, c))
     return out
 
 
-def g_value(lam, k: int, h: int, ell: int | None = None) -> int:
+def g_value(lam, k: int, h: int) -> int:
     """g_h: the rank of h + lam_{h-1}; by convention g_1 = ell + 1."""
     lam = strip(lam)
-    if ell is None:
-        ell = len(lam)
     if h == 1:
-        return ell + 1
-    return rank_r(h + get(lam, h - 1), lam, k, ell)
+        return len(lam) + 1
+    return rank_r(h + get(lam, h - 1), lam, k)
 
 
-def ef_values(lam, k: int, h: int, mu, R=None, ell: int | None = None):
+def ef_values(lam, k: int, h: int, mu):
     """e_h and f_h for the sequence mu.
 
     Only defined for h >= 2 with mu_h >= lam_{h-1}; anywhere else is a
@@ -74,12 +68,9 @@ def ef_values(lam, k: int, h: int, mu, R=None, ell: int | None = None):
     f_h = r(h + e_h).
     """
     lam = strip(lam)
-    if ell is None:
-        ell = len(lam)
     if h < 2 or get(mu, h) < get(lam, h - 1):
         raise ValueError("e/f undefined at level %d for mu=%r" % (h, tuple(mu)))
-    if R is None:
-        R = r_boxes(lam, k, mu, ell)
+    R = r_boxes(lam, k, mu)
     prev = get(lam, h - 1)
     if (h, prev) in R:
         e = prev
@@ -89,20 +80,7 @@ def ef_values(lam, k: int, h: int, mu, R=None, ell: int | None = None):
             if (h, c) in R:
                 e = c + 1
                 break
-    return e, rank_r(h + e, lam, k, ell)
-
-
-def efg(lam, k: int, h: int, mu, ell: int | None = None) -> dict:
-    """b_h, g_h, R(mu), plus e_h and f_h when they are defined."""
-    lam = strip(lam)
-    if ell is None:
-        ell = len(lam)
-    R = r_boxes(lam, k, mu, ell)
-    out = {"b": rank_r(h + get(lam, h) + 1, lam, k, ell),
-           "g": g_value(lam, k, h, ell), "R": R}
-    if h >= 2 and get(mu, h) >= get(lam, h - 1):
-        out["e"], out["f"] = ef_values(lam, k, h, mu, R, ell)
-    return out
+    return e, rank_r(h + e, lam, k)
 
 
 def w_holds(mu, k: int, i: int, j: int) -> bool:
@@ -110,7 +88,7 @@ def w_holds(mu, k: int, i: int, j: int) -> bool:
     return get(mu, i) + get(mu, j) > 2 * k + j - i
 
 
-def x_holds(lam, k: int, psi, ell: int | None = None) -> bool:
+def x_holds(lam, k: int, psi) -> bool:
     """The diagonal stop test.
 
     True when (h, h) lies in D and the level's entry has grown too far:
@@ -125,13 +103,9 @@ def x_holds(lam, k: int, psi, ell: int | None = None) -> bool:
     if mh >= get(mu, h - 1) or mh > get(lam, h - 1):
         return True
     if mh == get(lam, h - 1):
-        _, f = ef_values(lam, k, h, mu, None, ell)
+        _, f = ef_values(lam, k, h, mu)
         return (h, f) not in S
     return False
-
-
-def conditions(lam, k: int, psi, i: int, j: int, ell: int | None = None) -> dict:
-    return {"W": w_holds(psi[1], k, i, j), "X": x_holds(lam, k, psi, ell)}
 
 
 def _shift(mu, i: int, j: int):
@@ -144,8 +118,7 @@ def _shift(mu, i: int, j: int):
     return tuple(out)
 
 
-def apply_rule(lam, k: int, psi, ell: int | None = None, m: int | None = None,
-               modified: bool = False):
+def apply_rule(lam, k: int, psi, m: int | None = None, modified: bool = False):
     """One rewriting step on a level-h tuple.
 
     Returns (label, children): grow arms give the plain copy first and
@@ -158,8 +131,7 @@ def apply_rule(lam, k: int, psi, ell: int | None = None, m: int | None = None,
     D, mu, S, h = psi
     assert h >= 1 and is_valid_pairs(D), psi
     lam = strip(lam)
-    if ell is None:
-        ell = len(lam)
+    ell = len(lam)
     if m is None:
         m = middle_row(c_set(lam, k))
     if (h, h) not in D:
@@ -182,8 +154,8 @@ def apply_rule(lam, k: int, psi, ell: int | None = None, m: int | None = None,
         if get(mu, j) <= get(mu, j - 1):
             return "grow-row", [(D2, tuple(mu), S, h), shifted]
         return "grow-row", [shifted]
-    x = x_holds(lam, k, psi, ell)
-    g = g_value(lam, k, h, ell)
+    x = x_holds(lam, k, psi)
+    g = g_value(lam, k, h)
     if x or (not modified and w_holds(mu, k, h, g)):
         corner = outer_corner_in_col(D, g)
         if corner is not None and corner[0] <= h:
@@ -196,11 +168,10 @@ def apply_rule(lam, k: int, psi, ell: int | None = None, m: int | None = None,
     return "descend", [(D, tuple(mu), S, h - 1)]
 
 
-def root_compositions(lam, p: int, ell: int | None = None) -> list:
+def root_compositions(lam, p: int) -> list:
     """Entrywise extensions of lam by a total of p over ell+1 slots."""
     lam = strip(lam)
-    if ell is None:
-        ell = len(lam)
+    ell = len(lam)
     base = tuple(get(lam, i) for i in range(1, ell + 2))
     out = []
 
@@ -221,18 +192,21 @@ def build_forest(lam, p: int, k: int, modified: bool = False,
 
     Returns a dict with the roots, the level-0 leaves (psi0), the
     stopped leaves (psi1), and, when asked, every (tuple, label,
-    children) node in discovery order.  Every tuple produced along the
-    way is asserted to be new, to keep D inside the rim of C, and to
-    keep S inside D minus C.
+    children) node in discovery order.  Raises ValueError unless lam is
+    k-strict and p >= 1.  The asserts below (every tuple new, D inside
+    the rim of C, S inside D minus C) are debugging aids that python -O
+    skips; verify_claim1 and verify_claim2 check the leaves explicitly.
     """
     lam = strip(lam)
-    assert p >= 1 and is_k_strict(lam, k), (lam, p, k)
+    check_rect(lam, k)
+    if p < 1:
+        raise ValueError("p must be at least 1, got %d" % p)
     ell = len(lam)
     C = c_set(lam, k)
     m = middle_row(C)
     allowed = frozenset(C) | frozenset(outside_rim(C, ell + 1))
     roots = [(C, nu, frozenset(), ell + 1)
-             for nu in root_compositions(lam, p, ell)]
+             for nu in root_compositions(lam, p)]
     seen = set()
     psi0, psi1, nodes = [], [], []
     stack = list(reversed(roots))
@@ -250,7 +224,7 @@ def build_forest(lam, p: int, k: int, modified: bool = False,
             if keep_nodes:
                 nodes.append((psi, "bottom", []))
             continue
-        label, children = apply_rule(lam, k, psi, ell, m, modified)
+        label, children = apply_rule(lam, k, psi, m, modified)
         if children is None:
             psi1.append(psi)
         else:
@@ -291,13 +265,20 @@ def forest_n(lam, p: int, k: int) -> int:
     return weight(lam) + p + len(lam) + k + 2
 
 
+def _check(ok: bool, what: str, *detail) -> None:
+    # an explicit check: unlike assert, it also runs under python -O
+    if not ok:
+        raise RuntimeError("%s: %r" % (what, detail))
+
+
 def verify_claim1(lam, p: int, k: int, modified: bool = False) -> dict:
     """Check that level-0 leaves reproduce the one-row product.
 
     Each leaf whose last entry is nonnegative must strip to a k-strict
     partition mu reachable from lam, with D the full pair support of mu
     and multiplicity 2^(number of free components); the multiplicity
-    dict must equal the product's coefficients.  Returns it.
+    dict must equal the product's coefficients.  Returns it; a failed
+    check raises RuntimeError.
     """
     lam = strip(lam)
     res = build_forest(lam, p, k, modified=modified)
@@ -307,19 +288,20 @@ def verify_claim1(lam, p: int, k: int, modified: bool = False) -> dict:
         if mu[ell] < 0:
             continue
         smu = strip(mu)
-        assert is_k_strict(smu, k), (lam, mu)
-        info = pieri_match(lam, smu, k)
-        assert info is not None, (lam, mu)
-        assert frozenset(D) == c_set(smu, k, ell + 1), (lam, mu, D)
+        _check(is_k_strict(smu, k), "leaf is not k-strict", mu)
+        _check(pieri_match(lam, smu, k) is not None, "leaf is no Pieri term",
+               mu)
+        _check(frozenset(D) == c_set(smu, k, ell + 1), "leaf pair set", mu, D)
         add_into(counts, smu, 1)
     for smu, c in counts.items():
-        assert c == 1 << pieri_match(lam, smu, k)["N"], (smu, c)
+        _check(c == 1 << pieri_match(lam, smu, k)["N"], "leaf count", smu, c)
     want = pieri(lam, p, k, stable_n(weight(lam) + p, k), "B")
-    assert counts == want, (counts, want)
+    _check(counts == want, "leaves against the Pieri rule", counts, want)
     return counts
 
 
-def iota(lam, k: int, psi, ell: int | None = None):
+
+def iota(lam, k: int, psi):
     """Pair a stopped leaf with its cancelling partner.
 
     Column stops shift (mu_{h-1}, mu_h) to (mu_h - 1, mu_{h-1} + 1);
@@ -328,9 +310,6 @@ def iota(lam, k: int, psi, ell: int | None = None):
     inside S.
     """
     D, mu, S, h = psi
-    lam = strip(lam)
-    if ell is None:
-        ell = len(lam)
     assert h >= 2, psi
     mu = tuple(mu)
     a, b = get(mu, h - 1), get(mu, h)
@@ -342,8 +321,8 @@ def iota(lam, k: int, psi, ell: int | None = None):
         return psi
     nmu = list(mu)
     nmu[h - 2], nmu[h - 1] = b, a
-    pg = (h - 1, g_value(lam, k, h, ell))
-    pf = (h, ef_values(lam, k, h, mu, None, ell)[1])
+    pg = (h - 1, g_value(lam, k, h))
+    pf = (h, ef_values(lam, k, h, mu)[1])
     ns = set(S)
     if pg in S and pf not in S:
         ns.discard(pg)
@@ -360,26 +339,26 @@ def verify_claim2(lam, p: int, k: int):
     The pairing must stay inside the stopped set, square to the
     identity, and sum to zero evaluation on each orbit; fixed points
     must evaluate to zero on their own.  Returns (leaf count, fixed
-    point count).
+    point count); a failed check raises RuntimeError.
     """
     lam = strip(lam)
     res = build_forest(lam, p, k)
-    ell = len(lam)
     n = forest_n(lam, p, k)
     leaves = set(res["psi1"])
-    assert len(leaves) == len(res["psi1"])
+    _check(len(leaves) == len(res["psi1"]), "stopped leaves repeat")
     fixed = 0
     for psi in leaves:
-        other = iota(lam, k, psi, ell)
-        assert other in leaves, (psi, other)
-        assert iota(lam, k, other, ell) == psi, (psi, other)
+        other = iota(lam, k, psi)
+        _check(other in leaves, "partner is no stopped leaf", psi, other)
+        _check(iota(lam, k, other) == psi, "pairing is no involution", psi,
+               other)
         if other == psi:
             fixed += 1
-            assert not ev(psi, k, n), (psi,)
+            _check(not ev(psi, k, n), "fixed point evaluates nonzero", psi)
         else:
             total = ev(psi, k, n)
             combine(total, ev(other, k, n))
-            assert not total, (psi, other, total)
+            _check(not total, "pair does not cancel", psi, other, total)
     return len(leaves), fixed
 
 
@@ -413,7 +392,7 @@ def pieri_S_sets(lam, mu, k: int) -> dict:
     assert info is not None, (lam, mu)
     aset = set(info["A"])
     over_k = {b for b in info["added"] if b[1] > k}
-    assert aset == over_k - r_boxes(lam, k, mu, ell), (lam, mu)
+    assert aset == over_k - r_boxes(lam, k, mu), (lam, mu)
     distinguished = sorted(b for b in aset if (b[0], b[1] - 1) not in aset)
     optional = set()
     for comp in info["components"]:
@@ -423,12 +402,12 @@ def pieri_S_sets(lam, mu, k: int) -> dict:
     assert len(optional) == info["N"]
     E, F = set(), set()
     for i, c in distinguished:
-        pair = (i, rank_r(i + c, lam, k, ell))
+        pair = (i, rank_r(i + c, lam, k))
         if (i, c) in optional:
             E.add(pair)
         else:
             F.add(pair)
-            assert pair[1] == ef_values(lam, k, i, mu, None, ell)[1], (lam, mu, pair)
+            assert pair[1] == ef_values(lam, k, i, mu)[1], (lam, mu, pair)
     G = {(nb[0], rb[0]) for nb, rb in info["match_removed"]}
     assert not (E & F) and not (E & G) and not (F & G), (E, F, G)
     hull = c_set(mu, k, ell + 1) & frozenset(outside_rim(c_set(lam, k), ell + 1))

@@ -17,7 +17,7 @@ from functools import cache
 from itertools import permutations
 
 from .formal import add_into, combine
-from .partitions import get, is_k_strict, k_strict_partitions, strip, weight
+from .partitions import check_rect, get, k_strict_partitions, strip, weight
 from .raising import c_set, expand, strict_pairs
 
 
@@ -56,10 +56,10 @@ def theta(lam, k: int) -> dict[tuple[int, ...], int]:
     factors taken over the off-diagonal pairs (i, j) having
     lam_i + lam_j > 2k + j - i, then straightened. Unitriangular:
     the key lam itself carries coefficient 1 and every other key
-    strictly dominates lam.
+    strictly dominates lam. Raises ValueError unless lam is k-strict.
     """
     lam = strip(lam)
-    assert is_k_strict(lam, k), (lam, k)
+    check_rect(lam, k)
     return dict(_theta(lam, k))
 
 
@@ -238,10 +238,11 @@ def mixed_expand(lam, k: int) -> dict:
     Each one-row class splits as t_a = sum_{i=0..min(k,a)} q_{a-i} e_i;
     the q-part is straightened at threshold 0 and converted to the
     canonical (Schur Q) basis, the e-part is folded into Schur classes
-    by horizontal-strip Pieri steps, pruning nu_1 > k.
+    by horizontal-strip Pieri steps, pruning nu_1 > k. Raises ValueError
+    unless lam is k-strict.
     """
     lam = strip(lam)
-    assert is_k_strict(lam, k), (lam, k)
+    check_rect(lam, k)
     raw = expand(strict_pairs(c_set(lam, k)), lam)
     out: dict = {}
     for alpha, co in raw.items():
@@ -261,11 +262,3 @@ def mixed_expand(lam, k: int) -> dict:
                 add_into(out, (mu, nu), co * c * cq)
     return out
 
-
-def mixed_to_json(e: dict) -> list[dict]:
-    """Rows {"Q": mu, "s_conj_of": nu, "coeff": str}, sorted by key."""
-    rows = []
-    for (mu, nu) in sorted(e):
-        c = e[(mu, nu)]
-        rows.append({"Q": list(mu), "s_conj_of": list(nu), "coeff": str(c)})
-    return rows

@@ -10,7 +10,8 @@ the first value) and s_i (swap values i, i+1) for i >= 1.
 from functools import cache
 
 from .formal import add_into
-from .partitions import (conjugate, get, in_rect, is_k_strict, split_columns,
+# in_rect is unused but stays bound: bench/tracing.TARGETS expects it here
+from .partitions import (check_rect, conjugate, get, in_rect, split_columns,
                          strip, subpartitions)
 
 
@@ -92,13 +93,14 @@ def grassmannian_element(lam, k, n=None):
     [r', c'] of one of the first k columns, or for a phantom box
     [1, i + 1] with lam_1 < i <= k.  Related lengths come first in
     increasing order, then the parts beyond column k barred, then the
-    remaining lengths increasing.
+    remaining lengths increasing.  Raises ValueError unless lam is
+    k-strict and, when n is given, fits the (n-k) x (n+k) rectangle;
+    the default n is the least that fits.
     """
     lam = strip(lam)
-    assert is_k_strict(lam, k), (lam, k)
+    check_rect(lam, k, n)
     if n is None:
         n = max(len(lam) + k, (lam[0] - k) if lam else 0, 1)
-    assert in_rect(lam, k, n), "partition does not fit the rectangle"
     conj = conjugate(lam)
     first = lam[0] if lam else 0
     related = {k + 1 - c + conj[c - 1] for c in range(1, min(k, first) + 1)}

@@ -151,6 +151,19 @@ def test_usage_errors(capsys):
     code, _ = run(["pieri", "--type", "C", "--n", "7", "--k", "1",
                    "--lambda", "2,1,1", "--p", "0"], capsys)
     assert code == 2
+    # the library raises ValueError and main turns it into exit 2
+    for argv in (["giambelli", "--n", "3", "--k", "4", "--lambda", "1"],
+                 ["giambelli", "--n", "5", "--k", "1", "--lambda", "2,2"],
+                 ["product", "--n", "3", "--k", "1", "--lambda", "1",
+                  "--mu", "9"],
+                 ["wlambda", "--k", "1", "--lambda", "5,1", "--n", "3"],
+                 ["bh", "--k", "1", "--lambda", "2,2"],
+                 ["forest", "--k", "1", "--lambda", "2,1", "--p", "0"],
+                 ["forest", "--k", "1", "--lambda", "2,2", "--p", "1"],
+                 ["verify", "--suite", "claims", "--max-weight", "0"],
+                 ["count-bases", "--d", "51", "--k", "2"]):
+        assert cli.main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
     for argv in (["bh", "--lambda", "3,2,1"], ["wlambda", "--lambda", "2,1"],
                  ["forest", "--lambda", "2,1", "--p", "1"],
                  ["theta", "--lambda", "2,1"], ["skews", "--lambda", "2,1"],
@@ -211,6 +224,32 @@ def test_verify_reports_failure(capsys, monkeypatch):
                      "--format", "json"], capsys)
     assert code == 1
     assert json.loads(out)["ok"] is False
+
+
+def test_verification_survives_python_O():
+    # a Pieri rule that drops its largest term must fail both suites even
+    # when python -O strips every assert statement
+    script = """
+import json, sys
+from isoschub import cli, cohomology
+rule = cohomology._pieri
+def broken(*args):
+    out = dict(rule(*args))
+    if out:
+        del out[max(out)]
+    return out
+cohomology._pieri = broken
+suites = dict(cli.SUITES)
+print(json.dumps([sys.flags.optimize, suites["giambelli-sweep"](3),
+                  suites["claims"](2)]))
+"""
+    res = subprocess.run([sys.executable, "-O", "-c", script],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    optimize, sweep, claims = json.loads(res.stdout)
+    assert optimize == 1
+    assert sweep[0] is False and sweep[1], sweep
+    assert claims[0] is False and claims[1], claims
 
 
 def test_console_entry_subprocess():

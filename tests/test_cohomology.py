@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -8,8 +10,9 @@ from isoschub.cohomology import (giambelli, multiply, pieri, pieri_apply,
 from isoschub.partitions import (k_strict_partitions, length_gt_k,
                                  rect_partitions, weight)
 from isoschub.raising import c_set, expand, pfaffian_expand, strict_pairs
-from isoschub.substitution import ev
-from isoschub.theta import straighten, theta
+from isoschub.substitution import build_forest, ev
+from isoschub.theta import mixed_expand, straighten, theta
+from isoschub.weyl import grassmannian_element
 
 MEMOIZED = [
     (expand, (strict_pairs(c_set((3, 2, 1), 1)), (3, 2, 1))),
@@ -66,10 +69,62 @@ def test_pieri_match_big_case():
 
 
 def test_pieri_errors():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         pieri((1,), 9, 1, 5, "B")  # p beyond n + k
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         pieri((7,), 1, 1, 5, "B")  # lam outside the rectangle
+
+
+# Bad input to the public functions; each call must raise ValueError, with
+# or without python -O.
+BAD_CALLS = {
+    "pieri-outside-rect": lambda: pieri((2, 2), 1, 1, 5, "B"),
+    "pieri-p-zero": lambda: pieri((1,), 0, 1, 5, "C"),
+    "pieri-p-above": lambda: pieri((1,), 7, 1, 5, "C"),
+    "pieri-family": lambda: pieri((1,), 1, 1, 5, "D"),
+    "giambelli-not-k-strict": lambda: giambelli((2, 2), 1, 5, "C"),
+    "giambelli-outside-rect": lambda: giambelli((9,), 1, 3, "C"),
+    "multiply-first": lambda: multiply({(9, 9): 1}, {(): 1}, 1, 3, "C"),
+    "multiply-second": lambda: multiply({(): 1}, {(9, 9): 1}, 1, 3, "C"),
+    "multiply-second-not-k-strict":
+        lambda: multiply({(1,): 1}, {(2, 2): 1}, 1, 5, "B"),
+    "theta-route-first":
+        lambda: theta_route_product({(9, 9): 1}, {(): 1}, 1, 3, "C"),
+    "theta-route-second":
+        lambda: theta_route_product({(): 1}, {(9, 9): 1}, 1, 3, "C"),
+    "theta-not-k-strict": lambda: theta((2, 2), 1),
+    "mixed-expand-not-k-strict": lambda: mixed_expand((2, 2), 1),
+    "grassmannian-n-too-small": lambda: grassmannian_element((5, 1), 1, 3),
+    "forest-p-zero": lambda: build_forest((2, 1), 0, 1),
+    "forest-not-k-strict": lambda: build_forest((2, 2), 1, 1),
+}
+
+
+def _calls_without_value_error():
+    missed = []
+    for name, call in BAD_CALLS.items():
+        try:
+            call()
+        except ValueError:
+            continue
+        missed.append(name)
+    return missed
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CALLS))
+def test_bad_input_raises_value_error(name):
+    with pytest.raises(ValueError):
+        BAD_CALLS[name]()
+
+
+def test_bad_input_raises_value_error_under_O():
+    # assert statements vanish under -O; the input checks must not
+    script = ("import runpy, sys; ns = runpy.run_path(sys.argv[1]); "
+              "print(sys.flags.optimize, ns['_calls_without_value_error']())")
+    res = subprocess.run([sys.executable, "-O", "-c", script, __file__],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split(None, 1) == ["1", "[]\n"]
 
 
 def test_pieri_family_rescaling():

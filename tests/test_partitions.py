@@ -1,7 +1,8 @@
+import pytest
 from hypothesis import given, strategies as st
 
 from isoschub.partitions import (
-    conjugate, contains, count_bases, dominates, is_k_strict, k_odd_partitions,
+    check_rect, conjugate, contains, count_bases, dominates, is_k_strict, k_odd_partitions,
     k_related, k_strict_partitions, length_gt_k, partitions_of, rect_partitions,
     schubert_indices, split_columns, strip, weight,
 )
@@ -20,6 +21,20 @@ def test_is_k_strict():
     assert is_k_strict((), 0)
     assert not is_k_strict((2, 3), 1)
     assert not is_k_strict((3, 2, 0), 1)  # trailing zero not canonical
+    assert not is_k_strict((2, -1), 1)
+    assert is_k_strict([3, 1, 1], 1)
+
+
+def test_check_rect_messages():
+    assert check_rect((3, 1), 1) is None
+    assert check_rect((4, 2, 1), 1, 5) is None
+    with pytest.raises(ValueError, match=r"must be 1-strict .*: 2,2$"):
+        check_rect((2, 2), 1)
+    with pytest.raises(ValueError, match=r"lambda 9,1 does not fit in the "
+                       r"\(2 x 4\) rectangle for n=3, k=1"):
+        check_rect((9, 1), 1, 3)
+    with pytest.raises(ValueError, match="need k <= n, got k=4 n=3"):
+        check_rect((), 4, 3)
 
 
 def test_split_columns():

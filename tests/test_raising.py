@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 from isoschub.formal import add_into, sum_from_json, sum_to_json
 from isoschub.partitions import strip
 from isoschub.raising import (
-    c_set, diagonal_count, expand, inner_rim, is_valid_pairs, middle_row,
+    c_set, diagonal_count, expand, is_valid_pairs, middle_row,
     outer_corner_in_col, outer_corner_in_row, outer_corners, outside_rim,
-    pair_set_geometry, pfaffian_expand, strict_pairs, two_special,
+    pfaffian_expand, strict_pairs, two_special,
 )
 
 # Independent oracle: the formal Jacobi-Trudi determinant det(x_{lam_i + j - i}),
@@ -147,22 +147,12 @@ def test_corners_and_rims():
     assert middle_row(set()) == 1
 
 
-def test_inner_rim():
-    # pairs of the rim continuing a row, plus the middle-row diagonal pair
-    C = {(1, 1), (1, 2)}
-    assert set(inner_rim(C, diagonal=True)) == {(1, 3), (2, 2)}
-    C2 = {(1, 1), (1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (2, 4)}
-    got = set(inner_rim(C2, diagonal=True))
-    assert (3, 3) in got and (1, 5) in got
-    assert (2, 5) in got and (3, 4) not in got
-
-
 def test_geometry_bundle():
-    geo = pair_set_geometry({(1, 1)}, jmax=3)
-    assert geo["valid"] and geo["middle_row"] == 2
+    D = frozenset({(1, 1)})
+    assert is_valid_pairs(D) and middle_row(D) == 2
     # (2, 2) is not addable before (1, 2) arrives
-    assert geo["outer_corners"] == [(1, 2)]
-    assert set(geo["rim"]) == {(1, 2), (1, 3), (2, 2)}
+    assert outer_corners(D) == [(1, 2)]
+    assert set(outside_rim(D, 3)) == {(1, 2), (1, 3), (2, 2)}
 
 
 def test_c_set_example():

@@ -6,10 +6,10 @@ from isoschub.cohomology import pieri, stable_n
 from isoschub.formal import combine
 from isoschub.partitions import get, is_k_strict, partitions_of, strip, weight
 from isoschub.raising import c_set, outside_rim
-from isoschub.substitution import (apply_rule, build_forest, conditions,
-                                   ef_values, efg, ev, forest_n, g_value,
-                                   iota, modified_forest, pieri_S_sets,
-                                   rank_r, root_compositions, verify_claim1,
+from isoschub.substitution import (apply_rule, build_forest, ef_values, ev,
+                                   forest_n, g_value, iota, modified_forest,
+                                   pieri_S_sets, r_boxes, rank_r,
+                                   root_compositions, verify_claim1,
                                    verify_claim2, w_holds, x_holds)
 
 EX_LAM = (9, 7, 3, 2, 1, 1)
@@ -40,18 +40,23 @@ def test_rank_r_reproduces_pair_support():
             ell = len(lam)
             via_r = frozenset(
                 (i, j) for j in range(1, ell + 1) for i in range(1, j + 1)
-                if j < rank_r(i + get(lam, i) + 1, lam, k, ell))
+                if j < rank_r(i + get(lam, i) + 1, lam, k))
             assert via_r == c_set(lam, k), (lam, k)
 
 
+def b_value(lam, k, h):
+    # b_h: the rank of h + lam_h + 1
+    return rank_r(h + get(lam, h) + 1, lam, k)
+
+
 def test_efg_worked_example():
-    d2 = efg(EX_LAM, 3, 2, EX_MU)
-    assert (d2["e"], d2["f"], d2["g"]) == (8, 5, 5)
-    d3 = efg(EX_LAM, 3, 3, EX_MU)
-    assert (d3["e"], d3["f"], d3["g"]) == (6, 4, 5)
+    e2, f2 = ef_values(EX_LAM, 3, 2, EX_MU)
+    assert (e2, f2, g_value(EX_LAM, 3, 2)) == (8, 5, 5)
+    e3, f3 = ef_values(EX_LAM, 3, 3, EX_MU)
+    assert (e3, f3, g_value(EX_LAM, 3, 3)) == (6, 4, 5)
     assert g_value(EX_LAM, 3, 1) == 7
-    assert d2["b"] <= d2["f"] <= d2["g"]
-    assert d3["b"] <= d3["f"] <= d3["g"]
+    assert b_value(EX_LAM, 3, 2) <= f2 <= g_value(EX_LAM, 3, 2)
+    assert b_value(EX_LAM, 3, 3) <= f3 <= g_value(EX_LAM, 3, 3)
 
 
 def test_efg_domain_errors():
@@ -60,7 +65,6 @@ def test_efg_domain_errors():
     # mu_h below lam_{h-1}
     with pytest.raises(ValueError):
         ef_values(EX_LAM, 3, 2, (11, 8, 7, 2, 2))
-    assert "e" not in efg(EX_LAM, 3, 2, (11, 8, 7, 2, 2))
 
 
 def test_efg_sweep_bounds():
@@ -75,11 +79,12 @@ def test_efg_sweep_bounds():
                 # the column scan for e needs row lvl-1 to reach past k
                 if get(mu, lvl) < get(lam, lvl - 1) or get(lam, lvl - 1) <= k:
                     continue
-                d = efg(lam, k, lvl, mu, ell)
-                assert d["b"] <= d["f"] <= d["g"], (lam, mu, lvl)
-                if (lvl, get(lam, lvl - 1)) in d["R"]:
-                    assert d["e"] == get(lam, lvl - 1)
-                    assert d["f"] == d["g"], (lam, mu, lvl)
+                e, f = ef_values(lam, k, lvl, mu)
+                g = g_value(lam, k, lvl)
+                assert b_value(lam, k, lvl) <= f <= g, (lam, mu, lvl)
+                if (lvl, get(lam, lvl - 1)) in r_boxes(lam, k, mu):
+                    assert e == get(lam, lvl - 1)
+                    assert f == g, (lam, mu, lvl)
 
 
 def test_w_on_base_pairs():
@@ -93,9 +98,9 @@ def test_w_on_base_pairs():
 def test_conditions_frozen():
     D = frozenset({(1, 1), (1, 2), (1, 3), (2, 2), (2, 3)})
     psi = (D, (3, 4, 1), frozenset({(2, 2)}), 2)
-    out = conditions((3, 1), 1, psi, 2, 3)
-    assert out["X"] is True
-    assert out["W"] == w_holds((3, 4, 1), 1, 2, 3)
+    assert x_holds((3, 1), 1, psi) is True
+    # mu_2 + mu_3 = 5 > 2k + 3 - 2
+    assert w_holds((3, 4, 1), 1, 2, 3) is True
     # level 1 never passes the diagonal test
     assert not x_holds((2,), 1, (frozenset({(1, 1)}), (3, 0), frozenset(), 1))
 
@@ -190,17 +195,16 @@ def test_sticky_x():
     # never drops.
     for lam, p, k in [((3, 1), 3, 1), ((3, 2), 3, 2), ((2, 1, 1), 2, 1),
                       ((3, 2), 2, 0)]:
-        ell = len(lam)
         res = build_forest(lam, p, k, keep_nodes=True)
         hits = 0
         for psi, label, children in res["nodes"]:
-            if psi[3] == 0 or not x_holds(lam, k, psi, ell):
+            if psi[3] == 0 or not x_holds(lam, k, psi):
                 continue
             hits += 1
             assert label in ("grow-row", "grow-rim", "stop-diag"), (psi, label)
             for child in children:
                 assert child[3] == psi[3]
-                assert x_holds(lam, k, child, ell), (psi, child)
+                assert x_holds(lam, k, child), (psi, child)
         assert hits > 0
 
 

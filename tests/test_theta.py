@@ -1,6 +1,6 @@
 import random
 
-from isoschub.formal import combine, is_zero, scaled
+from isoschub.formal import combine, scaled, sum_to_json
 from isoschub.partitions import (contains, dominates, get, is_k_strict,
                                  k_strict_partitions, partitions_of, strip,
                                  weight)
@@ -9,8 +9,8 @@ from isoschub.polyeval import (const, e_list, evaluate, p_det, p_mul, q_basis_po
                                schur_conj_poly)
 from isoschub.raising import c_set, expand, pfaffian_expand, strict_pairs
 from isoschub.theta import (hat_theta, horizontal_strips, mixed_expand,
-                            mixed_to_json, multiply, skew_S, straighten, theta,
-                            theta_sum, to_hat_basis, to_theta_basis)
+                            multiply, skew_S, straighten, theta, theta_sum,
+                            to_hat_basis, to_theta_basis)
 
 UNIT = {(): 1}
 
@@ -117,7 +117,7 @@ def test_duality_recurrence():
             for i in range(n + 1):
                 term = multiply(gen(i), hat_theta(n - i, k), k)
                 combine(acc, term, -1 if i % 2 else 1)
-            assert is_zero(acc), (k, n)
+            assert not acc, (k, n)
 
 
 def test_multiply_basics():
@@ -220,8 +220,8 @@ def test_mixed_expand_table():
         ((3, 1), (1, 1)): 2,
         ((2, 1), (1, 1, 1)): 1,
     }
-    rows = mixed_to_json(got)
-    assert {"Q": [3, 2], "s_conj_of": [1], "coeff": "2"} in rows
+    rows = sum_to_json(got)
+    assert {"key": [[3, 2], [1]], "num": "2", "den": "1"} in rows
     assert len(rows) == 6
 
 
@@ -269,7 +269,7 @@ def test_even_odd_generator_identity():
                 combine(acc, multiply(gen(i), gen(r - i), k),
                         -1 if i % 2 else 1)
             if r % 2:
-                assert is_zero(acc), (k, r)
+                assert not acc, (k, r)
                 continue
             m = r
             nv = m + k

@@ -132,9 +132,9 @@ def test_grassmannian_invariants():
 
 
 def test_grassmannian_errors():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         grassmannian_element((3, 3), 1)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         grassmannian_element((5, 1), 1, 3)
 
 
