@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 
 from . import theta, weyl
 from .cohomology import (giambelli, multiply, pieri, stable_n,
@@ -19,8 +18,8 @@ from .cohomology import (giambelli, multiply, pieri, stable_n,
 from .formal import combine, scaled, sum_to_json
 # in_rect is unused but stays bound: bench/tracing.TARGETS expects it here
 from .partitions import (count_bases, get, in_rect, is_k_strict,
-                         k_strict_partitions, length_gt_k, rect_partitions,
-                         strip, subpartitions, weight)
+                         k_strict_partitions, rect_partitions, strip,
+                         subpartitions, weight)
 from .polyeval import (e_list, evaluate, p_det, p_mul, q_basis_poly,
                        q_det_poly, q_list, schur_conj_poly)
 from .raising import c_set, expand, strict_pairs
@@ -88,18 +87,15 @@ def term_lines(f: dict) -> list:
 
 def _cmd_giambelli(args):
     lam, k, n = args.lam, args.k, args.n
-    reduced = giambelli(lam, k, n, args.type)
-    raw = dict(expand(strict_pairs(c_set(lam, k)), lam))
-    if args.type == "B":
-        raw = scaled(raw, Fraction(1, 1 << length_gt_k(lam, k)))
+    terms = giambelli(lam, k, n, args.type)
     payload = {"command": "giambelli", "family": args.type, "n": n, "k": k,
-               "lam": list(lam), "terms": sum_to_json(raw),
-               "reduces_to": sum_to_json(reduced)}
+               "lam": list(lam), "terms": sum_to_json(terms),
+               "reduces_to": sum_to_json({lam: 1})}
     lines = ["special class expansion of %s (family %s, n=%d, k=%d):"
              % (_key_text(lam), args.type, n, k)]
-    lines += term_lines(raw)
+    lines += term_lines(terms)
     lines.append("reduces to:")
-    lines += term_lines(reduced)
+    lines += term_lines({lam: 1})
     return 0, payload, lines
 
 
@@ -212,12 +208,12 @@ def _cmd_count_bases(args):
 
 def _suite_intro_giambelli(mw):
     want = {(3, 2, 1): 1, (3, 3): -1, (4, 1, 1): -2, (4, 2): 1, (5, 1): 2}
-    raw = expand(strict_pairs(c_set((3, 2, 1), 1)), (3, 2, 1))
-    if dict(raw) != want:
-        return False, "expansion of (3,2,1) at k=1 came out %r" % (raw,)
-    red = giambelli((3, 2, 1), 1, 5, "C")
-    if red != {(3, 2, 1): 1}:
-        return False, "reduction came out %r" % (red,)
+    try:
+        got = giambelli((3, 2, 1), 1, 5, "C")
+    except RuntimeError as exc:
+        return False, str(exc)
+    if got != want:
+        return False, "expansion of (3,2,1) at k=1 came out %r" % (got,)
     return True, ""
 
 
@@ -476,10 +472,8 @@ def _parser():
         description="Schubert calculus on isotropic Grassmannians")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt=True):
-        if fmt:
-            p.add_argument("--format", choices=("text", "json"),
-                           default="text")
+    def common(p):
+        p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("giambelli", help="special class expansion of a basis "
                        "element plus its reduction")

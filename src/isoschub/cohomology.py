@@ -15,7 +15,7 @@ is obtained from the B-family rule through it.
 from fractions import Fraction
 from functools import cache
 
-from .formal import add_into, combine, scaled
+from .formal import add_into, combine, norm_scalar, scaled
 from .partitions import (check_rect, get, in_rect, is_k_strict, k_related,
                          length_gt_k, strip, weight)
 from .raising import c_set, expand, strict_pairs
@@ -101,8 +101,7 @@ def pieri_match(lam, mu, k: int):
 
 def _candidates(lam, p, k, n):
     # mu with |mu| = |lam| + p, rowwise-compatible, inside the rectangle
-    ell = len(lam)
-    rows = min(ell + 1, n - k)
+    rows = min(len(lam) + 1, n - k)
     total = weight(lam) + p
     out = []
 
@@ -123,7 +122,7 @@ def _candidates(lam, p, k, n):
     return out
 
 
-def pieri(lam, p: int, k: int, n: int, family: str = "B") -> dict:
+def pieri(lam, p: int, k: int, n: int, family: str) -> dict:
     """Multiply the basis class of lam by the p-th special class.
 
     Family "B" returns c_p * tau_lam = sum 2^N(lam,mu) tau_mu; family
@@ -148,8 +147,7 @@ def _pieri(lam, p, k, n, family):
         return out
     # validated on a miss only: the checks depend on the arguments alone,
     # and functools.cache stores no exception, so bad input raises every time
-    if family != "B":
-        raise ValueError("family must be B or C, got %r" % (family,))
+    _check_family(family)
     check_rect(lam, k, n)
     if not 1 <= p <= n + k:
         raise ValueError("p must lie in 1..n+k, got %d" % p)
@@ -175,13 +173,14 @@ def pieri_apply(elem: dict, p: int, k: int, n: int, family: str) -> dict:
     return out
 
 
-def reduce_monomial(beta, k: int, n: int, family: str = "C") -> dict:
+def reduce_monomial(beta, k: int, n: int, family: str) -> dict:
     """Product of special classes with indices beta in the Schubert basis.
 
     Indices sort high-to-low so shared prefixes hit the cache; zero
     indices are the unit and anything above n + k kills the monomial
     (the quotient bundle has no such Chern class).
     """
+    _check_family(family)
     key = tuple(sorted((b for b in beta if b), reverse=True))
     if any(b < 0 for b in key) or (key and key[0] > n + k):
         return {}
@@ -195,43 +194,58 @@ def _reduce(key, k, n, family):
     return pieri_apply(_reduce(key[:-1], k, n, family), key[-1], k, n, family)
 
 
-def giambelli(lam, k: int, n: int, family: str = "C") -> dict:
-    """Reduce the raising-operator expansion of lam back to the basis.
+def _check_family(family):
+    if family not in ("B", "C"):
+        raise ValueError("family must be B or C, got %r" % (family,))
 
-    Family C reduces the expansion of sigma-monomials directly; family
-    B carries the prefactor 2^(-l_k(lam)) on c-monomials. Either way
-    the result must be exactly {lam: 1}; anything else raises
-    RuntimeError. Raises ValueError unless lam is a class of the space.
-    """
+
+@cache
+def _formula(lam, k):
+    # R^lam on the monomial of lam: sigma_lam (C), 2^l_k(lam) tau_lam (B)
+    return expand(strict_pairs(c_set(lam, k)), lam)
+
+
+def _rescale(e: dict, k: int, family: str, to_sigma: bool) -> dict:
+    # tau-basis coefficients of a family-B sum to sigma-basis ones, or back
+    if family == "C":
+        return e
+    out = {}
+    for lam, c in e.items():
+        s = 1 << length_gt_k(lam, k)
+        out[lam] = norm_scalar(Fraction(c, s) if to_sigma else c * s)
+    return out
+
+
+def giambelli(lam, k: int, n: int, family: str) -> dict:
+    """The Giambelli formula of lam: R^lam sigma_lam in the sigma_p (family
+    C) or 2^(-l_k(lam)) R^lam c_lam in the c_p (family B), keyed by index
+    tuples. Raises RuntimeError unless it reduces to exactly the class of
+    lam, and ValueError unless lam is a class of the space."""
     lam = strip(lam)
     check_rect(lam, k, n)
-    raw = expand(strict_pairs(c_set(lam, k)), lam)
+    raw = _formula(lam, k)
     acc: dict = {}
     for key, c in raw.items():
         combine(acc, reduce_monomial(key, k, n, family), c)
-    if family == "B":
-        acc = scaled(acc, Fraction(1, 1 << length_gt_k(lam, k)))
-    if acc != {lam: 1}:
-        raise RuntimeError("giambelli(%r, k=%d, n=%d, %s) reduced to %r"
+    if _rescale(acc, k, family, True) != {lam: 1}:
+        raise RuntimeError("giambelli(%r, k=%d, n=%d, %s): R^lam reduced to %r"
                            % (lam, k, n, family, acc))
-    return acc
+    return scaled(raw, _rescale({lam: 1}, k, family, True)[lam])
 
 
-def multiply(a: dict, b: dict, k: int, n: int, family: str = "C") -> dict:
+def multiply(a: dict, b: dict, k: int, n: int, family: str) -> dict:
     """Product of two basis elements by Giambelli expansion plus Pieri.
 
-    Each key of a is replaced by its special-class expansion and folded
-    onto b one special class at a time. Raises ValueError unless every
-    key of a and b is a class of the space.
+    Each key of a is replaced by its Giambelli formula and folded onto b
+    one special class at a time. Raises ValueError unless every key of a
+    and b is a class of the space.
     """
+    _check_family(family)
     for lam in (*a, *b):
         check_rect(lam, k, n)
     out: dict = {}
-    for lam, ca in a.items():
-        raw = expand(strict_pairs(c_set(lam, k)), lam)
-        if family == "B":
-            ca = Fraction(ca, 1 << length_gt_k(lam, k))
-        for key, c in raw.items():
+    for lam, ca in _rescale(a, k, family, True).items():
+        for key, c in _formula(lam, k).items():
             if key and key[0] > n + k:
                 continue
             term = b
@@ -240,54 +254,40 @@ def multiply(a: dict, b: dict, k: int, n: int, family: str = "C") -> dict:
                 if not term:
                     break
             combine(out, term, ca * c)
-    assert all(isinstance(c, int) for c in out.values()), out
+    if not all(isinstance(c, int) for c in out.values()):
+        raise RuntimeError("multiply gave non-integral %r" % (out,))
     return out
 
 
-def theta_route_product(a: dict, b: dict, k: int, n: int,
-                        family: str = "C") -> dict:
+def theta_route_product(a: dict, b: dict, k: int, n: int, family: str) -> dict:
     """Product through the theta ring: multiply upstairs, convert to the
-    canonical basis, and drop keys that fall outside the rectangle.
-    Raises ValueError unless every key of a and b is a class of the
-    space."""
+    canonical basis, and drop keys that fall outside the rectangle. Raises
+    ValueError unless every key of a and b is a class of the space."""
+    _check_family(family)
     for lam in (*a, *b):
         check_rect(lam, k, n)
-    ea = theta_ring.theta_sum(_sigma_weights(a, k, family), k)
-    eb = theta_ring.theta_sum(_sigma_weights(b, k, family), k)
+    ea = theta_ring.theta_sum(_rescale(a, k, family, True), k)
+    eb = theta_ring.theta_sum(_rescale(b, k, family, True), k)
     prod = theta_ring.to_theta_basis(theta_ring.multiply(ea, eb, k), k)
     out: dict = {}
     for lam, c in prod.items():
         if in_rect(lam, k, n):
             add_into(out, lam, c)
-    if family == "B":
-        out = _tau_weights(out, k)
-    assert all(isinstance(c, int) for c in out.values()), out
+    out = _rescale(out, k, family, False)
+    if not all(isinstance(c, int) for c in out.values()):
+        raise RuntimeError("theta_route_product gave non-integral %r" % (out,))
     return out
 
 
-def _sigma_weights(e, k, family):
-    # tau coefficients lift to sigma scale for the theta ring
-    if family == "C":
-        return dict(e)
-    return {lam: c * Fraction(1, 1 << length_gt_k(lam, k))
-            for lam, c in e.items()}
-
-
-def _tau_weights(e, k):
-    out = {}
-    for lam, c in e.items():
-        add_into(out, lam, c * (1 << length_gt_k(lam, k)))
-    return out
-
-
-def verify_presentation(k: int, n: int, r: int, family: str = "C") -> bool:
+def verify_presentation(k: int, n: int, r: int, family: str) -> bool:
     """Check the quadratic relation on the r-th special class.
 
     The combination sigma_r^2 + 2 sum_{i=1..n+k-r} (-1)^i
     sigma_{r+i} sigma_{r-i} (with the c_p classes in family B) must
-    reduce to zero for every r in (k, n+k].
+    reduce to zero for every r in (k, n+k]; any other r raises ValueError.
     """
-    assert k < r <= n + k, (k, r, n)
+    if not k < r <= n + k:
+        raise ValueError("r must lie in %d..%d, got %d" % (k + 1, n + k, r))
     acc = dict(reduce_monomial((r, r), k, n, family))
     for i in range(1, n + k - r + 1):
         term = reduce_monomial((r + i, r - i), k, n, family)

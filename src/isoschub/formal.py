@@ -58,9 +58,14 @@ def sum_to_json(f: dict) -> list[dict]:
     return rows
 
 
+def _key_tuple(key):
+    return tuple(_key_tuple(x) if isinstance(x, list) else x for x in key)
+
+
 def sum_from_json(rows) -> dict:
+    """Inverse of sum_to_json: nested lists in a key become tuples again."""
     acc: dict = {}
     for row in rows:
         c = Fraction(int(row["num"]), int(row["den"]))
-        add_into(acc, tuple(row["key"]), c)
+        add_into(acc, _key_tuple(row["key"]), c)
     return acc

@@ -11,8 +11,6 @@ Conventions used across the package:
 
 from __future__ import annotations
 
-from functools import cache
-
 
 def strip(seq) -> tuple[int, ...]:
     """Drop trailing zeros, returning the canonical tuple form."""
@@ -77,10 +75,11 @@ def split_columns(lam, k: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
 
     Returns ``(tail, head, r)`` where tail is the strict partition formed
     by the parts beyond column k, head is the part of the diagram in the
-    first k columns, and r counts the rows longer than k.
+    first k columns, and r counts the rows longer than k. Raises
+    ValueError unless lam is k-strict.
     """
     lam = strip(lam)
-    assert is_k_strict(lam, k), (lam, k)
+    check_rect(lam, k)
     r = length_gt_k(lam, k)
     tail = strip(x - k for x in lam if x > k)
     head = strip(min(x, k) for x in lam)
@@ -124,10 +123,11 @@ def schubert_indices(lam, k: int, n: int, family: str) -> tuple[int, ...]:
     For family 'C' (symplectic):
         p_j = n + k + j - lam_j - #{i < j : lam_i + lam_j > 2k + j - i}
     For family 'B' (odd orthogonal) the constant grows by one and the
-    count includes i = j.
+    count includes i = j. Raises ValueError unless lam is a class of the
+    space.
     """
     lam = strip(lam)
-    assert in_rect(lam, k, n), (lam, k, n)
+    check_rect(lam, k, n)
     ell = len(lam)
     out = []
     for j in range(1, ell + 1):
@@ -192,7 +192,6 @@ def k_odd_partitions(d: int, k: int) -> list[tuple[int, ...]]:
             if all(x % 2 == 1 for x in lam if x > 2 * k)]
 
 
-@cache
 def count_bases(d: int, k: int) -> tuple[int, int]:
     """Count k-strict and k-odd partitions of weight d by enumeration.
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from functools import cache
 
 from .formal import add_into
-from .partitions import get, strip
+from .partitions import check_rect, get, strip
 
 
 def is_valid_pairs(D, diagonal: bool = True) -> bool:
@@ -61,25 +61,23 @@ def outer_corners(D, diagonal: bool = True) -> list[tuple[int, int]]:
     return out
 
 
-def outer_corner_in_col(D, col: int, diagonal: bool = True) -> tuple[int, int] | None:
-    """The unique addable pair in a given column, if any."""
+def outer_corner_in_col(D, col: int) -> tuple[int, int] | None:
+    """The unique addable pair in a given column of the full triangle."""
     S = set(D)
     i = 1
     while (i, col) in S:
         i += 1
-    lo = col if diagonal else col - 1
-    if i > lo:
+    if i > col:
         return None
-    left_lo = i if diagonal else i + 1
-    if col - 1 >= left_lo and (i, col - 1) not in S:
+    if col - 1 >= i and (i, col - 1) not in S:
         return None
     return (i, col)
 
 
-def outer_corner_in_row(D, row: int, diagonal: bool = True) -> tuple[int, int] | None:
-    """The unique addable pair in a given row, if any."""
+def outer_corner_in_row(D, row: int) -> tuple[int, int] | None:
+    """The unique addable pair in a given row of the full triangle."""
     S = set(D)
-    j = row if diagonal else row + 1
+    j = row
     while (row, j) in S:
         j += 1
     if row > 1 and (row - 1, j) not in S:
@@ -87,12 +85,13 @@ def outer_corner_in_row(D, row: int, diagonal: bool = True) -> tuple[int, int] |
     return (row, j)
 
 
-def outside_rim(D, jmax: int, diagonal: bool = True) -> list[tuple[int, int]]:
-    """Pairs just outside D: first row, or diagonal neighbor of a member."""
+def outside_rim(D, jmax: int) -> list[tuple[int, int]]:
+    """Pairs of the full triangle just outside D: first row, or diagonal
+    neighbor of a member."""
     S = set(D)
     out = []
     for j in range(1, jmax + 1):
-        for i in range(1, (j if diagonal else j - 1) + 1):
+        for i in range(1, j + 1):
             if (i, j) in S:
                 continue
             if i == 1 or (i - 1, j - 1) in S:
@@ -120,14 +119,16 @@ def diagonal_count(D) -> int:
 def expand(D, lam) -> dict[tuple[int, ...], int]:
     """Monomial expansion of the operator series applied to the sequence lam.
 
-    D is a strict-mode pair set (diagonal pairs are rejected). Keys of the
-    result are weakly decreasing tuples of positive ints, the index
-    multisets of the surviving monomials; coefficients are ints.
+    D is a strict-mode pair set; the pairs (i, j) with j <= len(lam) must
+    be downward closed and have i < j, or ValueError. Keys of the result
+    are weakly decreasing tuples of positive ints, the index multisets of
+    the surviving monomials; coefficients are ints.
     """
     lam = strip(lam)
     Dr = frozenset(p for p in D if p[1] <= len(lam))
-    assert all(i < j for i, j in Dr), "expand wants strict pairs"
-    assert is_valid_pairs(Dr, diagonal=False), Dr
+    if not is_valid_pairs(Dr, diagonal=False):
+        raise ValueError("expand wants a downward-closed set of strict "
+                         "pairs, got %r" % (sorted(Dr),))
     return dict(_expand(Dr, lam))
 
 
@@ -194,11 +195,11 @@ def pfaffian_expand(lam) -> dict[tuple[int, ...], int]:
     """Pfaffian-recursion route for strict partitions.
 
     Agrees with ``expand`` over the full strict triangle; kept separate as
-    an independently derived cross-check.
+    an independently derived cross-check. Raises ValueError unless lam
+    is a strict partition.
     """
     lam = strip(lam)
-    assert all(a > b for a, b in zip(lam, lam[1:])), lam
-    assert all(x > 0 for x in lam), lam
+    check_rect(lam, 0)
     if len(lam) == 0:
         return {(): 1}
     if len(lam) == 1:

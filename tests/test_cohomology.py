@@ -1,6 +1,7 @@
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -8,7 +9,8 @@ from isoschub.cohomology import (giambelli, multiply, pieri, pieri_apply,
                                  pieri_match, reduce_monomial, stable_n,
                                  theta_route_product, verify_presentation)
 from isoschub.partitions import (k_strict_partitions, length_gt_k,
-                                 rect_partitions, weight)
+                                 rect_partitions, schubert_indices,
+                                 split_columns, weight)
 from isoschub.raising import c_set, expand, pfaffian_expand, strict_pairs
 from isoschub.substitution import build_forest, ev
 from isoschub.theta import mixed_expand, straighten, theta
@@ -21,6 +23,7 @@ MEMOIZED = [
     (theta, ((3, 1), 1)),
     (pieri, ((2, 1, 1), 1, 1, 7, "B")),
     (reduce_monomial, ((2, 1), 1, 5, "C")),
+    (giambelli, ((3, 2, 1), 1, 5, "B")),
     (ev, ((frozenset({(1, 1)}), (2, 1, 1, 1), frozenset(), 0), 1, 10)),
 ]
 
@@ -97,6 +100,19 @@ BAD_CALLS = {
     "grassmannian-n-too-small": lambda: grassmannian_element((5, 1), 1, 3),
     "forest-p-zero": lambda: build_forest((2, 1), 0, 1),
     "forest-not-k-strict": lambda: build_forest((2, 2), 1, 1),
+    "presentation-r-above": lambda: verify_presentation(1, 3, 9, "C"),
+    "split-columns-not-k-strict": lambda: split_columns((2, 2), 1),
+    "schubert-indices-outside-rect":
+        lambda: schubert_indices((9, 9), 1, 3, "C"),
+    "pfaffian-not-strict": lambda: pfaffian_expand((2, 2)),
+    "expand-diagonal-pair": lambda: expand(frozenset({(1, 1)}), (2, 1)),
+    "expand-not-downward-closed":
+        lambda: expand(frozenset({(2, 3)}), (3, 2, 1)),
+    "theta-route-family":
+        lambda: theta_route_product({(1,): 1}, {(1,): 1}, 1, 5, "D"),
+    "multiply-family": lambda: multiply({(): 1}, {(1,): 1}, 1, 5, "D"),
+    "reduce-monomial-family": lambda: reduce_monomial((), 1, 5, "D"),
+    "giambelli-family": lambda: giambelli((), 1, 5, "D"),
 }
 
 
@@ -151,15 +167,21 @@ def test_reduce_monomial():
 
 
 def test_giambelli_intro_example():
-    assert giambelli((3, 2, 1), 1, 5, "C") == {(3, 2, 1): 1}
+    # family C: sigma-monomials; family B: c-monomials with 2^-l_k = 1/4
+    assert giambelli((3, 2, 1), 1, 5, "C") == {
+        (3, 2, 1): 1, (3, 3): -1, (4, 1, 1): -2, (4, 2): 1, (5, 1): 2}
+    q = Fraction(1, 4)
+    assert giambelli((3, 2, 1), 1, 5, "B") == {
+        (3, 2, 1): q, (3, 3): -q, (4, 1, 1): -2 * q, (4, 2): q, (5, 1): 2 * q}
 
 
 def test_giambelli_sweep():
+    # giambelli raises RuntimeError unless its formula reduces to lam
     for k in (0, 1, 2):
         for n in range(k, 7):
             for lam in rect_partitions(k, n):
                 for fam in ("C", "B"):
-                    assert giambelli(lam, k, n, fam) == {lam: 1}
+                    giambelli(lam, k, n, fam)
 
 
 def test_multiply_unit_and_example():
@@ -229,6 +251,27 @@ def test_truncation_drops_overflow():
     small = multiply({(3,): 1}, {(3,): 1}, k, n, "C")
     assert small == {lam: c for lam, c in full.items()
                      if len(lam) <= n - k and lam[0] <= n + k}
+
+
+def test_integrality_check_survives_python_O():
+    # a Pieri rule with halved coefficients makes B-family products
+    # non-integral; multiply must say so even with asserts stripped
+    script = """
+from fractions import Fraction
+import sys
+from isoschub import cohomology
+rule = cohomology._pieri
+cohomology._pieri = lambda *args: {mu: Fraction(c, 2)
+                                   for mu, c in rule(*args).items()}
+try:
+    cohomology.multiply({(1,): 1}, {(1,): 1}, 1, 5, "B")
+except RuntimeError:
+    print(sys.flags.optimize, "raised")
+"""
+    res = subprocess.run([sys.executable, "-O", "-c", script],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.split() == ["1", "raised"]
 
 
 def test_pieri_apply_edges():

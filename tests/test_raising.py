@@ -1,3 +1,5 @@
+import json
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -10,6 +12,7 @@ from isoschub.raising import (
     outer_corner_in_col, outer_corner_in_row, outer_corners, outside_rim,
     pfaffian_expand, strict_pairs, two_special,
 )
+from isoschub.weyl import bh_expand
 
 # Independent oracle: the formal Jacobi-Trudi determinant det(x_{lam_i + j - i}),
 # expanded over permutations into index-multiset monomials. Entries with index
@@ -137,12 +140,12 @@ def test_corners_and_rims():
     assert outer_corners(frozenset(), diagonal=False) == [(1, 2)]
     D = {(1, 1), (1, 2)}
     assert outer_corners(D, diagonal=True) == [(1, 3), (2, 2)]
-    assert outer_corner_in_col(D, 3, diagonal=True) == (1, 3)
-    assert outer_corner_in_col(D, 4, diagonal=True) is None
-    assert outer_corner_in_row(D, 1, diagonal=True) == (1, 3)
-    assert outer_corner_in_row(D, 2, diagonal=True) == (2, 2)
-    assert outside_rim(frozenset(), 4, diagonal=True) == [(1, 1), (1, 2), (1, 3), (1, 4)]
-    assert set(outside_rim(D, 3, diagonal=True)) == {(1, 3), (2, 2), (2, 3)}
+    assert outer_corner_in_col(D, 3) == (1, 3)
+    assert outer_corner_in_col(D, 4) is None
+    assert outer_corner_in_row(D, 1) == (1, 3)
+    assert outer_corner_in_row(D, 2) == (2, 2)
+    assert outside_rim(frozenset(), 4) == [(1, 1), (1, 2), (1, 3), (1, 4)]
+    assert set(outside_rim(D, 3)) == {(1, 3), (2, 2), (2, 3)}
     assert middle_row({(1, 1), (2, 2)}) == 3
     assert middle_row(set()) == 1
 
@@ -174,3 +177,8 @@ def test_formal_json_roundtrip():
     rows = sum_to_json(f)
     assert rows[0]["key"] == [2, 2] and rows[0]["num"] == "-1"
     assert sum_from_json(rows) == f
+    # through JSON text, with a Fraction, the unit key and the nested
+    # (mu, nu) pair keys of bh_expand
+    for g in ({(3, 1): 2, (2, 2): Fraction(-1, 4), (): 1},
+              bh_expand((3, 2, 1), 1)):
+        assert sum_from_json(json.loads(json.dumps(sum_to_json(g)))) == g
