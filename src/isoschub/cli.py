@@ -21,7 +21,7 @@ from .partitions import (count_bases, get, in_rect, is_k_strict,
                          k_strict_partitions, rect_partitions, strip,
                          subpartitions, weight)
 from .polyeval import (e_list, evaluate, p_det, p_mul, q_basis_poly,
-                       q_det_poly, q_list, schur_conj_poly)
+                       q_det_poly, q_list, schur_conj_poly, theta_polys)
 from .raising import c_set, expand, strict_pairs
 from .substitution import build_forest, modified_forest, verify_claim1, \
     verify_claim2
@@ -283,9 +283,16 @@ def _suite_theta_identity(mw):
 
 
 def _suite_theta_hat(mw):
+    # hat_theta straightens det(t_{1+j-i}) in the theta ring; the other
+    # leg takes the same determinant over polynomials in r + k variables,
+    # where no straightening happens
     for k in (1, 2, 3):
-        for r in range(1, 9):
-            if hat_theta(r, k) != theta.theta((1,) * r, k):
+        for r in range(1, 5):
+            nv = r + k
+            ths = theta_polys(k, q_list(r, nv, r), e_list(r, nv, nv, r), r)
+            mat = [[ths[1 + j - i] if j + 1 >= i else {} for j in range(r)]
+                   for i in range(r)]
+            if evaluate(hat_theta(r, k), k, r, r) != p_det(mat, nv, r):
                 return False, "r=%d k=%d" % (r, k)
     return True, ""
 

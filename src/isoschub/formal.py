@@ -12,25 +12,37 @@ from fractions import Fraction
 
 
 def norm_scalar(c):
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
+    # exact type test: isinstance against the numbers ABCs is far slower
+    if type(c) is Fraction and c.denominator == 1:
+        return c.numerator
     return c
 
 
 def add_into(acc: dict, key, c) -> None:
     """acc[key] += c, dropping the entry when it cancels."""
     v = acc.get(key, 0) + c
-    if v:
-        acc[key] = norm_scalar(v)
-    else:
+    if not v:
         acc.pop(key, None)
+    elif type(v) is Fraction and v.denominator == 1:
+        acc[key] = v.numerator
+    else:
+        acc[key] = v
 
 
 def combine(acc: dict, other: dict, scale=1) -> dict:
     """acc += scale * other, in place; returns acc."""
-    if scale:
-        for key, c in other.items():
-            add_into(acc, key, scale * c)
+    if not scale:
+        return acc
+    get = acc.get
+    unit = scale == 1
+    for key, c in other.items():
+        v = get(key, 0) + (c if unit else scale * c)
+        if not v:
+            acc.pop(key, None)
+        elif type(v) is Fraction and v.denominator == 1:
+            acc[key] = v.numerator
+        else:
+            acc[key] = v
     return acc
 
 

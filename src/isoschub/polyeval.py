@@ -7,7 +7,7 @@ weight d are equal iff their evaluations agree once m >= d, which makes
 evaluation a universal identity check for everything in this package.
 """
 
-from .formal import add_into, combine
+from .formal import add_into, combine, norm_scalar
 from .partitions import get, strip
 from .theta import theta
 
@@ -16,15 +16,57 @@ def const(c, nv: int) -> dict:
     return {(0,) * nv: c} if c else {}
 
 
+def _by_degree(a: dict, bound: int, width: int) -> list:
+    """Terms of degree <= bound as (degree, [(packed exponents, c), ...])."""
+    groups: dict = {}
+    for e, c in a.items():
+        d = sum(e)
+        if d <= bound:
+            if width == 8:
+                key = int.from_bytes(bytes(e), "little")
+            else:
+                key = 0
+                for x in reversed(e):
+                    key = key << width | x
+            groups.setdefault(d, []).append((key, c))
+    return sorted(groups.items())
+
+
 def p_mul(a: dict, b: dict, bound: int) -> dict:
-    out: dict = {}
-    bdeg = [(e, sum(e), c) for e, c in b.items()]
-    for e1, c1 in a.items():
-        d1 = sum(e1)
-        for e2, d2, c2 in bdeg:
-            if d1 + d2 <= bound:
-                add_into(out, tuple(u + v for u, v in zip(e1, e2)), c1 * c2)
-    return out
+    """The product a * b with every term above total degree bound dropped.
+
+    Exponent vectors are packed into one int each (Kronecker
+    substitution, variable 0 in the lowest field).  Every exponent of a
+    kept term is at most bound, so with fields of bound's bit length
+    adding two keys adds the vectors with no carry between fields.
+    Fields that would fit in a byte get a whole byte, so that
+    int.from_bytes and int.to_bytes pack and unpack in C.  Terms are
+    grouped by total degree, so truncation is one compare per pair of
+    degrees.
+    """
+    if not a or not b:
+        return {}
+    width = max(bound.bit_length(), 8)
+    gb = _by_degree(b, bound, width)
+    acc: dict = {}
+    get = acc.get
+    for d1, ta in _by_degree(a, bound, width):
+        room = bound - d1
+        for d2, tb in gb:
+            if d2 > room:
+                break
+            for k1, c1 in ta:
+                for k2, c2 in tb:
+                    key = k1 + k2
+                    acc[key] = get(key, 0) + c1 * c2
+    nv = len(next(iter(a)))
+    if width == 8:
+        return {tuple(key.to_bytes(nv, "little")): norm_scalar(c)
+                for key, c in acc.items() if c}
+    mask = (1 << width) - 1
+    shifts = range(0, nv * width, width)
+    return {tuple(key >> s & mask for s in shifts): norm_scalar(c)
+            for key, c in acc.items() if c}
 
 
 def e_list(lo: int, hi: int, nv: int, top: int) -> list[dict]:
@@ -157,7 +199,8 @@ def evaluate(e: dict, k: int, m: int, bound: int | None = None) -> dict:
     """Evaluate a monomial-basis element or a mixed (mu, nu) element.
 
     Variables are x_1..x_m then y_1..y_k; exponent tuples have length
-    m + k. The truncation bound must cover the element's weight.
+    m + k. The truncation bound must cover the element's weight, or
+    ValueError.
     """
     if not e:
         return {}
@@ -168,7 +211,9 @@ def evaluate(e: dict, k: int, m: int, bound: int | None = None) -> dict:
     top = max(weights, default=0)
     if bound is None:
         bound = top
-    assert bound >= top, "truncation bound below element weight"
+    if bound < top:
+        raise ValueError("truncation bound %d below element weight %d"
+                         % (bound, top))
     nv = m + k
     qs = q_list(m, nv, bound)
     acc: dict = {}

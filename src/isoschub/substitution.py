@@ -126,10 +126,13 @@ def apply_rule(lam, k: int, psi, m: int | None = None, modified: bool = False):
     on a strictly rising entry keeps only the shifted child; descend
     lowers the level; stop arms return None for children.  With
     ``modified`` the rim arm fires only on the stop test, not on the
-    pair inequality alone.
+    pair inequality alone.  Raises ValueError unless h >= 1 and D is a
+    downward-closed set of pairs in the full triangle.
     """
     D, mu, S, h = psi
-    assert h >= 1 and is_valid_pairs(D), psi
+    if h < 1 or not is_valid_pairs(D):
+        raise ValueError("no rule applies to %r: need level h >= 1 and a "
+                         "downward-closed pair set" % (psi,))
     lam = strip(lam)
     ell = len(lam)
     if m is None:
@@ -252,10 +255,15 @@ def ev(psi, k: int, n: int) -> dict:
 
 @cache
 def _ev(D, mu, k, n):
-    factor = Fraction(1, 1 << diagonal_count(D))
+    # integer sums first, then one exact division by 2^(#diagonal pairs)
     res = {}
     for mono, c in expand(strict_pairs(D), mu).items():
-        combine(res, reduce_monomial(mono, k, n, "B"), factor * c)
+        combine(res, reduce_monomial(mono, k, n, "B"), c)
+    shift = diagonal_count(D)
+    if shift:
+        den = 1 << shift
+        res = {key: v >> shift if v % den == 0 else Fraction(v, den)
+               for key, v in res.items()}
     return res
 
 

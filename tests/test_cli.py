@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from isoschub import cli
+from isoschub import theta as theta_ring
 from isoschub.cohomology import multiply
 from isoschub.formal import sum_from_json
 from isoschub.weyl import bh_expand, grassmannian_element, length, stanley_F
@@ -188,7 +189,7 @@ def test_usage_errors(capsys):
 
 def test_verify_single_suites(capsys):
     for suite in ("intro-giambelli", "pieri-example", "forest-example",
-                  "theta-identity", "bh-example", "count-bases",
+                  "theta-identity", "theta-hat", "bh-example", "count-bases",
                   "modified-remark"):
         code, out = run(["verify", "--suite", suite], capsys)
         assert code == 0, (suite, out)
@@ -226,7 +227,44 @@ def test_verify_reports_failure(capsys, monkeypatch):
     assert json.loads(out)["ok"] is False
 
 
-def test_verification_survives_python_O():
+def test_theta_hat_suite_catches_a_dropped_term(capsys, monkeypatch):
+    # the suite's polynomial determinant leg must notice a hat_theta
+    # that lost one term, here only at r = 3, k = 2
+    right = cli.hat_theta
+
+    def dropped(r, k):
+        out = right(r, k)
+        if (r, k) == (3, 2):
+            del out[min(out)]
+        return out
+
+    monkeypatch.setattr(cli, "hat_theta", dropped)
+    code, out = run(["verify", "--suite", "theta-hat", "--format", "json"],
+                    capsys)
+    assert code == 1
+    suite = json.loads(out)["suites"][0]
+    assert suite["ok"] is False and suite["detail"] == "r=3 k=2"
+
+
+def test_theta_hat_suite_catches_wrong_straightening(capsys, monkeypatch):
+    # a straightening rule that loses a term breaks hat_theta and
+    # theta((1,)*r) alike; only a leg without straightening can tell
+    right = theta_ring._straighten.__wrapped__
+
+    def wrong(key, k):
+        out = right(key, k)
+        if out != {key: 1}:
+            del out[max(out)]
+        return out
+
+    monkeypatch.setattr(theta_ring, "_straighten", wrong)
+    code, out = run(["verify", "--suite", "theta-hat", "--format", "json"],
+                    capsys)
+    assert code == 1
+    assert json.loads(out)["suites"][0]["ok"] is False
+
+
+def test_verification_survives_python_O(child_env):
     # a Pieri rule that drops its largest term must fail both suites even
     # when python -O strips every assert statement
     script = """
@@ -244,7 +282,7 @@ print(json.dumps([sys.flags.optimize, suites["giambelli-sweep"](3),
                   suites["claims"](2)]))
 """
     res = subprocess.run([sys.executable, "-O", "-c", script],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=child_env)
     assert res.returncode == 0, res.stderr
     optimize, sweep, claims = json.loads(res.stdout)
     assert optimize == 1
@@ -252,16 +290,16 @@ print(json.dumps([sys.flags.optimize, suites["giambelli-sweep"](3),
     assert claims[0] is False and claims[1], claims
 
 
-def test_console_entry_subprocess():
+def test_console_entry_subprocess(child_env):
     res = subprocess.run(
         [sys.executable, "-m", "isoschub.cli", "pieri", "--type", "B",
          "--n", "7", "--k", "1", "--lambda", "2,1,1", "--p", "1"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=child_env)
     assert res.returncode == 0
     assert res.stdout.splitlines() == ["2,1,1,1 -> 1", "3,1,1 -> 2",
                                        "5 -> 1"]
     res = subprocess.run(
         [sys.executable, "-m", "isoschub.cli", "stanley", "--perm", "2,2"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=child_env)
     assert res.returncode == 2
     assert res.stderr.strip() != ""

@@ -1,3 +1,4 @@
+import itertools
 import random
 import subprocess
 import sys
@@ -8,11 +9,14 @@ import pytest
 from isoschub.cohomology import (giambelli, multiply, pieri, pieri_apply,
                                  pieri_match, reduce_monomial, stable_n,
                                  theta_route_product, verify_presentation)
+from isoschub.formal import add_into, combine, norm_scalar, scaled
 from isoschub.partitions import (k_strict_partitions, length_gt_k,
                                  rect_partitions, schubert_indices,
                                  split_columns, weight)
-from isoschub.raising import c_set, expand, pfaffian_expand, strict_pairs
-from isoschub.substitution import build_forest, ev
+from isoschub.polyeval import evaluate
+from isoschub.raising import (c_set, diagonal_count, expand, pfaffian_expand,
+                              strict_pairs)
+from isoschub.substitution import apply_rule, build_forest, ev
 from isoschub.theta import mixed_expand, straighten, theta
 from isoschub.weyl import grassmannian_element
 
@@ -113,6 +117,13 @@ BAD_CALLS = {
     "multiply-family": lambda: multiply({(): 1}, {(1,): 1}, 1, 5, "D"),
     "reduce-monomial-family": lambda: reduce_monomial((), 1, 5, "D"),
     "giambelli-family": lambda: giambelli((), 1, 5, "D"),
+    "evaluate-bound-below-weight": lambda: evaluate({(3,): 1}, 1, 2, 1),
+    "apply-rule-not-downward-closed":
+        lambda: apply_rule((2, 1), 1, (frozenset({(2, 3)}), (2, 1, 0),
+                                       frozenset(), 1)),
+    "apply-rule-level-zero":
+        lambda: apply_rule((2, 1), 1, (frozenset({(1, 1)}), (2, 1, 0),
+                                       frozenset(), 0)),
 }
 
 
@@ -133,12 +144,12 @@ def test_bad_input_raises_value_error(name):
         BAD_CALLS[name]()
 
 
-def test_bad_input_raises_value_error_under_O():
+def test_bad_input_raises_value_error_under_O(child_env):
     # assert statements vanish under -O; the input checks must not
     script = ("import runpy, sys; ns = runpy.run_path(sys.argv[1]); "
               "print(sys.flags.optimize, ns['_calls_without_value_error']())")
     res = subprocess.run([sys.executable, "-O", "-c", script, __file__],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=child_env)
     assert res.returncode == 0, res.stderr
     assert res.stdout.split(None, 1) == ["1", "[]\n"]
 
@@ -253,7 +264,7 @@ def test_truncation_drops_overflow():
                      if len(lam) <= n - k and lam[0] <= n + k}
 
 
-def test_integrality_check_survives_python_O():
+def test_integrality_check_survives_python_O(child_env):
     # a Pieri rule with halved coefficients makes B-family products
     # non-integral; multiply must say so even with asserts stripped
     script = """
@@ -269,7 +280,7 @@ except RuntimeError:
     print(sys.flags.optimize, "raised")
 """
     res = subprocess.run([sys.executable, "-O", "-c", script],
-                         capture_output=True, text=True)
+                         capture_output=True, text=True, env=child_env)
     assert res.returncode == 0, res.stderr
     assert res.stdout.split() == ["1", "raised"]
 
@@ -288,3 +299,73 @@ def test_presentation_sweep():
             for n in range(k + 1, 7):
                 for r in range(k + 1, n + k + 1):
                     assert verify_presentation(k, n, r, fam), (fam, k, n, r)
+
+
+def exact(got, want):
+    # equal as dicts, and every coefficient of the same type
+    return got == want and all(type(got[key]) is type(want[key])
+                               for key in want)
+
+
+def test_formal_scalars_come_back_exact():
+    assert type(norm_scalar(Fraction(6, 3))) is int
+    assert norm_scalar(Fraction(1, 2)) == Fraction(1, 2)
+    acc = {(1,): Fraction(1, 2)}
+    add_into(acc, (1,), Fraction(1, 2))
+    assert exact(acc, {(1,): 1})
+    add_into(acc, (1,), -1)
+    assert acc == {}
+    acc = {(1,): Fraction(1, 2), (2,): 1}
+    combine(acc, {(1,): Fraction(1, 2), (2,): Fraction(1, 3), (3,): 2})
+    assert exact(acc, {(1,): 1, (2,): Fraction(4, 3), (3,): 2})
+    # a scale equal to 1 that is not the int 1
+    combine(acc, {(3,): 1}, Fraction(1))
+    assert exact(acc, {(1,): 1, (2,): Fraction(4, 3), (3,): 3})
+    combine(acc, {(2,): Fraction(2, 3)}, Fraction(1, 2))
+    assert exact(acc, {(1,): 1, (2,): Fraction(5, 3), (3,): 3})
+    assert exact(scaled({(1,): 4, (2,): 3}, Fraction(1, 2)),
+                 {(1,): 2, (2,): Fraction(3, 2)})
+
+
+def test_combine_zero_coefficients_and_zero_scale():
+    acc = {(1,): 2}
+    # a zero in other, on a key acc lacks and on one it holds
+    assert combine(acc, {(2,): 0, (1,): 0}) is acc
+    assert acc == {(1,): 2}
+    combine(acc, {(2,): 0}, 3)
+    assert acc == {(1,): 2}
+    combine(acc, {(1,): -1}, 2)
+    assert acc == {}
+    acc = {(1,): 3}
+    assert combine(acc, {(1,): 5, (2,): 1}, 0) is acc
+    assert acc == {(1,): 3}
+
+
+def old_ev(psi, k, n):
+    # 2^(-#diagonal pairs) applied to every term, as Fractions throughout
+    D, mu = frozenset(psi[0]), tuple(psi[1])
+    factor = Fraction(1, 1 << diagonal_count(D))
+    res = {}
+    for mono, c in expand(strict_pairs(D), mu).items():
+        for key, v in reduce_monomial(mono, k, n, "B").items():
+            res[key] = res.get(key, 0) + factor * c * v
+    return {key: v.numerator if v.denominator == 1 else v
+            for key, v in res.items() if v}
+
+
+def test_ev_matches_fraction_computation():
+    # pair sets with 0, 1 and 2 diagonal pairs, every mu with entries <= 3
+    fz = frozenset
+    pair_sets = [fz(), fz({(1, 2)}), fz({(1, 1)}), fz({(1, 1), (1, 2)}),
+                 fz({(1, 1), (1, 2), (1, 3)}), fz({(1, 1), (1, 2), (2, 2)})]
+    seen = {int: 0, Fraction: 0}
+    for k in (0, 1):
+        for D in pair_sets:
+            for mu in itertools.product(range(4), repeat=3):
+                psi = (D, mu, fz(), 0)
+                got = ev(psi, k, 6)
+                assert exact(got, old_ev(psi, k, 6)), (psi, k)
+                for v in got.values():
+                    seen[type(v)] += 1
+    # the sweep reaches both integral and dyadic coefficients
+    assert seen[int] and seen[Fraction], seen

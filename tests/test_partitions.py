@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from isoschub.partitions import (
-    check_rect, conjugate, contains, count_bases, dominates, is_k_strict, k_odd_partitions,
+    check_rect, conjugate, contains, count_bases, dominates, is_k_odd, is_k_strict,
     k_related, k_strict_partitions, length_gt_k, partitions_of, rect_partitions,
     schubert_indices, split_columns, strip, weight,
 )
@@ -117,7 +117,7 @@ def test_count_bases_agree():
 
 
 def test_k_odd_definition():
-    assert set(k_odd_partitions(4, 1)) == {(3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)}
+    assert {lam for lam in partitions_of(4) if is_k_odd(lam, 1)} == {(3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)}
     assert set(k_strict_partitions(4, 1)) == {(4,), (3, 1), (2, 1, 1), (1, 1, 1, 1)}
 
 

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 from isoschub.formal import combine, scaled, sum_to_json
 from isoschub.partitions import (contains, dominates, get, is_k_strict,
@@ -386,3 +387,63 @@ def test_skew_S_separates_variables():
                     if xpart and sp:
                         combine(rhs, p_mul(xpart, sp, bound))
                 assert lhs == rhs, (lam, mu, k)
+
+
+def naive_mul(a, b, bound):
+    # the product term by term on exponent tuples, truncated above bound
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(u + v for u, v in zip(e1, e2))
+            if sum(e) <= bound:
+                out[e] = out.get(e, 0) + c1 * c2
+    return {e: c.numerator if isinstance(c, Fraction) and c.denominator == 1
+            else c for e, c in out.items() if c}
+
+
+def random_poly(rng, nv, top, terms):
+    # sparse, with coefficients small enough that products often cancel
+    coeffs = [-2, -1, 1, 2, Fraction(1, 2), Fraction(-3, 2), Fraction(4, 2)]
+    return {tuple(rng.randint(0, top) for _ in range(nv)): rng.choice(coeffs)
+            for _ in range(terms)}
+
+
+def same_sum(got, want):
+    return got == want and all(type(got[e]) is type(want[e]) for e in want)
+
+
+def test_p_mul_matches_naive_product():
+    # bounds 0-9 all pack into byte fields; 255/256 is where fields stop
+    # fitting a byte, and 1000 takes the general bit-field packing
+    rng = random.Random(20260)
+    for bound in list(range(10)) + [255, 256, 1000]:
+        for _ in range(40):
+            nv = rng.randint(1, 4)
+            # exponents up to bound + 2, so that some input terms lie
+            # above the bound on their own
+            top = bound + 2 if bound < 10 else bound // nv + 2
+            a = random_poly(rng, nv, top, rng.randint(0, 6))
+            b = random_poly(rng, nv, top, rng.randint(0, 6))
+            got = p_mul(a, b, bound)
+            assert same_sum(got, naive_mul(a, b, bound)), (a, b, bound)
+            assert 0 not in got.values()
+
+
+def test_p_mul_edges():
+    x, y = (1, 0), (0, 1)
+    # (x + y)(x - y): the cross terms cancel
+    assert p_mul({x: 1, y: 1}, {x: 1, y: -1}, 2) == {(2, 0): 1, (0, 2): -1}
+    # halves that add up to an integer come back as int
+    got = p_mul({x: Fraction(1, 2), y: Fraction(1, 2)}, {x: 1, y: 1}, 2)
+    assert same_sum(got, {(2, 0): Fraction(1, 2), (1, 1): 1,
+                          (0, 2): Fraction(1, 2)})
+    # the whole product lies above the bound, or cancels
+    assert p_mul({x: 1}, {y: 1}, 1) == {}
+    assert p_mul({x: 1, y: 1}, {(0, 0): 0}, 2) == {}
+    # empty factors, and a term of degree above the bound in a factor
+    assert p_mul({}, {x: 1}, 3) == {} and p_mul({x: 1}, {}, 3) == {}
+    assert p_mul({(0, 0): 1, (4, 0): 5}, {y: 1}, 3) == {y: 1}
+    # no variables at all
+    assert p_mul({(): 3}, {(): Fraction(1, 3)}, 0) == {(): 1}
+    # a negative bound keeps nothing
+    assert p_mul({(0,): 1}, {(0,): 1}, -1) == {}
