@@ -1,16 +1,20 @@
 """Command line front end for the whole toolkit.
 
-Every subcommand assembles one payload dictionary and prints it either
-as readable text or as JSON (--format json), so the two formats always
-carry the same content.  Exit codes: 0 success, 1 a verification suite
-found a failing case, 2 bad usage.  Each run starts from empty memo
-tables; nothing is read from or written to disk.
+Each subcommand is one row of COMMANDS (help text, handler, arguments,
+arguments left out of the JSON payload), and the argparse tree is built
+from that table once per process.  main parses, calls the handler, and
+prints one payload either as readable text or as JSON (--format json),
+so the two formats always carry the same content; the JSON payload
+echoes the command and its arguments.  Exit codes: 0 success, 1 a
+verification suite found a failing case, 2 bad usage.  Each process
+starts from empty memo tables; nothing is read from or written to disk.
 """
 
 import argparse
 import json
 import sys
 import time
+from functools import cache
 
 from . import theta, weyl
 from .cohomology import (giambelli, multiply, pieri, stable_n,
@@ -84,88 +88,39 @@ def term_lines(f: dict) -> list:
 
 
 # ---------------------------------------------------------------- commands
+# A handler returns (exit code, its own payload entries, text lines); main
+# adds the command name and the echoed arguments to the payload.
+
+def _one_sum(res):
+    return 0, {"terms": sum_to_json(res)}, term_lines(res)
+
 
 def _cmd_giambelli(args):
-    lam, k, n = args.lam, args.k, args.n
-    terms = giambelli(lam, k, n, args.type)
-    payload = {"command": "giambelli", "family": args.type, "n": n, "k": k,
-               "lam": list(lam), "terms": sum_to_json(terms),
-               "reduces_to": sum_to_json({lam: 1})}
+    lam = args.lam
+    terms = giambelli(lam, args.k, args.n, args.family)
     lines = ["special class expansion of %s (family %s, n=%d, k=%d):"
-             % (_key_text(lam), args.type, n, k)]
+             % (_key_text(lam), args.family, args.n, args.k)]
     lines += term_lines(terms)
     lines.append("reduces to:")
     lines += term_lines({lam: 1})
-    return 0, payload, lines
-
-
-def _cmd_pieri(args):
-    lam, k, n, p = args.lam, args.k, args.n, args.p
-    res = pieri(lam, p, k, n, args.type)
-    payload = {"command": "pieri", "family": args.type, "n": n, "k": k,
-               "lam": list(lam), "p": p, "terms": sum_to_json(res)}
-    return 0, payload, term_lines(res)
-
-
-def _cmd_product(args):
-    lam, mu, k, n = args.lam, args.mu, args.k, args.n
-    res = multiply({lam: 1}, {mu: 1}, k, n, args.type)
-    payload = {"command": "product", "family": args.type, "n": n, "k": k,
-               "lam": list(lam), "mu": list(mu), "terms": sum_to_json(res)}
-    return 0, payload, term_lines(res)
-
-
-def _cmd_theta(args):
-    lam, k = args.lam, args.k
-    res = theta.theta(lam, k)
-    payload = {"command": "theta", "k": k, "lam": list(lam),
-               "terms": sum_to_json(res)}
-    return 0, payload, term_lines(res)
-
-
-def _cmd_skews(args):
-    lam, mu, k = args.lam, args.mu, args.k
-    res = skew_S(lam, mu, k)
-    payload = {"command": "skews", "k": k, "lam": list(lam), "mu": list(mu),
-               "terms": sum_to_json(res)}
-    return 0, payload, term_lines(res)
+    return 0, {"terms": sum_to_json(terms),
+               "reduces_to": sum_to_json({lam: 1})}, lines
 
 
 def _cmd_wlambda(args):
-    lam, k, n = args.lam, args.k, args.n
-    w = grassmannian_element(lam, k, n)
-    payload = {"command": "wlambda", "k": k, "lam": list(lam),
-               "window": list(w), "length": length(w)}
-    return 0, payload, [",".join(str(x) for x in w) or "-",
-                        "length %d" % length(w)]
-
-
-def _cmd_stanley(args):
-    res = stanley_F(args.perm)
-    payload = {"command": "stanley", "perm": list(args.perm),
-               "terms": sum_to_json(res)}
-    return 0, payload, term_lines(res)
+    w = grassmannian_element(args.lam, args.k, args.n)
+    return 0, {"window": list(w), "length": length(w)}, [
+        ",".join(str(x) for x in w) or "-", "length %d" % length(w)]
 
 
 def _cmd_ktableaux(args):
     tabs = ktableaux(args.perm, args.shape)
-    payload = {"command": "ktableaux", "perm": list(args.perm),
-               "count": len(tabs),
+    payload = {"count": len(tabs),
                "tableaux": [[list(row) for row in t] for t in tabs]}
-    if args.shape is not None:
-        payload["shape"] = list(args.shape)
     lines = ["count %d" % len(tabs)]
     lines += [";".join(",".join(str(x) for x in row) for row in t)
               for t in tabs]
     return 0, payload, lines
-
-
-def _cmd_bh(args):
-    lam, k = args.lam, args.k
-    res = bh_expand(lam, k)
-    payload = {"command": "bh", "k": k, "lam": list(lam),
-               "terms": sum_to_json(res)}
-    return 0, payload, term_lines(res)
 
 
 def _cmd_forest(args):
@@ -173,10 +128,8 @@ def _cmd_forest(args):
     res = build_forest(lam, p, k, modified=args.modified,
                        keep_nodes=args.stats or args.dump_json)
     prod = verify_claim1(lam, p, k, modified=args.modified)
-    payload = {"command": "forest", "k": k, "lam": list(lam), "p": p,
-               "modified": args.modified, "roots": len(res["roots"]),
-               "psi0": len(res["psi0"]), "psi1": len(res["psi1"]),
-               "product": sum_to_json(prod)}
+    payload = {"roots": len(res["roots"]), "psi0": len(res["psi0"]),
+               "psi1": len(res["psi1"]), "product": sum_to_json(prod)}
     lines = ["roots %d" % len(res["roots"]), "psi0 %d" % len(res["psi0"]),
              "psi1 %d" % len(res["psi1"]), "product:"]
     lines += term_lines(prod)
@@ -199,9 +152,8 @@ def _cmd_forest(args):
 
 def _cmd_count_bases(args):
     a, b = count_bases(args.d, args.k)
-    payload = {"command": "count-bases", "d": args.d, "k": args.k,
-               "strict": a, "odd": b, "equal": a == b}
-    return 0, payload, ["strict %d" % a, "odd %d" % b]
+    return 0, {"strict": a, "odd": b, "equal": a == b}, [
+        "strict %d" % a, "odd %d" % b]
 
 
 # ---------------------------------------------------------------- suites
@@ -449,142 +401,129 @@ SUITES = [
 ]
 
 
+def _raised_in(exc) -> str:
+    tb = exc.__traceback__
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    frame = tb.tb_frame
+    return "%s.%s" % (frame.f_globals.get("__name__", "?"),
+                      frame.f_code.co_name)
+
+
 def _cmd_verify(args):
     if args.max_weight < 1:
         raise ValueError("--max-weight must be at least 1")
-    chosen = SUITES if args.suite == "all" else [
-        s for s in SUITES if s[0] == args.suite]
     rows = []
     lines = []
     failed = False
-    for name, fn in chosen:
+    for name, fn in SUITES:
+        if args.suite not in ("all", name):
+            continue
         t0 = time.monotonic()
-        ok, detail = fn(args.max_weight)
+        try:
+            ok, detail = fn(args.max_weight)
+        except Exception as exc:
+            # a crash fails this suite only; the others still run
+            ok, detail = False, "%s in %s: %s" % (
+                type(exc).__name__, _raised_in(exc), exc)
         dt = time.monotonic() - t0
         rows.append({"name": name, "ok": ok, "seconds": round(dt, 3),
                      "detail": detail})
         mark = "pass" if ok else "FAIL " + detail
         lines.append("suite %-18s %s (%.1fs)" % (name, mark, dt))
         failed = failed or not ok
-    payload = {"command": "verify", "max_weight": args.max_weight,
-               "suites": rows, "ok": not failed}
-    return (1 if failed else 0), payload, lines
+    return (1 if failed else 0), {"suites": rows, "ok": not failed}, lines
 
 
 # ---------------------------------------------------------------- wiring
+# One row per subcommand: help text, handler, arguments in --help order
+# (each gets --format after them) and the arguments the JSON payload does
+# not echo; an argument left at None is not echoed either.  Handlers that
+# call the library are lambdas, so each call looks the function up by name.
 
-def _parser():
+_TYPE = ("--type", {"dest": "family", "choices": ("B", "C"), "default": "C"})
+_N = ("--n", {"type": int, "required": True})
+_K = ("--k", {"type": nonnegative, "required": True})
+_LAM = ("--lambda", {"dest": "lam", "type": parse_partition, "required": True})
+_MU = ("--mu", {"type": parse_partition, "required": True})
+_P = ("--p", {"type": int, "required": True})
+_PERM = ("--perm", {"type": parse_perm, "required": True})
+_SWITCH = {"action": "store_true"}
+
+COMMANDS = {
+    "giambelli": ("special class expansion of a basis element plus its "
+                  "reduction", _cmd_giambelli, (_TYPE, _N, _K, _LAM), ()),
+    "pieri": ("product with a special class",
+              lambda a: _one_sum(pieri(a.lam, a.p, a.k, a.n, a.family)),
+              (_TYPE, _N, _K, _LAM, _P), ()),
+    "product": ("product of two basis elements",
+                lambda a: _one_sum(multiply({a.lam: 1}, {a.mu: 1}, a.k, a.n,
+                                            a.family)),
+                (_TYPE, _N, _K, _LAM, _MU), ()),
+    "theta": ("monomial expansion of a theta class",
+              lambda a: _one_sum(theta.theta(a.lam, a.k)), (_K, _LAM), ()),
+    "skews": ("skew determinant in the k-strict basis",
+              lambda a: _one_sum(skew_S(a.lam, a.mu, a.k)),
+              (_K, _LAM, ("--mu", {"type": parse_partition, "default": ()})),
+              ()),
+    "wlambda": ("signed permutation attached to a k-strict partition",
+                _cmd_wlambda,
+                (_K, ("--n", {"type": int, "default": None}), _LAM), ("n",)),
+    "stanley": ("shape generating function of a signed permutation",
+                lambda a: _one_sum(stanley_F(a.perm)), (_PERM,), ()),
+    "ktableaux": ("standard decompositions of the reduced words of a signed "
+                  "permutation", _cmd_ktableaux,
+                  (_PERM, ("--shape", {"type": parse_partition,
+                                       "default": None})), ()),
+    "bh": ("two-variable expansion of a basis element",
+           lambda a: _one_sum(bh_expand(a.lam, a.k)), (_K, _LAM), ()),
+    "forest": ("substitution forest for a one-row product", _cmd_forest,
+               (_K, _LAM, _P, ("--modified", _SWITCH), ("--stats", _SWITCH),
+                ("--dump-json", _SWITCH)), ("stats", "dump_json")),
+    "verify": ("run the verification suites", _cmd_verify,
+               (("--suite", {"default": "all"}),  # choices: the suite names
+                ("--max-weight", {"type": int, "default": 6})), ("suite",)),
+    "count-bases": ("count the two spanning families in one degree",
+                    _cmd_count_bases,
+                    (("--d", {"type": nonnegative, "required": True}), _K),
+                    ()),
+}
+
+
+@cache
+def _build_parser(suite_names):
     top = argparse.ArgumentParser(
         prog="isoschub",
         description="Schubert calculus on isotropic Grassmannians")
     sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for name, (help_text, _, arguments, _) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, spec in arguments:
+            if flag == "--suite":
+                spec = dict(spec, choices=["all", *suite_names])
+            p.add_argument(flag, **spec)
         p.add_argument("--format", choices=("text", "json"), default="text")
-
-    p = sub.add_parser("giambelli", help="special class expansion of a basis "
-                       "element plus its reduction")
-    p.add_argument("--type", choices=("B", "C"), default="C")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=nonnegative, required=True)
-    p.add_argument("--lambda", dest="lam", type=parse_partition, required=True)
-    common(p)
-    p.set_defaults(fn=_cmd_giambelli)
-
-    p = sub.add_parser("pieri", help="product with a special class")
-    p.add_argument("--type", choices=("B", "C"), default="C")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=nonnegative, required=True)
-    p.add_argument("--lambda", dest="lam", type=parse_partition, required=True)
-    p.add_argument("--p", type=int, required=True)
-    common(p)
-    p.set_defaults(fn=_cmd_pieri)
-
-    p = sub.add_parser("product", help="product of two basis elements")
-    p.add_argument("--type", choices=("B", "C"), default="C")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=nonnegative, required=True)
-    p.add_argument("--lambda", dest="lam", type=parse_partition, required=True)
-    p.add_argument("--mu", type=parse_partition, required=True)
-    common(p)
-    p.set_defaults(fn=_cmd_product)
-
-    p = sub.add_parser("theta", help="monomial expansion of a theta class")
-    p.add_argument("--k", type=nonnegative, required=True)
-    p.add_argument("--lambda", dest="lam", type=parse_partition, required=True)
-    common(p)
-    p.set_defaults(fn=_cmd_theta)
-
-    p = sub.add_parser("skews", help="skew determinant in the k-strict basis")
-    p.add_argument("--k", type=nonnegative, required=True)
-    p.add_argument("--lambda", dest="lam", type=parse_partition, required=True)
-    p.add_argument("--mu", type=parse_partition, default=())
-    common(p)
-    p.set_defaults(fn=_cmd_skews)
-
-    p = sub.add_parser("wlambda", help="signed permutation attached to a "
-                       "k-strict partition")
-    p.add_argument("--k", type=nonnegative, required=True)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--lambda", dest="lam", type=parse_partition, required=True)
-    common(p)
-    p.set_defaults(fn=_cmd_wlambda)
-
-    p = sub.add_parser("stanley", help="shape generating function of a "
-                       "signed permutation")
-    p.add_argument("--perm", type=parse_perm, required=True)
-    common(p)
-    p.set_defaults(fn=_cmd_stanley)
-
-    p = sub.add_parser("ktableaux", help="standard decompositions of the "
-                       "reduced words of a signed permutation")
-    p.add_argument("--perm", type=parse_perm, required=True)
-    p.add_argument("--shape", type=parse_partition, default=None)
-    common(p)
-    p.set_defaults(fn=_cmd_ktableaux)
-
-    p = sub.add_parser("bh", help="two-variable expansion of a basis element")
-    p.add_argument("--k", type=nonnegative, required=True)
-    p.add_argument("--lambda", dest="lam", type=parse_partition, required=True)
-    common(p)
-    p.set_defaults(fn=_cmd_bh)
-
-    p = sub.add_parser("forest", help="substitution forest for a one-row "
-                       "product")
-    p.add_argument("--k", type=nonnegative, required=True)
-    p.add_argument("--lambda", dest="lam", type=parse_partition, required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--modified", action="store_true")
-    p.add_argument("--stats", action="store_true")
-    p.add_argument("--dump-json", dest="dump_json", action="store_true")
-    common(p)
-    p.set_defaults(fn=_cmd_forest)
-
-    p = sub.add_parser("verify", help="run the verification suites")
-    p.add_argument("--suite", choices=["all"] + [name for name, _ in SUITES],
-                   default="all")
-    p.add_argument("--max-weight", dest="max_weight", type=int, default=6)
-    common(p)
-    p.set_defaults(fn=_cmd_verify)
-
-    p = sub.add_parser("count-bases", help="count the two spanning families "
-                       "in one degree")
-    p.add_argument("--d", type=nonnegative, required=True)
-    p.add_argument("--k", type=nonnegative, required=True)
-    common(p)
-    p.set_defaults(fn=_cmd_count_bases)
-
     return top
+
+
+def _parser():
+    # keyed by the suite names, which a caller may rebind through SUITES
+    return _build_parser(tuple(name for name, _ in SUITES))
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    _, handler, _, unechoed = COMMANDS[args.command]
     try:
-        code, payload, lines = args.fn(args)
+        code, own, lines = handler(args)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     if args.format == "json":
+        payload = {key: value for key, value in vars(args).items()
+                   if value is not None and key != "format"
+                   and key not in unechoed}
+        payload.update(own)
         print(json.dumps(payload, sort_keys=True))
     else:
         print("\n".join(lines))

@@ -318,7 +318,9 @@ def iota(lam, k: int, psi):
     inside S.
     """
     D, mu, S, h = psi
-    assert h >= 2, psi
+    if h < 2:
+        raise ValueError("iota needs a stopped leaf at level 2 or more, "
+                         "got level %d" % h)
     mu = tuple(mu)
     a, b = get(mu, h - 1), get(mu, h)
     if (h, h) not in D:

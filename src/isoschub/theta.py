@@ -143,7 +143,9 @@ def to_theta_basis(e: dict, k: int) -> dict:
         c = work[lam]
         add_into(out, lam, c)
         combine(work, theta(lam, k), -c)
-        assert lam not in work
+        if lam in work:
+            raise RuntimeError("theta(%r, %d) does not lead with %r"
+                               % (lam, k, lam))
     return out
 
 
@@ -170,7 +172,8 @@ def _solve(rows, rhs):
     r = 0
     for c in range(m):
         p = next((i for i in range(r, n) if aug[i][c]), None)
-        assert p is not None, "transition matrix is singular"
+        if p is None:
+            raise RuntimeError("transition matrix is singular")
         aug[r], aug[p] = aug[p], aug[r]
         f = aug[r][c]
         aug[r] = [x / f for x in aug[r]]
@@ -180,7 +183,8 @@ def _solve(rows, rhs):
                 aug[i] = [x - g * y for x, y in zip(aug[i], aug[r])]
         r += 1
     for i in range(r, n):
-        assert not aug[i][m], "inconsistent linear system"
+        if aug[i][m]:
+            raise RuntimeError("inconsistent linear system")
     return [aug[i][m] for i in range(m)]
 
 

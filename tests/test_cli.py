@@ -1,4 +1,7 @@
 import json
+import pathlib
+import re
+import shlex
 import subprocess
 import sys
 
@@ -225,6 +228,101 @@ def test_verify_reports_failure(capsys, monkeypatch):
                      "--format", "json"], capsys)
     assert code == 1
     assert json.loads(out)["ok"] is False
+
+
+def test_verify_reports_a_raising_suite(capsys, monkeypatch):
+    # an exception inside a suite fails that suite alone, names its type
+    # and the function that raised it, and the other suites still run
+    def singular(e, k):
+        return theta_ring._solve([[0]], [1])
+
+    def bad_input(mw):
+        return theta_ring.theta((2, 2), 1), ""
+
+    monkeypatch.setattr(cli, "to_hat_basis", singular)
+    keep = ("theta-identity", "pieri-example")
+    monkeypatch.setattr(cli, "SUITES", [("bad-input", bad_input)] + [
+        s for s in cli.SUITES if s[0] in keep])
+    code, out = run(["verify", "--format", "json"], capsys)
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["ok"] is False
+    rows = {row["name"]: (row["ok"], row["detail"])
+            for row in payload["suites"]}
+    assert rows == {
+        "bad-input": (False, "ValueError in isoschub.partitions.check_rect: "
+                             "lambda must be 1-strict (parts above 1 "
+                             "distinct): 2,2"),
+        "theta-identity": (False, "RuntimeError in isoschub.theta._solve: "
+                                  "transition matrix is singular"),
+        "pieri-example": (True, "")}
+    code, out = run(["verify", "--suite", "theta-identity"], capsys)
+    assert code == 1
+    assert "FAIL RuntimeError in isoschub.theta._solve" in out
+
+
+# the JSON keys of each subcommand: the arguments it echoes plus its own
+PAYLOAD_KEYS = [
+    (["giambelli", "--n", "5", "--k", "1", "--lambda", "3,2,1"],
+     {"family", "n", "k", "lam", "terms", "reduces_to"}),
+    (["pieri", "--n", "5", "--k", "1", "--lambda", "2,1", "--p", "1"],
+     {"family", "n", "k", "lam", "p", "terms"}),
+    (["product", "--n", "4", "--k", "1", "--lambda", "2,1", "--mu", "2"],
+     {"family", "n", "k", "lam", "mu", "terms"}),
+    (["theta", "--k", "1", "--lambda", "3,1"], {"k", "lam", "terms"}),
+    (["skews", "--k", "1", "--lambda", "3,1"], {"k", "lam", "mu", "terms"}),
+    (["wlambda", "--k", "1", "--lambda", "4,2,1", "--n", "5"],
+     {"k", "lam", "window", "length"}),
+    (["stanley", "--perm", "4,-2,-1,3"], {"perm", "terms"}),
+    (["ktableaux", "--perm", "2,-1"], {"perm", "count", "tableaux"}),
+    (["ktableaux", "--perm", "2,-1", "--shape", "2,1"],
+     {"perm", "shape", "count", "tableaux"}),
+    (["bh", "--k", "1", "--lambda", "3,2,1"], {"k", "lam", "terms"}),
+    (["forest", "--k", "1", "--lambda", "2,1", "--p", "1"],
+     {"k", "lam", "p", "modified", "roots", "psi0", "psi1", "product"}),
+    (["forest", "--k", "1", "--lambda", "2,1", "--p", "1", "--stats",
+      "--dump-json"],
+     {"k", "lam", "p", "modified", "roots", "psi0", "psi1", "product",
+      "nodes", "rules", "node_dump"}),
+    (["verify", "--suite", "pieri-example"], {"max_weight", "suites", "ok"}),
+    (["count-bases", "--d", "4", "--k", "1"],
+     {"d", "k", "strict", "odd", "equal"}),
+]
+
+
+def test_payload_keys(capsys):
+    assert {argv[0] for argv, _ in PAYLOAD_KEYS} == set(cli.COMMANDS)
+    for argv, keys in PAYLOAD_KEYS:
+        code, out = run(argv + ["--format", "json"], capsys)
+        assert code == 0, argv
+        assert set(json.loads(out)) == keys | {"command"}, argv
+        assert json.loads(out)["command"] == argv[0]
+
+
+def _readme_commands():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    lines = []
+    for section in readme.read_text().split("\n## ")[1:]:
+        title, _, body = section.partition("\n")
+        if title in ("Command line", "Verification"):
+            for block in body.split("```")[1::2]:
+                lines += [line for line in block.splitlines()
+                          if line.startswith("isoschub ")]
+    return lines
+
+
+def test_readme_examples_run(capsys):
+    # the README shows every subcommand; each line exits 0 and its JSON
+    # lines parse
+    lines = _readme_commands()
+    assert {line.split()[1] for line in lines} == set(cli.COMMANDS)
+    for line in lines:
+        line = re.sub(r"--max-weight \d+", "--max-weight 1", line)
+        argv = shlex.split(line)[1:]
+        code, out = run(argv, capsys)
+        assert code == 0, line
+        if "--format json" in line:
+            json.loads(out)
 
 
 def test_theta_hat_suite_catches_a_dropped_term(capsys, monkeypatch):

@@ -16,7 +16,7 @@ from isoschub.partitions import (k_strict_partitions, length_gt_k,
 from isoschub.polyeval import evaluate
 from isoschub.raising import (c_set, diagonal_count, expand, pfaffian_expand,
                               strict_pairs)
-from isoschub.substitution import apply_rule, build_forest, ev
+from isoschub.substitution import apply_rule, build_forest, ev, iota
 from isoschub.theta import mixed_expand, straighten, theta
 from isoschub.weyl import grassmannian_element
 
@@ -124,6 +124,8 @@ BAD_CALLS = {
     "apply-rule-level-zero":
         lambda: apply_rule((2, 1), 1, (frozenset({(1, 1)}), (2, 1, 0),
                                        frozenset(), 0)),
+    "iota-level-one":
+        lambda: iota((2, 1), 1, (frozenset(), (2, 1, 0), frozenset(), 1)),
 }
 
 

@@ -1,5 +1,10 @@
+import json
 import random
+import subprocess
+import sys
 from fractions import Fraction
+
+import pytest
 
 from isoschub.formal import combine, scaled, sum_to_json
 from isoschub.partitions import (contains, dominates, get, is_k_strict,
@@ -447,3 +452,42 @@ def test_p_mul_edges():
     assert p_mul({(): 3}, {(): Fraction(1, 3)}, 0) == {(): 1}
     # a negative bound keeps nothing
     assert p_mul({(0,): 1}, {(0,): 1}, -1) == {}
+
+
+_BROKEN_CHECKS = """
+import json, sys
+from isoschub import theta
+got = {"optimize": sys.flags.optimize}
+calls = {"singular": lambda: theta._solve([[0]], [1]),
+         "inconsistent": lambda: theta._solve([[1], [1]], [1, 2])}
+right = theta.theta
+def leaderless(lam, k):
+    out = right(lam, k)
+    del out[lam]
+    return out
+def peel():
+    theta.theta = leaderless
+    return theta.to_theta_basis({(2, 1): 1}, 1)
+calls["leader"] = peel
+for name, call in calls.items():
+    try:
+        got[name] = "returned %r" % (call(),)
+    except RuntimeError as exc:
+        got[name] = str(exc)
+print(json.dumps(got))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_basis_checks_raise_runtime_error(flags, child_env):
+    # a singular or inconsistent solve, and a theta class that lost its
+    # leading term (to_theta_basis then never finished under -O), must
+    # raise RuntimeError with or without assert statements
+    res = subprocess.run([sys.executable, *flags, "-c", _BROKEN_CHECKS],
+                         capture_output=True, text=True, env=child_env,
+                         timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == {
+        "optimize": len(flags), "singular": "transition matrix is singular",
+        "inconsistent": "inconsistent linear system",
+        "leader": "theta((2, 1), 1) does not lead with (2, 1)"}
