@@ -7,9 +7,11 @@ bundle (c_p = tau_p for p <= k and 2 tau_p above). Elements are dicts
 keyed by k-strict partitions inside the (n-k) x (n+k) rectangle; a
 space is passed around as the explicit arguments (k, n, family).
 
-The rescaling map between the families sends sigma_lam to
-2^(parts of lam above k) tau_lam, and every C-family coefficient here
-is obtained from the B-family rule through it.
+Over Q the two rings are one ring under sigma_p -> c_p, sigma_lam ->
+2^l_k(lam) tau_lam, with l_k(lam) the number of parts above k (the
+rescaling map of Buch-Kresch-Tamvakis). The product engine computes in
+the sigma basis only, on integers; family B enters through tau_to_sigma
+and leaves through sigma_to_tau, one exact shift per coefficient.
 """
 
 from fractions import Fraction
@@ -131,44 +133,43 @@ def pieri(lam, p: int, k: int, n: int, family: str) -> dict:
     Raises ValueError unless lam is a class of the space, 1 <= p <= n + k
     and the family is "B" or "C".
     """
-    return dict(_pieri(strip(lam), p, k, n, family))
+    lam = strip(lam)
+    out = _pieri(lam, p, k, n)
+    if family == "C":
+        return dict(out)
+    _check_family(family)
+    return sigma_to_tau(out, k, length_gt_k(lam, k))
 
 
 @cache
-def _pieri(lam, p, k, n, family):
-    if family == "C":
-        # the B-family terms 2^N tau_mu, rescaled by 2^(l_k(lam) - l_k(mu))
-        ell = length_gt_k(lam, k)
-        out = {}
-        for mu, c in _pieri(lam, p, k, n, "B").items():
-            e = c.bit_length() - 1 + ell - length_gt_k(mu, k)
-            assert e >= 0, (lam, p, mu, e)
-            out[mu] = 1 << e
-        return out
+def _pieri(lam, p, k, n):
     # validated on a miss only: the checks depend on the arguments alone,
     # and functools.cache stores no exception, so bad input raises every time
-    _check_family(family)
     check_rect(lam, k, n)
     if not 1 <= p <= n + k:
         raise ValueError("p must lie in 1..n+k, got %d" % p)
-    base = []
-    for mu in _candidates(lam, p, k, n):
+    ell = length_gt_k(lam, k)
+    out = {}
+    for mu in sorted(_candidates(lam, p, k, n)):
         m = pieri_match(lam, mu, k)
         if m is not None:
-            base.append((mu, m["N"]))
-    base.sort()
-    return {mu: 1 << N for mu, N in base}
+            out[mu] = 1 << m["N"] + ell - length_gt_k(mu, k)
+    return out
 
 
 def pieri_apply(elem: dict, p: int, k: int, n: int, family: str) -> dict:
     """One special-class multiplication distributed over a formal sum."""
+    if family != "C":
+        _check_family(family)
+        elem, shift = tau_to_sigma(elem, k)
+        return sigma_to_tau(pieri_apply(elem, p, k, n, "C"), k, shift)
     if p == 0:
         return dict(elem)
     if p < 0 or p > n + k:
         return {}
     out: dict = {}
     for lam, c in elem.items():
-        for mu, c2 in pieri(lam, p, k, n, family).items():
+        for mu, c2 in pieri(lam, p, k, n, "C").items():
             add_into(out, mu, c * c2)
     return out
 
@@ -184,14 +185,15 @@ def reduce_monomial(beta, k: int, n: int, family: str) -> dict:
     key = tuple(sorted((b for b in beta if b), reverse=True))
     if any(b < 0 for b in key) or (key and key[0] > n + k):
         return {}
-    return dict(_reduce(key, k, n, family))
+    out = _reduce(key, k, n)
+    return dict(out) if family == "C" else sigma_to_tau(out, k)
 
 
 @cache
-def _reduce(key, k, n, family):
+def _reduce(key, k, n):
     if not key:
         return {(): 1}
-    return pieri_apply(_reduce(key[:-1], k, n, family), key[-1], k, n, family)
+    return pieri_apply(_reduce(key[:-1], k, n), key[-1], k, n, "C")
 
 
 def _check_family(family):
@@ -205,14 +207,26 @@ def _formula(lam, k):
     return expand(strict_pairs(c_set(lam, k)), lam)
 
 
-def _rescale(e: dict, k: int, family: str, to_sigma: bool) -> dict:
-    # tau-basis coefficients of a family-B sum to sigma-basis ones, or back
-    if family == "C":
-        return e
+def tau_to_sigma(e: dict, k: int) -> tuple:
+    """(2^shift e in the sigma basis, shift) for a family-B sum e, with
+    shift the largest l_k of a key: tau_lam = 2^(-l_k(lam)) sigma_lam, so
+    integers stay integers and a single basis class enters as 1."""
+    shift = max((length_gt_k(lam, k) for lam in e), default=0)
+    return {lam: c * (1 << shift - length_gt_k(lam, k))
+            for lam, c in e.items()}, shift
+
+
+def sigma_to_tau(e: dict, k: int, shift: int = 0) -> dict:
+    """Family-B coefficients of 2^(-shift) e, e a sum in the sigma basis:
+    each moves by one exact shift, 2^(l_k(mu) - shift), and stays an int
+    when the result is integral."""
     out = {}
-    for lam, c in e.items():
-        s = 1 << length_gt_k(lam, k)
-        out[lam] = norm_scalar(Fraction(c, s) if to_sigma else c * s)
+    for mu, c in e.items():
+        s = length_gt_k(mu, k) - shift
+        if type(c) is int and (s >= 0 or not c & ((1 << -s) - 1)):
+            out[mu] = c << s if s >= 0 else c >> -s
+        else:
+            out[mu] = norm_scalar(c * Fraction(2) ** s)
     return out
 
 
@@ -221,62 +235,73 @@ def giambelli(lam, k: int, n: int, family: str) -> dict:
     C) or 2^(-l_k(lam)) R^lam c_lam in the c_p (family B), keyed by index
     tuples. Raises RuntimeError unless it reduces to exactly the class of
     lam, and ValueError unless lam is a class of the space."""
+    _check_family(family)
     lam = strip(lam)
     check_rect(lam, k, n)
     raw = _formula(lam, k)
     acc: dict = {}
     for key, c in raw.items():
-        combine(acc, reduce_monomial(key, k, n, family), c)
-    if _rescale(acc, k, family, True) != {lam: 1}:
-        raise RuntimeError("giambelli(%r, k=%d, n=%d, %s): R^lam reduced to %r"
-                           % (lam, k, n, family, acc))
-    return scaled(raw, _rescale({lam: 1}, k, family, True)[lam])
+        combine(acc, reduce_monomial(key, k, n, "C"), c)
+    if acc != {lam: 1}:
+        raise RuntimeError("giambelli(%r, k=%d, n=%d, %s): R^lam reduced to "
+                           "%r in the sigma basis" % (lam, k, n, family, acc))
+    ell = length_gt_k(lam, k) if family == "B" else 0
+    return scaled(raw, Fraction(1, 1 << ell))
+
+
+def _product_args(a, b, k, n, family):
+    # the shared boundary of both product routes: validate, then carry a
+    # family-B pair as sigma sums over 2^shift
+    _check_family(family)
+    for lam in (*a, *b):
+        check_rect(lam, k, n)
+    if family == "C":
+        return a, b, 0
+    (a, sa), (b, sb) = tau_to_sigma(a, k), tau_to_sigma(b, k)
+    return a, b, sa + sb
+
+
+def _product_out(out, k, family, shift, route):
+    out = sigma_to_tau(out, k, shift) if family == "B" else out
+    if not all(isinstance(c, int) for c in out.values()):
+        raise RuntimeError("%s gave non-integral %r" % (route, out))
+    return out
 
 
 def multiply(a: dict, b: dict, k: int, n: int, family: str) -> dict:
     """Product of two basis elements by Giambelli expansion plus Pieri.
 
     Each key of a is replaced by its Giambelli formula and folded onto b
-    one special class at a time. Raises ValueError unless every key of a
-    and b is a class of the space.
+    one special class at a time, in the sigma basis. Raises ValueError
+    unless every key of a and b is a class of the space.
     """
-    _check_family(family)
-    for lam in (*a, *b):
-        check_rect(lam, k, n)
+    a, b, shift = _product_args(a, b, k, n, family)
     out: dict = {}
-    for lam, ca in _rescale(a, k, family, True).items():
+    for lam, ca in a.items():
         for key, c in _formula(lam, k).items():
             if key and key[0] > n + k:
                 continue
             term = b
             for p in key:
-                term = pieri_apply(term, p, k, n, family)
+                term = pieri_apply(term, p, k, n, "C")
                 if not term:
                     break
             combine(out, term, ca * c)
-    if not all(isinstance(c, int) for c in out.values()):
-        raise RuntimeError("multiply gave non-integral %r" % (out,))
-    return out
+    return _product_out(out, k, family, shift, "multiply")
 
 
 def theta_route_product(a: dict, b: dict, k: int, n: int, family: str) -> dict:
     """Product through the theta ring: multiply upstairs, convert to the
     canonical basis, and drop keys that fall outside the rectangle. Raises
     ValueError unless every key of a and b is a class of the space."""
-    _check_family(family)
-    for lam in (*a, *b):
-        check_rect(lam, k, n)
-    ea = theta_ring.theta_sum(_rescale(a, k, family, True), k)
-    eb = theta_ring.theta_sum(_rescale(b, k, family, True), k)
+    a, b, shift = _product_args(a, b, k, n, family)
+    ea, eb = theta_ring.theta_sum(a, k), theta_ring.theta_sum(b, k)
     prod = theta_ring.to_theta_basis(theta_ring.multiply(ea, eb, k), k)
     out: dict = {}
     for lam, c in prod.items():
         if in_rect(lam, k, n):
             add_into(out, lam, c)
-    out = _rescale(out, k, family, False)
-    if not all(isinstance(c, int) for c in out.values()):
-        raise RuntimeError("theta_route_product gave non-integral %r" % (out,))
-    return out
+    return _product_out(out, k, family, shift, "theta_route_product")
 
 
 def verify_presentation(k: int, n: int, r: int, family: str) -> bool:

@@ -117,31 +117,6 @@ def check_rect(lam, k: int, n: int | None = None) -> None:
                      "n=%d, k=%d" % (text, n - k, n + k, n, k))
 
 
-def schubert_indices(lam, k: int, n: int, family: str) -> tuple[int, ...]:
-    """Index sequence of the Schubert condition attached to lam.
-
-    For family 'C' (symplectic):
-        p_j = n + k + j - lam_j - #{i < j : lam_i + lam_j > 2k + j - i}
-    For family 'B' (odd orthogonal) the constant grows by one and the
-    count includes i = j. Raises ValueError unless lam is a class of the
-    space.
-    """
-    lam = strip(lam)
-    check_rect(lam, k, n)
-    ell = len(lam)
-    out = []
-    for j in range(1, ell + 1):
-        if family == "C":
-            cnt = sum(1 for i in range(1, j) if lam[i - 1] + lam[j - 1] > 2 * k + j - i)
-            out.append(n + k + j - lam[j - 1] - cnt)
-        elif family == "B":
-            cnt = sum(1 for i in range(1, j + 1) if lam[i - 1] + lam[j - 1] > 2 * k + j - i)
-            out.append(n + k + 1 + j - lam[j - 1] - cnt)
-        else:
-            raise ValueError(f"unknown family {family!r}")
-    return tuple(out)
-
-
 def partitions_of(d: int, max_part: int | None = None, max_len: int | None = None):
     """Yield partitions of d, largest part first, in lex-decreasing order."""
     if max_part is None:

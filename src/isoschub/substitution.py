@@ -13,10 +13,10 @@ term in two), stops, or lowers the level.  Level-0 leaves carry the
 product terms; stopped leaves cancel in pairs under an involution.
 """
 
-from fractions import Fraction
 from functools import cache
 
-from .cohomology import pieri, pieri_match, reduce_monomial, stable_n
+from .cohomology import (pieri, pieri_match, reduce_monomial, sigma_to_tau,
+                         stable_n)
 from .formal import add_into, combine
 from .partitions import check_rect, get, is_k_strict, strip, weight
 from .raising import (c_set, diagonal_count, expand, is_valid_pairs,
@@ -247,24 +247,19 @@ def ev(psi, k: int, n: int) -> dict:
     """Evaluation of a 4-tuple in the weight-graded basis.
 
     2^(-#diagonal pairs of D) times the expansion of mu over the strict
-    part of D, each monomial reduced through the one-row products.
-    Exact dyadic coefficients; independent of S and h.
+    part of D in the tau basis: the monomials reduce as sigma_p products
+    summed as integers, then one exact shift per coefficient takes the sum
+    to tau and divides. Exact dyadic coefficients; independent of S and h.
     """
     return dict(_ev(frozenset(psi[0]), tuple(psi[1]), k, n))
 
 
 @cache
 def _ev(D, mu, k, n):
-    # integer sums first, then one exact division by 2^(#diagonal pairs)
     res = {}
     for mono, c in expand(strict_pairs(D), mu).items():
-        combine(res, reduce_monomial(mono, k, n, "B"), c)
-    shift = diagonal_count(D)
-    if shift:
-        den = 1 << shift
-        res = {key: v >> shift if v % den == 0 else Fraction(v, den)
-               for key, v in res.items()}
-    return res
+        combine(res, reduce_monomial(mono, k, n, "C"), c)
+    return sigma_to_tau(res, k, diagonal_count(D))
 
 
 def forest_n(lam, p: int, k: int) -> int:
@@ -394,22 +389,24 @@ def pieri_S_sets(lam, mu, k: int) -> dict:
     E holds the optional boxes' pairs (i, r(i+c)), F the forced ones,
     G the pairs joining a grown row to a shrunk one through related
     boxes.  The S-sets are E' union F union G over all E' inside E.
+    ValueError unless mu is a Pieri term of lam; RuntimeError on a failed check.
     """
     lam = strip(lam)
     mu = strip(mu)
     ell = len(lam)
     info = pieri_match(lam, mu, k)
-    assert info is not None, (lam, mu)
+    if info is None:
+        raise ValueError("mu is not a Pieri term of lam: %r, %r" % (mu, lam))
     aset = set(info["A"])
     over_k = {b for b in info["added"] if b[1] > k}
-    assert aset == over_k - r_boxes(lam, k, mu), (lam, mu)
+    _check(aset == over_k - r_boxes(lam, k, mu), "free boxes", lam, mu)
     distinguished = sorted(b for b in aset if (b[0], b[1] - 1) not in aset)
     optional = set()
     for comp in info["components"]:
         dist = [b for b in comp if (b[0], b[1] - 1) not in aset]
-        assert len({c for _, c in dist}) == len(dist), (lam, mu, comp)
+        _check(len({c for _, c in dist}) == len(dist), "columns", lam, mu)
         optional.add(max(dist, key=lambda b: b[1]))
-    assert len(optional) == info["N"]
+    _check(len(optional) == info["N"], "optional boxes", lam, mu)
     E, F = set(), set()
     for i, c in distinguished:
         pair = (i, rank_r(i + c, lam, k))
@@ -417,17 +414,17 @@ def pieri_S_sets(lam, mu, k: int) -> dict:
             E.add(pair)
         else:
             F.add(pair)
-            assert pair[1] == ef_values(lam, k, i, mu)[1], (lam, mu, pair)
+            _check(pair[1] == ef_values(lam, k, i, mu)[1], "forced", lam, mu)
     G = {(nb[0], rb[0]) for nb, rb in info["match_removed"]}
-    assert not (E & F) and not (E & G) and not (F & G), (E, F, G)
+    _check(not (E & F or E & G or F & G), "E, F, G overlap", E, F, G)
     hull = c_set(mu, k, ell + 1) & frozenset(outside_rim(c_set(lam, k), ell + 1))
-    assert E | F | G <= hull, (lam, mu, E, F, G)
+    _check(E | F | G <= hull, "pairs outside the hull", lam, mu, E, F, G)
     s_sets = set()
     pool = sorted(E)
     for mask in range(1 << len(pool)):
         extra = {pool[i] for i in range(len(pool)) if mask >> i & 1}
         s_sets.add(frozenset(extra | F | G))
-    assert len(s_sets) == 1 << info["N"]
+    _check(len(s_sets) == 1 << info["N"], "S-set count", lam, mu)
     return {"A": info["A"], "components": info["components"],
             "distinguished": distinguished, "optional": optional,
             "E": E, "F": F, "G": G, "N": info["N"], "S_sets": s_sets}

@@ -112,7 +112,9 @@ def grassmannian_element(lam, k, n=None):
             continue
         (rel if d - 1 in related else non).append(ln)
     lam1, _, p = split_columns(lam, k)
-    assert len(rel) == k and len(non) == n - k - p
+    if len(rel) != k or len(non) != n - k - p:
+        raise RuntimeError("grassmannian_element(%r, %d, %d): %d related and "
+                           "%d other diagonals" % (lam, k, n, len(rel), len(non)))
     w = tuple(sorted(rel)) + tuple(-(x) for x in lam1) + tuple(sorted(non))
     check_window(w)
     return w

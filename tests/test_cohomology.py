@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import subprocess
 import sys
@@ -6,35 +7,40 @@ from fractions import Fraction
 
 import pytest
 
+from isoschub import cohomology
 from isoschub.cohomology import (giambelli, multiply, pieri, pieri_apply,
                                  pieri_match, reduce_monomial, stable_n,
                                  theta_route_product, verify_presentation)
 from isoschub.formal import add_into, combine, norm_scalar, scaled
 from isoschub.partitions import (k_strict_partitions, length_gt_k,
-                                 rect_partitions, schubert_indices,
-                                 split_columns, weight)
+                                 rect_partitions, split_columns, weight)
 from isoschub.polyeval import evaluate
 from isoschub.raising import (c_set, diagonal_count, expand, pfaffian_expand,
                               strict_pairs)
-from isoschub.substitution import apply_rule, build_forest, ev, iota
+from isoschub.substitution import (apply_rule, build_forest, ev, iota,
+                                   pieri_S_sets)
 from isoschub.theta import mixed_expand, straighten, theta
 from isoschub.weyl import grassmannian_element
 
-MEMOIZED = [
-    (expand, (strict_pairs(c_set((3, 2, 1), 1)), (3, 2, 1))),
-    (pfaffian_expand, ((4, 2, 1),)),
-    (straighten, ((2, 2), 1)),
-    (theta, ((3, 1), 1)),
-    (pieri, ((2, 1, 1), 1, 1, 7, "B")),
-    (reduce_monomial, ((2, 1), 1, 5, "C")),
-    (giambelli, ((3, 2, 1), 1, 5, "B")),
-    (ev, ((frozenset({(1, 1)}), (2, 1, 1, 1), frozenset(), 0), 1, 10)),
-]
+# Public functions over a private memo: each result must be a new dict,
+# straight from the memo or through a family conversion.
+MEMOIZED = {
+    "expand": (expand, (strict_pairs(c_set((3, 2, 1), 1)), (3, 2, 1))),
+    "pfaffian_expand": (pfaffian_expand, ((4, 2, 1),)),
+    "straighten": (straighten, ((2, 2), 1)),
+    "theta": (theta, ((3, 1), 1)),
+    "pieri": (pieri, ((2, 1, 1), 1, 1, 7, "B")),
+    "pieri-C": (pieri, ((2, 1, 1), 1, 1, 7, "C")),
+    "reduce_monomial": (reduce_monomial, ((2, 1), 1, 5, "C")),
+    "reduce_monomial-B": (reduce_monomial, ((2, 1), 1, 5, "B")),
+    "giambelli": (giambelli, ((3, 2, 1), 1, 5, "B")),
+    "ev": (ev, ((frozenset({(1, 1)}), (2, 1, 1, 1), frozenset(), 0), 1, 10)),
+}
 
 
-@pytest.mark.parametrize("fn, args", MEMOIZED,
-                         ids=[fn.__name__ for fn, _ in MEMOIZED])
-def test_memoized_results_are_fresh_copies(fn, args):
+@pytest.mark.parametrize("name", sorted(MEMOIZED))
+def test_memoized_results_are_fresh_copies(name):
+    fn, args = MEMOIZED[name]
     first = fn(*args)
     want = dict(first)
     assert want
@@ -106,8 +112,6 @@ BAD_CALLS = {
     "forest-not-k-strict": lambda: build_forest((2, 2), 1, 1),
     "presentation-r-above": lambda: verify_presentation(1, 3, 9, "C"),
     "split-columns-not-k-strict": lambda: split_columns((2, 2), 1),
-    "schubert-indices-outside-rect":
-        lambda: schubert_indices((9, 9), 1, 3, "C"),
     "pfaffian-not-strict": lambda: pfaffian_expand((2, 2)),
     "expand-diagonal-pair": lambda: expand(frozenset({(1, 1)}), (2, 1)),
     "expand-not-downward-closed":
@@ -126,6 +130,7 @@ BAD_CALLS = {
                                        frozenset(), 0)),
     "iota-level-one":
         lambda: iota((2, 1), 1, (frozenset(), (2, 1, 0), frozenset(), 1)),
+    "pieri-s-sets-not-pieri-term": lambda: pieri_S_sets((2, 1), (1,), 1),
 }
 
 
@@ -168,6 +173,14 @@ def test_pieri_family_rescaling():
                 for mu, coeff in b.items():
                     shift = length_gt_k(lam, k) - length_gt_k(mu, k)
                     assert c[mu] == coeff * 2 ** shift, (lam, mu)
+
+
+def test_one_pieri_memo_entry_for_both_families():
+    # family B is converted from the sigma-basis entry, not stored apart
+    cohomology._pieri.cache_clear()
+    pieri((2, 1, 1), 2, 1, 7, "C")
+    pieri((2, 1, 1), 2, 1, 7, "B")
+    assert cohomology._pieri.cache_info().currsize == 1
 
 
 def test_reduce_monomial():
@@ -220,6 +233,27 @@ def test_multiply_commutative_associative():
             acb = multiply(multiply({lam: 1}, {nu: 1}, k, n, "C"),
                            {mu: 1}, k, n, "C")
             assert abc == acb
+
+
+def test_multiply_family_b_sums():
+    # sums that mix classes with different l_k, one coefficient a Fraction
+    # whose products come out integral, through both product routes
+    for k in (1, 2):
+        a = {(3,): Fraction(1, 2), (1,): 1}
+        b = {(2, 1): 2, (1, 1): -4}
+        c = {(2,): 1, (1,): 3}
+        n = stable_n(8, k)
+        ab = multiply(a, b, k, n, "B")
+        assert ab and all(type(v) is int for v in ab.values())
+        assert ab == multiply(b, a, k, n, "B")
+        assert ab == theta_route_product(a, b, k, n, "B")
+        assert multiply(ab, c, k, n, "B") == \
+            multiply(a, multiply(b, c, k, n, "B"), k, n, "B")
+    # both routes share the family-B boundary, so pin it against the Pieri
+    # rule: c_1 = tau_1 and c_2 = 2 tau_2 at k = 1
+    lam, n = (2, 1, 1), 7
+    assert multiply({(1,): 1}, {lam: 1}, 1, n, "B") == pieri(lam, 1, 1, n, "B")
+    assert multiply({(2,): 2}, {lam: 1}, 1, n, "B") == pieri(lam, 2, 1, n, "B")
 
 
 def test_multiply_routes_agree():
@@ -287,12 +321,45 @@ except RuntimeError:
     assert res.stdout.split() == ["1", "raised"]
 
 
+_BROKEN_HELPERS = """
+import json, sys
+from isoschub import substitution, weyl
+got = [sys.flags.optimize]
+substitution.r_boxes = lambda lam, k, mu: {(1, 2)}
+split = weyl.split_columns
+weyl.split_columns = lambda lam, k: split(lam, k)[:2] + (split(lam, k)[2] + 1,)
+for call in (lambda: substitution.pieri_S_sets((1,), (2,), 1),
+             lambda: weyl.grassmannian_element((3, 1), 1, 4)):
+    try:
+        got.append("returned %r" % (call(),))
+    except RuntimeError as exc:
+        got.append(str(exc).split(":")[0])
+print(json.dumps(got))
+"""
+
+
+def test_oracle_checks_survive_python_O(child_env):
+    # a wrong helper trips pieri_S_sets' free-box check and the diagonal
+    # count of grassmannian_element, with assert statements stripped
+    res = subprocess.run([sys.executable, "-O", "-c", _BROKEN_HELPERS],
+                         capture_output=True, text=True, env=child_env)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == [
+        1, "free boxes", "grassmannian_element((3, 1), 1, 4)"]
+
+
 def test_pieri_apply_edges():
     n = 5
     elem = {(1,): 2}
     assert pieri_apply(elem, 0, 1, n, "C") == elem
     assert pieri_apply(elem, -1, 1, n, "C") == {}
     assert pieri_apply(elem, n + 2, 1, n, "C") == {}
+    # family B goes to the sigma basis and back, Fractions included
+    elem = {(2, 1): Fraction(1, 2), (1,): 3}
+    want: dict = {}
+    for lam, c in elem.items():
+        combine(want, pieri(lam, 2, 1, n, "B"), c)
+    assert pieri_apply(elem, 2, 1, n, "B") == want
 
 
 def test_presentation_sweep():

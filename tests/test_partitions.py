@@ -3,8 +3,8 @@ from hypothesis import given, strategies as st
 
 from isoschub.partitions import (
     check_rect, conjugate, contains, count_bases, dominates, is_k_odd, is_k_strict,
-    k_related, k_strict_partitions, length_gt_k, partitions_of, rect_partitions,
-    schubert_indices, split_columns, strip, weight,
+    k_related, k_strict_partitions, length_gt_k, partitions_of, split_columns,
+    strip,
 )
 
 
@@ -74,28 +74,6 @@ def test_dominance():
     assert dominates((3, 2, 1), (3, 2, 1))
     assert dominates((3, 3), (3, 2, 1))
     assert not dominates((4, 3), (3, 2, 1))  # different weights
-
-
-def test_schubert_indices_type_c():
-    # hand evaluation of the index formula
-    assert schubert_indices((3, 2, 1), 1, 5, "C") == (4, 5, 8)
-    assert schubert_indices((), 1, 5, "C") == ()
-    assert schubert_indices((1,), 1, 5, "C") == (6,)
-
-
-def test_schubert_indices_type_b():
-    assert schubert_indices((3, 2, 1), 1, 5, "B") == (4, 5, 9)
-
-
-def test_schubert_indices_strictly_increasing():
-    for k in range(0, 3):
-        for n in range(k + 1, 7):
-            for lam in rect_partitions(k, n):
-                if weight(lam) > 8:
-                    continue
-                for fam in "BC":
-                    p = schubert_indices(lam, k, n, fam)
-                    assert all(a < b for a, b in zip(p, p[1:])), (lam, k, n, fam, p)
 
 
 def test_partitions_of():
