@@ -7,3 +7,18 @@ and the substitution forest that certifies the Pieri coefficients.
 """
 
 __version__ = "0.1.0"
+
+
+def clear_caches() -> None:
+    """Empty every memo of the package, the Pieri operator tables included.
+
+    A new process starts cold anyway; this gives the same cold start
+    inside one process, for timing a layer or after patching an engine.
+    """
+    from . import cli, cohomology, raising, substitution, theta, weyl
+    for memo in (raising._expand, raising._pf, cohomology._pieri,
+                 cohomology._space, cohomology._reduce, cohomology._formula,
+                 cohomology._trie, theta._straighten, theta._theta,
+                 theta._hat_product, substitution._ev, weyl._reduced_words,
+                 cli._build_parser):
+        memo.cache_clear()

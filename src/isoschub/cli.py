@@ -262,7 +262,38 @@ def _suite_bh_example(mw):
     return True, ""
 
 
+def _duality_fault(k, n, family):
+    # Poincare duality: at top degree the pairing of multiply must be a
+    # permutation matrix of 1s on the point class
+    classes = rect_partitions(k, n)
+    point = max(classes, key=weight)
+    top = weight(point)
+    partner = {}
+    for lam in classes:
+        for mu in classes:
+            if weight(lam) + weight(mu) != top:
+                continue
+            got = multiply({lam: 1}, {mu: 1}, k, n, family)
+            # a second partner of lam is as wrong as any other product
+            if got == {point: 1} and lam not in partner:
+                partner[lam] = mu
+            elif got:
+                return "%r*%r = %r" % (lam, mu, got)
+    unpaired = set(classes) - set(partner) | set(classes) - set(
+        partner.values())
+    if unpaired:
+        return "classes without a dual partner: %r" % (sorted(unpaired),)
+    return None
+
+
 def _suite_routes(mw):
+    for family in ("C", "B"):
+        for k in range(3):
+            for n in range(max(k, 1), 6):
+                fault = _duality_fault(k, n, family)
+                if fault:
+                    return False, "duality family %s k=%d n=%d: %s" % (
+                        family, k, n, fault)
     bound = min(10, mw + 4)
     for family in ("C", "B"):
         for k in range(3):

@@ -157,21 +157,96 @@ def _pieri(lam, p, k, n):
     return out
 
 
+class _Space:
+    """The Pieri operators of one (k, n) rectangle, over integer indices.
+
+    Classes are interned to ints as they are first reached, each checked
+    by check_rect once; index also maps a key with trailing zeros to its
+    class. ops[p][i] is the row of sigma_p on class i, a tuple of (index,
+    coefficient) pairs compiled from _pieri the first time a vector
+    reaches it, and None until then. Nothing is built ahead: at stable_n
+    a rectangle holds hundreds of thousands of classes, of which a
+    product reaches a few.
+    """
+
+    def __init__(self, k, n):
+        self.k, self.n = k, n
+        self.index = {}
+        self.classes = []
+        self.ops = {}
+
+    def intern(self, lam) -> int:
+        i = self.index.get(lam)
+        if i is None:
+            key = strip(lam)
+            check_rect(key, self.k, self.n)
+            i = self.index.get(key)
+            if i is None:
+                i = len(self.classes)
+                self.classes.append(key)
+                for rows in self.ops.values():
+                    rows.append(None)
+            self.index[lam] = self.index[key] = i
+        return i
+
+    def vector(self, elem: dict) -> dict:
+        """A formal sum over classes as a vector over their indices."""
+        v: dict = {}
+        for lam, c in elem.items():
+            i = self.intern(lam)
+            v[i] = v.get(i, 0) + c
+        return v
+
+    def sum(self, v: dict) -> dict:
+        """The formal sum of a vector, without its zeros."""
+        classes = self.classes
+        return {classes[i]: c if type(c) is int else norm_scalar(c)
+                for i, c in v.items() if c}
+
+    def apply(self, v: dict, p: int) -> dict:
+        """sigma_p times the vector v, for 1 <= p <= n + k."""
+        rows = self.ops.get(p)
+        if rows is None:
+            rows = self.ops[p] = [None] * len(self.classes)
+        out: dict = {}
+        get = out.get
+        for i, c in v.items():
+            row = rows[i]
+            if row is None:
+                row = self._compile(i, p)
+            for j, m in row:
+                out[j] = get(j, 0) + c * m
+        return out
+
+    def _compile(self, i, p):
+        # _pieri through the module globals: a patched rule is compiled too
+        rule = _pieri(self.classes[i], p, self.k, self.n)
+        row = tuple((self.intern(mu), c) for mu, c in rule.items())
+        self.ops[p][i] = row
+        return row
+
+
+@cache
+def _space(k, n):
+    # validated on a miss only, like _pieri: a bad space raises every time
+    check_rect((), k, n)
+    return _Space(k, n)
+
+
 def pieri_apply(elem: dict, p: int, k: int, n: int, family: str) -> dict:
-    """One special-class multiplication distributed over a formal sum."""
-    if family != "C":
-        _check_family(family)
-        elem, shift = tau_to_sigma(elem, k)
-        return sigma_to_tau(pieri_apply(elem, p, k, n, "C"), k, shift)
-    if p == 0:
-        return dict(elem)
-    if p < 0 or p > n + k:
-        return {}
-    out: dict = {}
-    for lam, c in elem.items():
-        for mu, c2 in pieri(lam, p, k, n, "C").items():
-            add_into(out, mu, c * c2)
-    return out
+    """One special-class multiplication distributed over a formal sum.
+
+    p = 0 is the unit, and p < 0 or p > n + k gives 0. Raises ValueError
+    unless every key of elem is a class of the space.
+    """
+    _check_family(family)
+    sp = _space(k, n)
+    elem, shift = tau_to_sigma(elem, k) if family == "B" else (elem, 0)
+    v = sp.vector(elem)
+    if p:
+        v = sp.apply(v, p) if 0 < p <= n + k else {}
+    out = sp.sum(v)
+    return sigma_to_tau(out, k, shift) if family == "B" else out
 
 
 def reduce_monomial(beta, k: int, n: int, family: str) -> dict:
@@ -179,9 +254,11 @@ def reduce_monomial(beta, k: int, n: int, family: str) -> dict:
 
     Indices sort high-to-low so shared prefixes hit the cache; zero
     indices are the unit and anything above n + k kills the monomial
-    (the quotient bundle has no such Chern class).
+    (the quotient bundle has no such Chern class). Raises ValueError
+    unless (k, n) is a space.
     """
     _check_family(family)
+    _space(k, n)  # raises unless (k, n) is a space
     key = tuple(sorted((b for b in beta if b), reverse=True))
     if any(b < 0 for b in key) or (key and key[0] > n + k):
         return {}
@@ -191,6 +268,7 @@ def reduce_monomial(beta, k: int, n: int, family: str) -> dict:
 
 @cache
 def _reduce(key, k, n):
+    # the kernel of pieri_apply applied to the unit, one sigma_p per prefix
     if not key:
         return {(): 1}
     return pieri_apply(_reduce(key[:-1], k, n), key[-1], k, n, "C")
@@ -205,6 +283,46 @@ def _check_family(family):
 def _formula(lam, k):
     # R^lam on the monomial of lam: sigma_lam (C), 2^l_k(lam) tau_lam (B)
     return expand(strict_pairs(c_set(lam, k)), lam)
+
+
+@cache
+def _trie(lam, k):
+    # the monomials of _formula(lam, k), index tuples that run high to
+    # low, as a prefix trie: a node is the flat tuple (coefficient of the
+    # monomial ending there, p1, child1, p2, child2, ...) by increasing p
+    root: list = [0, {}]
+    for key, c in _formula(lam, k).items():
+        node = root
+        for p in key:
+            node = node[1].setdefault(p, [0, {}])
+        node[0] += c
+    return _freeze(root)
+
+
+def _freeze(node):
+    out = [node[0]]
+    for p, child in sorted(node[1].items()):
+        out += (p, _freeze(child))
+    return tuple(out)
+
+
+def _walk(sp, node, v, scale, acc):
+    # acc += scale * (the polynomial of the trie below node) applied to v:
+    # one sigma_p per trie edge, and no further once the vector is empty
+    c = node[0]
+    if c:
+        c *= scale
+        get = acc.get
+        for i, x in v.items():
+            acc[i] = get(i, 0) + c * x
+    top = sp.n + sp.k
+    for t in range(1, len(node), 2):
+        p = node[t]
+        if p > top:
+            break
+        w = sp.apply(v, p)
+        if w:
+            _walk(sp, node[t + 1], w, scale, acc)
 
 
 def tau_to_sigma(e: dict, k: int) -> tuple:
@@ -250,15 +368,16 @@ def giambelli(lam, k: int, n: int, family: str) -> dict:
 
 
 def _product_args(a, b, k, n, family):
-    # the shared boundary of both product routes: validate, then carry a
-    # family-B pair as sigma sums over 2^shift
+    # the shared boundary of both product routes: validate every key by
+    # interning it, then carry a family-B pair as sigma sums over 2^shift
     _check_family(family)
+    sp = _space(k, n)
     for lam in (*a, *b):
-        check_rect(lam, k, n)
+        sp.intern(lam)
     if family == "C":
-        return a, b, 0
+        return sp, a, b, 0
     (a, sa), (b, sb) = tau_to_sigma(a, k), tau_to_sigma(b, k)
-    return a, b, sa + sb
+    return sp, a, b, sa + sb
 
 
 def _product_out(out, k, family, shift, route):
@@ -271,30 +390,25 @@ def _product_out(out, k, family, shift, route):
 def multiply(a: dict, b: dict, k: int, n: int, family: str) -> dict:
     """Product of two basis elements by Giambelli expansion plus Pieri.
 
-    Each key of a is replaced by its Giambelli formula and folded onto b
-    one special class at a time, in the sigma basis. Raises ValueError
-    unless every key of a and b is a class of the space.
+    The Giambelli formula of each key of a is a polynomial in the special
+    classes; it is evaluated on the vector of b in the Pieri operators,
+    in the sigma basis, walking the formula's prefix trie so that a
+    shared prefix is applied once. Raises ValueError unless every key of
+    a and b is a class of the space.
     """
-    a, b, shift = _product_args(a, b, k, n, family)
-    out: dict = {}
+    sp, a, b, shift = _product_args(a, b, k, n, family)
+    v = sp.vector(b)
+    acc: dict = {}
     for lam, ca in a.items():
-        for key, c in _formula(lam, k).items():
-            if key and key[0] > n + k:
-                continue
-            term = b
-            for p in key:
-                term = pieri_apply(term, p, k, n, "C")
-                if not term:
-                    break
-            combine(out, term, ca * c)
-    return _product_out(out, k, family, shift, "multiply")
+        _walk(sp, _trie(sp.classes[sp.index[lam]], k), v, ca, acc)
+    return _product_out(sp.sum(acc), k, family, shift, "multiply")
 
 
 def theta_route_product(a: dict, b: dict, k: int, n: int, family: str) -> dict:
     """Product through the theta ring: multiply upstairs, convert to the
     canonical basis, and drop keys that fall outside the rectangle. Raises
     ValueError unless every key of a and b is a class of the space."""
-    a, b, shift = _product_args(a, b, k, n, family)
+    _, a, b, shift = _product_args(a, b, k, n, family)
     ea, eb = theta_ring.theta_sum(a, k), theta_ring.theta_sum(b, k)
     prod = theta_ring.to_theta_basis(theta_ring.multiply(ea, eb, k), k)
     out: dict = {}

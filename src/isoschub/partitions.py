@@ -103,10 +103,13 @@ def in_rect(lam, k: int, n: int) -> bool:
 
 
 def check_rect(lam, k: int, n: int | None = None) -> None:
-    """Raise ValueError unless lam is k-strict and, when n is given, k <= n
-    and lam fits the (n-k) x (n+k) rectangle."""
-    if is_k_strict(strip(lam), k) if n is None else in_rect(lam, k, n):
+    """Raise ValueError unless k >= 0, lam is k-strict and, when n is
+    given, k <= n and lam fits the (n-k) x (n+k) rectangle."""
+    if k >= 0 and (is_k_strict(strip(lam), k) if n is None
+                   else in_rect(lam, k, n)):
         return
+    if k < 0:
+        raise ValueError("need k >= 0, got k=%d" % k)
     text = ",".join(str(x) for x in lam) or "-"
     if n is not None and n < k:
         raise ValueError("need k <= n, got k=%d n=%d" % (k, n))

@@ -6,6 +6,8 @@ bindings without installing any wrapper.
 """
 
 import importlib.util
+import json
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -33,3 +35,34 @@ def test_trace_targets_are_bound_where_listed(monkeypatch):
         for modname in expected:
             bound = vars(sys.modules["isoschub." + modname]).values()
             assert any(value is fn for value in bound), (home, fname, modname)
+
+
+_INSTALL_AFTER_WARM_PRODUCT = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import tracing
+from isoschub import cli, cohomology
+args = ({(2, 1): 1, (1,): 3}, {(2,): 1}, 1, 5, "B")
+before = cohomology.multiply(*args)
+cohomology.reduce_monomial((2, 1), 1, 5, "C")
+tracer = tracing.Tracer()
+try:
+    tracer.install()
+except tracing.BindingError as exc:
+    print(json.dumps(["BindingError", str(exc)]))
+    raise SystemExit(0)
+tracer.on = True
+again = cohomology.multiply(*args)
+print(json.dumps(["installed", again == before,
+                  tracer.counters()["cohomology.multiply.calls"]]))
+"""
+
+
+def test_tracer_installs_after_a_warm_product(child_env):
+    # a memo, table or default argument that holds pieri, multiply or
+    # reduce_monomial would leave the original reachable past its wrapper
+    res = subprocess.run([sys.executable, "-c", _INSTALL_AFTER_WARM_PRODUCT,
+                          str(BENCH)], capture_output=True, text=True,
+                         env=child_env)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == ["installed", True, 1]

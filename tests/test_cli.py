@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from isoschub import cli
+from isoschub import cli, cohomology
 from isoschub import theta as theta_ring
 from isoschub.cohomology import multiply
 from isoschub.formal import sum_from_json
@@ -360,6 +360,20 @@ def test_theta_hat_suite_catches_wrong_straightening(capsys, monkeypatch):
                     capsys)
     assert code == 1
     assert json.loads(out)["suites"][0]["ok"] is False
+
+
+def test_routes_suite_catches_a_doubled_family_b_boundary(monkeypatch):
+    # both product routes leave through _product_out, so comparing them
+    # cannot see a fault there; the duality leg must
+    right = cohomology._product_out
+
+    def doubled(out, k, family, shift, route):
+        return right(out, k, family, shift - (family == "B"), route)
+
+    monkeypatch.setattr(cohomology, "_product_out", doubled)
+    ok, detail = dict(cli.SUITES)["routes"](1)
+    assert ok is False
+    assert detail.startswith("duality family B"), detail
 
 
 def test_verification_survives_python_O(child_env):

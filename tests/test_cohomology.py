@@ -1,5 +1,10 @@
+import contextlib
+import importlib
+import io
 import itertools
 import json
+import math
+import pkgutil
 import random
 import subprocess
 import sys
@@ -7,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+import isoschub
 from isoschub import cohomology
 from isoschub.cohomology import (giambelli, multiply, pieri, pieri_apply,
                                  pieri_match, reduce_monomial, stable_n,
@@ -34,6 +40,10 @@ MEMOIZED = {
     "reduce_monomial": (reduce_monomial, ((2, 1), 1, 5, "C")),
     "reduce_monomial-B": (reduce_monomial, ((2, 1), 1, 5, "B")),
     "giambelli": (giambelli, ((3, 2, 1), 1, 5, "B")),
+    "multiply": (multiply, ({(2, 1): 1}, {(1,): 1}, 1, 5, "C")),
+    "multiply-B": (multiply, ({(2, 1): 1, (1,): 2}, {(1,): 1}, 1, 5, "B")),
+    "pieri_apply": (pieri_apply, ({(2, 1): 1, (1,): 2}, 2, 1, 5, "C")),
+    "pieri_apply-B": (pieri_apply, ({(2, 1): 1, (1,): 2}, 2, 1, 5, "B")),
     "ev": (ev, ((frozenset({(1, 1)}), (2, 1, 1, 1), frozenset(), 0), 1, 10)),
 }
 
@@ -47,6 +57,39 @@ def test_memoized_results_are_fresh_copies(name):
     first.clear()
     first[(99,)] = 7
     assert fn(*args) == want
+
+
+def _package_memos():
+    # every functools memo bound in a module of the package, by identity
+    memos = {}
+    for info in pkgutil.iter_modules(isoschub.__path__):
+        mod = importlib.import_module("isoschub." + info.name)
+        for name, value in vars(mod).items():
+            if callable(getattr(value, "cache_info", None)):
+                memos.setdefault(id(value), ("%s.%s" % (info.name, name),
+                                             value))
+    return dict(memos.values())
+
+
+def test_clear_caches_empties_every_memo():
+    from isoschub import cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in (["product", "--type", "B", "--n", "4", "--k", "1",
+                      "--lambda", "2,1", "--mu", "2"],
+                     ["verify", "--suite", "all", "--max-weight", "1"]):
+            assert cli.main(argv) == 0
+    pfaffian_expand((4, 2, 1))
+    memos = _package_memos()
+    cold = [name for name, memo in memos.items()
+            if not memo.cache_info().currsize]
+    # every memo holds something, so one left out below would show
+    assert {"cohomology._space", "cohomology._reduce",
+            "cohomology._trie"} <= set(memos)
+    assert cold == []
+    isoschub.clear_caches()
+    left = {name: memo.cache_info().currsize for name, memo in memos.items()
+            if memo.cache_info().currsize}
+    assert left == {}
 
 
 def test_pieri_frozen_examples():
@@ -131,6 +174,18 @@ BAD_CALLS = {
     "iota-level-one":
         lambda: iota((2, 1), 1, (frozenset(), (2, 1, 0), frozenset(), 1)),
     "pieri-s-sets-not-pieri-term": lambda: pieri_S_sets((2, 1), (1,), 1),
+    "multiply-negative-k":
+        lambda: multiply({(1,): 1}, {(1,): 1}, -1, 3, "C"),
+    "giambelli-negative-k": lambda: giambelli((1,), -1, 3, "C"),
+    "pieri-negative-k": lambda: pieri((1,), 1, -1, 3, "C"),
+    "theta-negative-k": lambda: theta((1,), -1),
+    "reduce-monomial-k-above-n": lambda: reduce_monomial((), 5, 3, "C"),
+    "presentation-k-above-n": lambda: verify_presentation(5, 3, 6, "C"),
+    "pieri-apply-outside-rect":
+        lambda: pieri_apply({(9, 9): 1}, 0, 1, 3, "C"),
+    "pieri-apply-outside-rect-B":
+        lambda: pieri_apply({(9, 9): 1}, 1, 1, 3, "B"),
+    "pieri-apply-negative-k": lambda: pieri_apply({(): 1}, 1, -1, 3, "C"),
 }
 
 
@@ -254,6 +309,60 @@ def test_multiply_family_b_sums():
     lam, n = (2, 1, 1), 7
     assert multiply({(1,): 1}, {lam: 1}, 1, n, "B") == pieri(lam, 1, 1, n, "B")
     assert multiply({(2,): 2}, {lam: 1}, 1, n, "B") == pieri(lam, 2, 1, n, "B")
+
+
+def _seeded_sum(rng, pool, k, coefficients):
+    # three classes of the pool, not all with the same l_k
+    while True:
+        keys = rng.sample(pool, 3)
+        if len({length_gt_k(lam, k) for lam in keys}) > 1:
+            return {lam: rng.choice(coefficients) for lam in keys}
+
+
+def test_multiply_matches_theta_route_on_seeded_sums():
+    # halves on one side, even numbers on the other: every product is
+    # integral, in both families, while the inputs carry Fractions
+    rng = random.Random(8)
+    halves = (1, -2, Fraction(1, 2), Fraction(-3, 2), Fraction(4, 2))
+    evens = (2, -4, 6)
+    for family in ("C", "B"):
+        for k in (0, 1, 2):
+            for n in (k + 2, k + 3, stable_n(8, k)):
+                pool = [lam for d in range(1, 5) for lam in
+                        k_strict_partitions(d, k, n + k, n - k)]
+                for _ in range(3):
+                    a = _seeded_sum(rng, pool, k, halves)
+                    b = _seeded_sum(rng, pool, k, evens)
+                    got = multiply(a, b, k, n, family)
+                    assert exact(got, theta_route_product(a, b, k, n,
+                                                          family)), \
+                        (family, k, n, a, b)
+                    assert all(type(c) is int for c in got.values())
+
+
+def test_one_product_compiles_few_operator_rows():
+    # at stable_n the rectangle is far too big to compile ahead; a product
+    # reaches only the rows its vectors touch
+    k, n = 2, 14
+    classes = 2 ** (n - k) * math.comb(n, k)
+    assert classes == 372736
+    isoschub.clear_caches()
+    lam, mu = (4, 3, 1), (3, 2, 1)
+    got = multiply({lam: 1}, {mu: 1}, k, n, "C")
+    assert got == theta_route_product({lam: 1}, {mu: 1}, k, n, "C")
+    space = cohomology._space(k, n)
+    rows = sum(row is not None for rows in space.ops.values()
+               for row in rows)
+    assert 0 < rows and rows * 1000 < classes * (n + k)
+    assert len(space.classes) * 1000 < classes
+
+
+def test_keys_with_trailing_zeros_are_their_classes():
+    n = 5
+    assert pieri_apply({(1, 0): 1, (1,): 2}, 1, 1, n, "C") == \
+        {(2,): 3, (1, 1): 3}
+    assert multiply({(1, 0): 1}, {(1, 0, 0): 1}, 1, n, "C") == \
+        multiply({(1,): 1}, {(1,): 1}, 1, n, "C")
 
 
 def test_multiply_routes_agree():
