@@ -20,5 +20,5 @@ def clear_caches() -> None:
                  cohomology._space, cohomology._reduce, cohomology._formula,
                  cohomology._trie, theta._straighten, theta._theta,
                  theta._hat_product, substitution._ev, weyl._reduced_words,
-                 cli._build_parser):
+                 weyl._word_count, cli._build_parser):
         memo.cache_clear()

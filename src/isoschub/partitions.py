@@ -102,14 +102,18 @@ def in_rect(lam, k: int, n: int) -> bool:
     return is_k_strict(lam, k) and len(lam) <= n - k and (not lam or lam[0] <= n + k)
 
 
+def check_k(k: int) -> None:
+    if k < 0:
+        raise ValueError("need k >= 0, got k=%d" % k)
+
+
 def check_rect(lam, k: int, n: int | None = None) -> None:
     """Raise ValueError unless k >= 0, lam is k-strict and, when n is
     given, k <= n and lam fits the (n-k) x (n+k) rectangle."""
     if k >= 0 and (is_k_strict(strip(lam), k) if n is None
                    else in_rect(lam, k, n)):
         return
-    if k < 0:
-        raise ValueError("need k >= 0, got k=%d" % k)
+    check_k(k)
     text = ",".join(str(x) for x in lam) or "-"
     if n is not None and n < k:
         raise ValueError("need k <= n, got k=%d n=%d" % (k, n))

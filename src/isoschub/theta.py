@@ -17,7 +17,8 @@ from functools import cache
 from itertools import permutations
 
 from .formal import add_into, combine
-from .partitions import check_rect, get, k_strict_partitions, strip, weight
+from .partitions import (check_k, check_rect, get, k_strict_partitions, strip,
+                         weight)
 from .raising import c_set, expand, strict_pairs
 
 
@@ -25,8 +26,9 @@ def straighten(alpha, k: int) -> dict[tuple[int, ...], int]:
     """Rewrite the monomial with index multiset alpha into the k-strict basis.
 
     Entries may be arbitrary integers: a negative index kills the term,
-    zero indices drop out (t_0 = 1).
+    zero indices drop out (t_0 = 1).  Raises ValueError for k < 0.
     """
+    check_k(k)
     if any(a < 0 for a in alpha):
         return {}
     key = tuple(sorted((a for a in alpha if a), reverse=True))
@@ -75,7 +77,9 @@ def hat_theta(r: int, k: int) -> dict[tuple[int, ...], int]:
     """Dual one-column class: the r x r determinant det(t_{1+j-i}).
 
     Satisfies sum_{i=0..n} (-1)^i t_i hat_theta(n-i) = 0 for n >= 1.
+    Raises ValueError for k < 0.
     """
+    check_k(k)
     if r < 0:
         return {}
     if r == 0:
@@ -90,8 +94,9 @@ def hat_theta(r: int, k: int) -> dict[tuple[int, ...], int]:
 def skew_S(lam, mu, k: int) -> dict[tuple[int, ...], int]:
     """Determinant det(t_{lam_i - mu_j + j - i}) in the k-strict basis.
 
-    Zero unless mu is contained in lam.
+    Zero unless mu is contained in lam.  Raises ValueError for k < 0.
     """
+    check_k(k)
     lam = strip(lam)
     mu = strip(mu)
     if len(mu) > len(lam):
@@ -118,7 +123,11 @@ def skew_S(lam, mu, k: int) -> dict[tuple[int, ...], int]:
 
 
 def multiply(a: dict, b: dict, k: int) -> dict:
-    """Product of two elements given in the k-strict monomial basis."""
+    """Product of two elements given in the k-strict monomial basis.
+
+    Raises ValueError for k < 0.
+    """
+    check_k(k)
     out: dict = {}
     for ka, ca in a.items():
         for kb, cb in b.items():
@@ -195,8 +204,9 @@ def to_hat_basis(e: dict, k: int) -> dict:
     (a_1, a_2, ...) span each graded piece over the rationals but are
     not dominance-triangular against the monomial basis, so each weight
     is resolved by a dense exact linear solve. Coefficients may be
-    non-integral Fractions.
+    non-integral Fractions.  Raises ValueError for k < 0.
     """
+    check_k(k)
     by_weight: dict = defaultdict(dict)
     for key, c in e.items():
         by_weight[weight(key)][key] = c

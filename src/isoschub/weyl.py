@@ -120,13 +120,53 @@ def grassmannian_element(lam, k, n=None):
     return w
 
 
+# Limits of reduced_words, and so of ktableaux and stanley_F.  The first
+# keeps every recursion over a reduced word far below Python's recursion
+# limit; the second bounds the listing itself (the longest element of B_4
+# has 24,024 reduced words, that of B_5 has 701,149,020).
+MAX_LENGTH = 64
+MAX_REDUCED_WORDS = 100_000
+
+
+def _check_size(w):
+    """Raise ValueError when the trimmed window w is past MAX_LENGTH or
+    MAX_REDUCED_WORDS.
+
+    The words are counted by a memoized descent recursion that stops
+    once the count is past the limit, so nothing is listed.
+    """
+    lw = length(w)
+    if lw > MAX_LENGTH:
+        raise ValueError("length %d exceeds the limit of %d for listing "
+                         "reduced words" % (lw, MAX_LENGTH))
+    if _word_count(w) > MAX_REDUCED_WORDS:
+        raise ValueError("more than %d reduced words" % MAX_REDUCED_WORDS)
+
+
+@cache
+def _word_count(w):
+    # min(number of reduced words of w, MAX_REDUCED_WORDS + 1)
+    if not w:
+        return 1
+    total = 0
+    for i in descents(w):
+        total += _word_count(trim(apply_s(w, i)))
+        if total > MAX_REDUCED_WORDS:
+            return MAX_REDUCED_WORDS + 1
+    return total
+
+
 def reduced_words(w):
     """All reduced words for w, as a tuple of letter tuples.
 
-    Words multiply left to right: (a, b) stands for s_a s_b.  The count
-    grows fast with length(w); intended for desk-scale elements only.
+    Words multiply left to right: (a, b) stands for s_a s_b.  Raises
+    ValueError for a malformed window, or before listing anything when
+    length(w) > MAX_LENGTH or w has more than MAX_REDUCED_WORDS words.
     """
-    return _reduced_words(trim(w))
+    check_window(w)
+    w = trim(w)
+    _check_size(w)
+    return _reduced_words(w)
 
 
 @cache
@@ -175,16 +215,65 @@ def lus(word):
     return max(dec[j] + inc[j] - 1 for j in range(m))
 
 
-def _splits(word, pos, prev, acc, out):
-    if pos == len(word):
-        out.append(tuple(reversed(acc)))
-        return
-    for size in range(prev + 1, len(word) - pos + 1):
-        seg = word[pos:pos + size]
-        if unimodal(seg) and lus(word[:pos + size]) == size:
-            acc.append(seg)
-            _splits(word, pos + size, size, acc, out)
-            acc.pop()
+def _word_tableaux(word, out):
+    """Append to out every tableau whose row word is the reduced word.
+
+    Two prefix tables make each cut a lookup.  L[j] = lus(word[:j]) is
+    the running maximum of up[t], the longest unimodal subsequence
+    ending at t, where up[t] extends either the longest strictly
+    decreasing one ending at t (down[t]) or an up[i] with i < t and
+    word[i] < word[t].  ends[p] is the largest e with word[p:e]
+    unimodal; one scan per start finds it, since unimodal segments are
+    closed under taking prefixes.  A row word[pos:e] can follow a row
+    of length prev exactly when pos + prev < e <= ends[pos] and
+    L[e] == e - pos.
+    """
+    m = len(word)
+    down = []
+    up = []
+    L = [0]
+    best = 0
+    for a in word:
+        d = u = 1
+        # zip stops at the letters before a
+        for b, db, ub in zip(word, down, up):
+            if b > a:
+                if db >= d:
+                    d = db + 1
+            elif b < a and ub >= u:
+                u = ub + 1
+        if d > u:
+            u = d
+        down.append(d)
+        up.append(u)
+        if u > best:
+            best = u
+        L.append(best)
+    ends = []
+    for p in range(m):
+        e = p + 1
+        while e < m and word[e - 1] > word[e]:
+            e += 1
+        while e < m and word[e - 1] < word[e]:
+            e += 1
+        ends.append(e)
+    acc = []
+
+    def rows(pos, prev):
+        if pos == m:
+            out.append(tuple(reversed(acc)))
+            return
+        for e in range(pos + prev + 1, ends[pos] + 1):
+            size = e - pos
+            # L[e] - e never increases with e, so a short L stays short
+            if L[e] < size:
+                break
+            if L[e] == size:
+                acc.append(word[pos:e])
+                rows(e, size)
+                acc.pop()
+
+    rows(0, 0)
 
 
 def ktableaux(w, shape=None):
@@ -192,11 +281,13 @@ def ktableaux(w, shape=None):
 
     Each row must be a unimodal subsequence of maximum length in the
     word formed by it and the rows below it.  Rows are returned top
-    row first, so lengths strictly decrease.
+    row first, so lengths strictly decrease.  Raises ValueError for a
+    malformed window or one past the limits of reduced_words.
     """
+    check_window(w)
     out = []
     for word in reduced_words(w):
-        _splits(word, 0, 0, [], out)
+        _word_tableaux(word, out)
     if shape is not None:
         shape = tuple(shape)
         out = [t for t in out if tuple(len(r) for r in t) == shape]
@@ -223,6 +314,7 @@ def valid_ktableau(w, rows):
 
 def stanley_F(w):
     """Tableau counts by shape; the strict-basis expansion of F_w."""
+    check_window(w)
     out = {}
     for t in ktableaux(w):
         add_into(out, tuple(len(r) for r in t), 1)
@@ -230,24 +322,23 @@ def stanley_F(w):
 
 
 def right_factors(w):
-    """All v with length(w v^-1) + length(v) = length(w)."""
+    """All v with length(w v^-1) + length(v) = length(w).
+
+    Those are the v = u^-1 w for the u reached from w by removing right
+    descents one at a time.  Raises ValueError for a malformed window.
+    """
+    check_window(w)
     w = trim(w)
-    lw = length(w)
-    letters = range(len(w))
-    level = {()}
-    found = {()}
-    for m in range(1, lw + 1):
-        nxt = set()
-        for v in level:
-            for j in letters:
-                vj = trim(mul(s_elem(j), v))
-                if vj in found or length(vj) != m:
-                    continue
-                if length(mul(w, inverse(vj))) == lw - m:
-                    nxt.add(vj)
-        found |= nxt
-        level = nxt
-    return found
+    seen = {w}
+    todo = [w]
+    while todo:
+        u = todo.pop()
+        for i in descents(u):
+            v = trim(apply_s(u, i))
+            if v not in seen:
+                seen.add(v)
+                todo.append(v)
+    return {trim(mul(inverse(u), w)) for u in seen}
 
 
 def bh_expand(lam, k):

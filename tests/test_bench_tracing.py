@@ -41,10 +41,13 @@ _INSTALL_AFTER_WARM_PRODUCT = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 import tracing
-from isoschub import cli, cohomology
+from isoschub import cli, cohomology, weyl
 args = ({(2, 1): 1, (1,): 3}, {(2,): 1}, 1, 5, "B")
 before = cohomology.multiply(*args)
 cohomology.reduce_monomial((2, 1), 1, 5, "C")
+tabs = weyl.ktableaux((4, -2, -1, 3))
+weyl.stanley_F((-2, -1))
+bh = weyl.bh_expand((3, 2, 1), 1)
 tracer = tracing.Tracer()
 try:
     tracer.install()
@@ -53,16 +56,21 @@ except tracing.BindingError as exc:
     raise SystemExit(0)
 tracer.on = True
 again = cohomology.multiply(*args)
-print(json.dumps(["installed", again == before,
-                  tracer.counters()["cohomology.multiply.calls"]]))
+same = [again == before, weyl.ktableaux((4, -2, -1, 3)) == tabs,
+        weyl.bh_expand((3, 2, 1), 1) == bh]
+counts = tracer.counters()
+print(json.dumps(["installed", same, counts["cohomology.multiply.calls"],
+                  counts["weyl.ktableaux.calls"]]))
 """
 
 
 def test_tracer_installs_after_a_warm_product(child_env):
-    # a memo, table or default argument that holds pieri, multiply or
-    # reduce_monomial would leave the original reachable past its wrapper
+    # a memo, table or default argument that holds pieri, multiply,
+    # reduce_monomial or one of the weyl functions would leave the
+    # original reachable past its wrapper
     res = subprocess.run([sys.executable, "-c", _INSTALL_AFTER_WARM_PRODUCT,
                           str(BENCH)], capture_output=True, text=True,
                          env=child_env)
     assert res.returncode == 0, res.stderr
-    assert json.loads(res.stdout) == ["installed", True, 1]
+    # bh_expand lists the tableaux of each left factor: 1 + 4 calls
+    assert json.loads(res.stdout) == ["installed", [True, True, True], 1, 5]

@@ -165,7 +165,10 @@ def test_usage_errors(capsys):
                  ["forest", "--k", "1", "--lambda", "2,1", "--p", "0"],
                  ["forest", "--k", "1", "--lambda", "2,2", "--p", "1"],
                  ["verify", "--suite", "claims", "--max-weight", "0"],
-                 ["count-bases", "--d", "51", "--k", "2"]):
+                 ["count-bases", "--d", "51", "--k", "2"],
+                 # past weyl.MAX_REDUCED_WORDS, rejected before listing
+                 ["stanley", "--perm=-1,-2,-3,-4,-5"],
+                 ["ktableaux", "--perm=-1,-2,-3,-4,-5"]):
         assert cli.main(argv) == 2, argv
         assert capsys.readouterr().err.startswith("error: "), argv
     for argv in (["bh", "--lambda", "3,2,1"], ["wlambda", "--lambda", "2,1"],

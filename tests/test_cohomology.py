@@ -14,6 +14,7 @@ import pytest
 
 import isoschub
 from isoschub import cohomology
+from isoschub import theta as theta_ring
 from isoschub.cohomology import (giambelli, multiply, pieri, pieri_apply,
                                  pieri_match, reduce_monomial, stable_n,
                                  theta_route_product, verify_presentation)
@@ -25,8 +26,10 @@ from isoschub.raising import (c_set, diagonal_count, expand, pfaffian_expand,
                               strict_pairs)
 from isoschub.substitution import (apply_rule, build_forest, ev, iota,
                                    pieri_S_sets)
-from isoschub.theta import mixed_expand, straighten, theta
-from isoschub.weyl import grassmannian_element
+from isoschub.theta import (hat_theta, mixed_expand, skew_S, straighten, theta,
+                            to_hat_basis)
+from isoschub.weyl import (grassmannian_element, ktableaux, reduced_words,
+                           right_factors, stanley_F)
 
 # Public functions over a private memo: each result must be a new dict,
 # straight from the memo or through a family conversion.
@@ -186,6 +189,19 @@ BAD_CALLS = {
     "pieri-apply-outside-rect-B":
         lambda: pieri_apply({(9, 9): 1}, 1, 1, 3, "B"),
     "pieri-apply-negative-k": lambda: pieri_apply({(): 1}, 1, -1, 3, "C"),
+    "straighten-negative-k": lambda: straighten((2, 1), -1),
+    "hat-theta-negative-k": lambda: hat_theta(2, -1),
+    "skew-S-negative-k": lambda: skew_S((2, 1), (), -1),
+    "to-hat-basis-negative-k": lambda: to_hat_basis({(1,): 1}, -1),
+    "theta-multiply-negative-k":
+        lambda: theta_ring.multiply({(1,): 1}, {(1,): 1}, -1),
+    "ktableaux-repeated-value": lambda: ktableaux((1, 1)),
+    "ktableaux-not-1-to-n": lambda: ktableaux((2,)),
+    "stanley-repeated-value": lambda: stanley_F((1, 1)),
+    "reduced-words-zero": lambda: reduced_words((0, 1)),
+    "right-factors-not-1-to-n": lambda: right_factors((3, 1)),
+    "ktableaux-too-long": lambda: ktableaux(grassmannian_element((65,), 0)),
+    "stanley-too-many-words": lambda: stanley_F((-1, -2, -3, -4, -5)),
 }
 
 

@@ -8,7 +8,9 @@ from isoschub.partitions import (conjugate, is_k_strict, partitions_of,
                                  split_columns, weight)
 from isoschub.theta import mixed_expand, straighten, to_theta_basis
 from isoschub.raising import c_set, expand, strict_pairs
-from isoschub.weyl import (apply_s, bh_expand, check_window, descents, extend,
+from isoschub import weyl
+from isoschub.weyl import (MAX_LENGTH, MAX_REDUCED_WORDS, apply_s, bh_expand,
+                           check_window, descents, extend,
                            grassmannian_element, inverse, ktableaux, length,
                            lus, mul, reduced_words, right_factors, s_elem,
                            stanley_F, trim, unimodal, valid_ktableau,
@@ -188,27 +190,35 @@ def test_ktableaux_strict_case():
         assert tabs[0] == tuple(tuple(range(x - 1, -1, -1)) for x in lam)
 
 
+def brute_ktableaux(w):
+    # every cut set of every reduced word, kept when the direct check passes
+    found = set()
+    for word in reduced_words(w):
+        m = len(word)
+        for mask in range(2 ** max(m - 1, 0)):
+            cuts = [i for i in range(1, m) if mask >> (i - 1) & 1]
+            bounds = [0] + cuts + [m] if m else [0]
+            rows = tuple(word[a:b] for a, b in zip(bounds, bounds[1:]))
+            rows = tuple(reversed(rows))
+            if valid_ktableau(w, rows):
+                found.add(rows)
+    return sorted(found)
+
+
 def test_ktableaux_validator_agreement():
     # Every enumerated tableau passes the direct check; every filling of
-    # the right shapes that passes the check is enumerated.
-    for lam, k in [((2, 1), 1), ((3, 1), 1), ((2, 2), 2), ((3, 2, 1), 1)]:
-        w = trim(grassmannian_element(lam, k))
+    # the right shapes that passes the check is enumerated.  All of B_3,
+    # B_4 up to length 6, and a few Grassmannian elements.
+    elems = {trim(w) for w in all_elements(3)}
+    elems |= {trim(w) for w in all_elements(4) if length(w) <= 6}
+    assert len(elems) == 134
+    elems |= {trim(grassmannian_element(lam, k)) for lam, k in
+              [((2, 1), 1), ((3, 1), 1), ((2, 2), 2), ((3, 2, 1), 1)]}
+    for w in sorted(elems):
         tabs = ktableaux(w)
         assert len(set(tabs)) == len(tabs)
-        for t in tabs:
-            assert valid_ktableau(w, t)
-        checked = set()
-        for word in reduced_words(w):
-            m = len(word)
-            for nparts in range(1, m + 1):
-                for cuts in itertools.combinations(range(1, m), nparts - 1):
-                    bounds = (0,) + cuts + (m,)
-                    rows = tuple(word[bounds[i]:bounds[i + 1]]
-                                 for i in range(nparts))
-                    rows = tuple(reversed(rows))
-                    if valid_ktableau(w, rows):
-                        checked.add(rows)
-        assert sorted(checked) == list(tabs)
+        assert all(valid_ktableau(w, t) for t in tabs)
+        assert tabs == brute_ktableaux(w), w
 
 
 def test_ktableaux_shape_filter():
@@ -254,6 +264,43 @@ def test_right_factors_small():
         for m in range(len(word) + 1):
             seen.add(word_product(word[len(word) - m:]))
     assert seen == fac
+
+
+def test_right_factors_whole_group():
+    # the defining length condition, checked against every group element
+    group = [trim(v) for v in all_elements(4)]
+    lengths = {v: length(v) for v in group}
+    for w in group:
+        lw = lengths[w]
+        want = {v for v in group
+                if length(mul(w, inverse(v))) + lengths[v] == lw}
+        assert right_factors(w) == want, w
+
+
+def test_size_limits_raise_before_listing():
+    weyl._reduced_words.cache_clear()
+    weyl._word_count.cache_clear()
+    # a single reduced word, but far longer than MAX_LENGTH
+    with pytest.raises(ValueError, match="length 2000 exceeds"):
+        ktableaux(grassmannian_element((2000,), 0))
+    assert weyl._word_count.cache_info().currsize == 0
+    # the longest element of B_5: length 25, 701,149,020 reduced words
+    w0 = (-1, -2, -3, -4, -5)
+    assert length(w0) <= MAX_LENGTH
+    for call in (reduced_words, ktableaux, stanley_F):
+        with pytest.raises(ValueError, match="more than 100000 reduced"):
+            call(w0)
+    assert weyl._reduced_words.cache_info().currsize == 0
+    # the count stops once it is past the limit, short of all 3,840
+    # elements below w0
+    assert weyl._word_count.cache_info().currsize < 3840
+
+
+def test_word_count_matches_listing():
+    for w in all_elements(4):
+        assert weyl._word_count(trim(w)) == len(reduced_words(w))
+    # the longest element of B_4 is within the limit
+    assert len(reduced_words((-1, -2, -3, -4))) == 24024 <= MAX_REDUCED_WORDS
 
 
 def test_bh_frozen_table():
