@@ -10,15 +10,14 @@ __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Empty every memo of the package, the Pieri operator tables included.
+    """Empty every memo of the package, the Pieri store of each space included.
 
     A new process starts cold anyway; this gives the same cold start
     inside one process, for timing a layer or after patching an engine.
     """
     from . import cli, cohomology, raising, substitution, theta, weyl
-    for memo in (raising._expand, raising._pf, cohomology._pieri,
-                 cohomology._space, cohomology._reduce, cohomology._formula,
-                 cohomology._trie, theta._straighten, theta._theta,
-                 theta._hat_product, substitution._ev, weyl._reduced_words,
-                 weyl._word_count, cli._build_parser):
+    for memo in (raising._expand, raising._pf, cohomology._space,
+                 cohomology._formula, cohomology._trie, theta._straighten,
+                 theta._theta, theta._hat_product, substitution._ev,
+                 weyl._reduced_words, weyl._word_count, cli._build_parser):
         memo.cache_clear()

@@ -133,21 +133,19 @@ def pieri(lam, p: int, k: int, n: int, family: str) -> dict:
     Raises ValueError unless lam is a class of the space, 1 <= p <= n + k
     and the family is "B" or "C".
     """
-    lam = strip(lam)
-    out = _pieri(lam, p, k, n)
-    if family == "C":
-        return dict(out)
-    _check_family(family)
-    return sigma_to_tau(out, k, length_gt_k(lam, k))
-
-
-@cache
-def _pieri(lam, p, k, n):
-    # validated on a miss only: the checks depend on the arguments alone,
-    # and functools.cache stores no exception, so bad input raises every time
-    check_rect(lam, k, n)
+    sp = _space(k, n)
+    i = sp.intern(lam)
     if not 1 <= p <= n + k:
         raise ValueError("p must lie in 1..n+k, got %d" % p)
+    out = sp.sum(sp.apply({i: 1}, p))
+    if family != "C":
+        _check_family(family)
+        out = sigma_to_tau(out, k, length_gt_k(sp.classes[i], k))
+    return out
+
+
+def _pieri(lam, p, k, n):
+    # the rule on one validated class; _Space compiles each row once
     ell = length_gt_k(lam, k)
     out = {}
     for mu in sorted(_candidates(lam, p, k, n)):
@@ -158,15 +156,16 @@ def _pieri(lam, p, k, n):
 
 
 class _Space:
-    """The Pieri operators of one (k, n) rectangle, over integer indices.
+    """Everything the Pieri rule gives on one (k, n) rectangle, by index.
 
     Classes are interned to ints as they are first reached, each checked
     by check_rect once; index also maps a key with trailing zeros to its
     class. ops[p][i] is the row of sigma_p on class i, a tuple of (index,
     coefficient) pairs compiled from _pieri the first time a vector
-    reaches it, and None until then. Nothing is built ahead: at stable_n
-    a rectangle holds hundreds of thousands of classes, of which a
-    product reaches a few.
+    reaches it, and None until then. monos maps a monomial, an index
+    tuple running high to low, to its vector, one sigma_p per prefix
+    from the unit. Nothing is built ahead: at stable_n a rectangle holds
+    hundreds of thousands of classes, of which a product reaches a few.
     """
 
     def __init__(self, k, n):
@@ -174,6 +173,7 @@ class _Space:
         self.index = {}
         self.classes = []
         self.ops = {}
+        self.monos = {(): {self.intern(()): 1}}
 
     def intern(self, lam) -> int:
         i = self.index.get(lam)
@@ -218,6 +218,13 @@ class _Space:
                 out[j] = get(j, 0) + c * m
         return out
 
+    def monomial(self, key: tuple) -> dict:
+        """The vector of the monomial key, indices in 1..n + k."""
+        v = self.monos.get(key)
+        if v is None:
+            v = self.monos[key] = self.apply(self.monomial(key[:-1]), key[-1])
+        return v
+
     def _compile(self, i, p):
         # _pieri through the module globals: a patched rule is compiled too
         rule = _pieri(self.classes[i], p, self.k, self.n)
@@ -228,7 +235,7 @@ class _Space:
 
 @cache
 def _space(k, n):
-    # validated on a miss only, like _pieri: a bad space raises every time
+    # validated on a miss only: functools.cache stores no exception
     check_rect((), k, n)
     return _Space(k, n)
 
@@ -252,26 +259,18 @@ def pieri_apply(elem: dict, p: int, k: int, n: int, family: str) -> dict:
 def reduce_monomial(beta, k: int, n: int, family: str) -> dict:
     """Product of special classes with indices beta in the Schubert basis.
 
-    Indices sort high-to-low so shared prefixes hit the cache; zero
-    indices are the unit and anything above n + k kills the monomial
-    (the quotient bundle has no such Chern class). Raises ValueError
-    unless (k, n) is a space.
+    Indices sort high-to-low so shared prefixes share their vectors;
+    zero indices are the unit and anything above n + k kills the
+    monomial (the quotient bundle has no such Chern class). Raises
+    ValueError unless (k, n) is a space.
     """
     _check_family(family)
-    _space(k, n)  # raises unless (k, n) is a space
+    sp = _space(k, n)
     key = tuple(sorted((b for b in beta if b), reverse=True))
     if any(b < 0 for b in key) or (key and key[0] > n + k):
         return {}
-    out = _reduce(key, k, n)
-    return dict(out) if family == "C" else sigma_to_tau(out, k)
-
-
-@cache
-def _reduce(key, k, n):
-    # the kernel of pieri_apply applied to the unit, one sigma_p per prefix
-    if not key:
-        return {(): 1}
-    return pieri_apply(_reduce(key[:-1], k, n), key[-1], k, n, "C")
+    out = sp.sum(sp.monomial(key))
+    return out if family == "C" else sigma_to_tau(out, k)
 
 
 def _check_family(family):
@@ -354,17 +353,18 @@ def giambelli(lam, k: int, n: int, family: str) -> dict:
     tuples. Raises RuntimeError unless it reduces to exactly the class of
     lam, and ValueError unless lam is a class of the space."""
     _check_family(family)
-    lam = strip(lam)
-    check_rect(lam, k, n)
-    raw = _formula(lam, k)
+    sp = _space(k, n)
+    lam = sp.classes[sp.intern(lam)]
     acc: dict = {}
-    for key, c in raw.items():
-        combine(acc, reduce_monomial(key, k, n, "C"), c)
+    _walk(sp, _trie(lam, k), sp.monos[()], 1, acc)
+    acc = sp.sum(acc)
     if acc != {lam: 1}:
         raise RuntimeError("giambelli(%r, k=%d, n=%d, %s): R^lam reduced to "
                            "%r in the sigma basis" % (lam, k, n, family, acc))
-    ell = length_gt_k(lam, k) if family == "B" else 0
-    return scaled(raw, Fraction(1, 1 << ell))
+    raw = _formula(lam, k)
+    if family == "C":
+        return dict(raw)
+    return scaled(raw, Fraction(1, 1 << length_gt_k(lam, k)))
 
 
 def _product_args(a, b, k, n, family):

@@ -91,10 +91,16 @@ def hat_theta(r: int, k: int) -> dict[tuple[int, ...], int]:
     return out
 
 
+# skew_S sums l(lam)! signed terms: 8 rows take seconds, 9 half a minute
+MAX_SKEW_ROWS = 8
+
+
 def skew_S(lam, mu, k: int) -> dict[tuple[int, ...], int]:
     """Determinant det(t_{lam_i - mu_j + j - i}) in the k-strict basis.
 
-    Zero unless mu is contained in lam.  Raises ValueError for k < 0.
+    Zero unless mu is contained in lam.  Raises ValueError for k < 0 and,
+    since the sum runs over all l(lam)! permutations, for more than
+    MAX_SKEW_ROWS rows.
     """
     check_k(k)
     lam = strip(lam)
@@ -102,6 +108,9 @@ def skew_S(lam, mu, k: int) -> dict[tuple[int, ...], int]:
     if len(mu) > len(lam):
         return {}
     n = len(lam)
+    if n > MAX_SKEW_ROWS:
+        raise ValueError("lambda has %d rows, more than the limit of %d for "
+                         "a skew determinant" % (n, MAX_SKEW_ROWS))
     out: dict = {}
     for perm in permutations(range(n)):
         key = []

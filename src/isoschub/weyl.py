@@ -123,9 +123,13 @@ def grassmannian_element(lam, k, n=None):
 # Limits of reduced_words, and so of ktableaux and stanley_F.  The first
 # keeps every recursion over a reduced word far below Python's recursion
 # limit; the second bounds the listing itself (the longest element of B_4
-# has 24,024 reduced words, that of B_5 has 701,149,020).
+# has 24,024 reduced words, that of B_5 has 701,149,020).  The third
+# bounds the walk of right_factors over the lower weak interval of w,
+# which is the whole group for the longest element (46,080 elements in
+# B_6, 645,120 in B_7).
 MAX_LENGTH = 64
 MAX_REDUCED_WORDS = 100_000
+MAX_RIGHT_FACTORS = 50_000
 
 
 def _check_size(w):
@@ -325,7 +329,8 @@ def right_factors(w):
     """All v with length(w v^-1) + length(v) = length(w).
 
     Those are the v = u^-1 w for the u reached from w by removing right
-    descents one at a time.  Raises ValueError for a malformed window.
+    descents one at a time.  Raises ValueError for a malformed window,
+    and once the walk has seen more than MAX_RIGHT_FACTORS elements.
     """
     check_window(w)
     w = trim(w)
@@ -338,6 +343,8 @@ def right_factors(w):
             if v not in seen:
                 seen.add(v)
                 todo.append(v)
+        if len(seen) > MAX_RIGHT_FACTORS:
+            raise ValueError("more than %d right factors" % MAX_RIGHT_FACTORS)
     return {trim(mul(inverse(u), w)) for u in seen}
 
 

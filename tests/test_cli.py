@@ -168,7 +168,10 @@ def test_usage_errors(capsys):
                  ["count-bases", "--d", "51", "--k", "2"],
                  # past weyl.MAX_REDUCED_WORDS, rejected before listing
                  ["stanley", "--perm=-1,-2,-3,-4,-5"],
-                 ["ktableaux", "--perm=-1,-2,-3,-4,-5"]):
+                 ["ktableaux", "--perm=-1,-2,-3,-4,-5"],
+                 # past theta.MAX_SKEW_ROWS, rejected before summing 9!
+                 ["skews", "--k", "1", "--lambda", "9,8,7,6,5,4,3,2,1",
+                  "--mu", "1"]):
         assert cli.main(argv) == 2, argv
         assert capsys.readouterr().err.startswith("error: "), argv
     for argv in (["bh", "--lambda", "3,2,1"], ["wlambda", "--lambda", "2,1"],

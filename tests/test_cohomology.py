@@ -86,8 +86,7 @@ def test_clear_caches_empties_every_memo():
     cold = [name for name, memo in memos.items()
             if not memo.cache_info().currsize]
     # every memo holds something, so one left out below would show
-    assert {"cohomology._space", "cohomology._reduce",
-            "cohomology._trie"} <= set(memos)
+    assert {"cohomology._space", "cohomology._trie"} <= set(memos)
     assert cold == []
     isoschub.clear_caches()
     left = {name: memo.cache_info().currsize for name, memo in memos.items()
@@ -202,6 +201,10 @@ BAD_CALLS = {
     "right-factors-not-1-to-n": lambda: right_factors((3, 1)),
     "ktableaux-too-long": lambda: ktableaux(grassmannian_element((65,), 0)),
     "stanley-too-many-words": lambda: stanley_F((-1, -2, -3, -4, -5)),
+    # nine rows; the limit raises before the 9! permutations are summed
+    "skew-S-too-many-rows": lambda: skew_S(tuple(range(9, 0, -1)), (), 1),
+    # w0 of B_7: the walk stops past 50,000 of its 645,120 elements
+    "right-factors-too-large": lambda: right_factors(tuple(range(-1, -8, -1))),
 }
 
 
@@ -246,12 +249,30 @@ def test_pieri_family_rescaling():
                     assert c[mu] == coeff * 2 ** shift, (lam, mu)
 
 
-def test_one_pieri_memo_entry_for_both_families():
-    # family B is converted from the sigma-basis entry, not stored apart
-    cohomology._pieri.cache_clear()
-    pieri((2, 1, 1), 2, 1, 7, "C")
-    pieri((2, 1, 1), 2, 1, 7, "B")
-    assert cohomology._pieri.cache_info().currsize == 1
+def test_one_pieri_call_per_class_and_p_per_space(monkeypatch):
+    # every entry point of both families reads the rows compiled in the
+    # space's store; family B is converted, not computed apart
+    rule, calls = cohomology._pieri, []
+
+    def counted(lam, p, k, n):
+        calls.append((lam, p, k, n))
+        return rule(lam, p, k, n)
+
+    isoschub.clear_caches()
+    monkeypatch.setattr(cohomology, "_pieri", counted)
+    k, n = 1, 5
+    for family in ("C", "B"):
+        for lam in rect_partitions(k, n):
+            giambelli(lam, k, n, family)
+            pieri(lam, 2, k, n, family)
+            pieri_apply({lam: 1, (1,): 1}, 3, k, n, family)
+            reduce_monomial(lam, k, n, family)
+            multiply({lam: 1}, {(2, 1): 1}, k, n, family)
+    multiply({(2, 1): 1}, {(1,): 1}, 1, 4, "C")
+    assert len(calls) == len(set(calls))
+    assert {(k, n), (1, 4)} == {call[2:] for call in calls}
+    assert len(calls) > 2 * len(list(rect_partitions(k, n)))
+    isoschub.clear_caches()
 
 
 def test_reduce_monomial():
@@ -279,6 +300,20 @@ def test_giambelli_sweep():
             for lam in rect_partitions(k, n):
                 for fam in ("C", "B"):
                     giambelli(lam, k, n, fam)
+
+
+def test_giambelli_formula_reduces_monomial_by_monomial():
+    # the per-monomial reduction is the reference for giambelli's trie walk
+    for k in (0, 1, 2):
+        for n in range(k, 6):
+            for lam in rect_partitions(k, n):
+                undo = 1 << length_gt_k(lam, k)
+                for fam, scale in (("C", 1), ("B", undo)):
+                    acc: dict = {}
+                    for key, c in giambelli(lam, k, n, fam).items():
+                        combine(acc, reduce_monomial(key, k, n, "C"),
+                                c * scale)
+                    assert acc == {lam: 1}, (lam, k, n, fam)
 
 
 def test_multiply_unit_and_example():

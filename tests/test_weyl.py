@@ -9,8 +9,8 @@ from isoschub.partitions import (conjugate, is_k_strict, partitions_of,
 from isoschub.theta import mixed_expand, straighten, to_theta_basis
 from isoschub.raising import c_set, expand, strict_pairs
 from isoschub import weyl
-from isoschub.weyl import (MAX_LENGTH, MAX_REDUCED_WORDS, apply_s, bh_expand,
-                           check_window, descents, extend,
+from isoschub.weyl import (MAX_LENGTH, MAX_REDUCED_WORDS, MAX_RIGHT_FACTORS,
+                           apply_s, bh_expand, check_window, descents, extend,
                            grassmannian_element, inverse, ktableaux, length,
                            lus, mul, reduced_words, right_factors, s_elem,
                            stanley_F, trim, unimodal, valid_ktableau,
@@ -294,6 +294,12 @@ def test_size_limits_raise_before_listing():
     # the count stops once it is past the limit, short of all 3,840
     # elements below w0
     assert weyl._word_count.cache_info().currsize < 3840
+
+
+def test_right_factors_limit_sits_above_b6():
+    # the whole of B_6 is within the limit; B_7 raises (see BAD_CALLS)
+    assert len(right_factors((-1, -2, -3, -4, -5, -6))) == 46080 \
+        <= MAX_RIGHT_FACTORS
 
 
 def test_word_count_matches_listing():
