@@ -10,16 +10,17 @@ space is passed around as the explicit arguments (k, n, family).
 Over Q the two rings are one ring under sigma_p -> c_p, sigma_lam ->
 2^l_k(lam) tau_lam, with l_k(lam) the number of parts above k (the
 rescaling map of Buch-Kresch-Tamvakis). The product engine computes in
-the sigma basis only, on integers; family B enters through tau_to_sigma
-and leaves through sigma_to_tau, one exact shift per coefficient.
+the sigma basis only, on integers. Family B crosses in one place each
+way: _enter (tau_to_sigma) on the way in and _leave (sigma_to_tau, one
+exact shift per coefficient) on the way out.
 """
 
 from fractions import Fraction
 from functools import cache
 
 from .formal import add_into, combine, norm_scalar, scaled
-from .partitions import (check_rect, get, in_rect, is_k_strict, k_related,
-                         length_gt_k, strip, weight)
+from .partitions import (check_k, check_rect, get, in_rect, is_k_strict,
+                         k_related, length_gt_k, strip, weight)
 from .raising import c_set, expand, strict_pairs
 from . import theta as theta_ring
 
@@ -36,8 +37,10 @@ def pieri_match(lam, mu, k: int):
     Returns a dict with the added and removed boxes, the new boxes
     "mentioned" by the column conditions, the matched (new, removed)
     row pairs, the free set A in columns > k, its components (boxes
-    connect through edges or corners), and N = len(components).
+    connect through edges or corners), and N = len(components). Raises
+    ValueError for k < 0.
     """
+    check_k(k)
     lam = strip(lam)
     mu = strip(mu)
     if not (is_k_strict(lam, k) and is_k_strict(mu, k)):
@@ -133,15 +136,9 @@ def pieri(lam, p: int, k: int, n: int, family: str) -> dict:
     Raises ValueError unless lam is a class of the space, 1 <= p <= n + k
     and the family is "B" or "C".
     """
-    sp = _space(k, n)
-    i = sp.intern(lam)
     if not 1 <= p <= n + k:
         raise ValueError("p must lie in 1..n+k, got %d" % p)
-    out = sp.sum(sp.apply({i: 1}, p))
-    if family != "C":
-        _check_family(family)
-        out = sigma_to_tau(out, k, length_gt_k(sp.classes[i], k))
-    return out
+    return pieri_apply({lam: 1}, p, k, n, family)
 
 
 def _pieri(lam, p, k, n):
@@ -240,20 +237,33 @@ def _space(k, n):
     return _Space(k, n)
 
 
+def _enter(elem: dict, k, n, family):
+    # the one way in: check the family and the space, intern every key
+    # once, and carry a family-B sum as 2^shift times its sigma vector
+    if family not in ("B", "C"):
+        raise ValueError("family must be B or C, got %r" % (family,))
+    sp = _space(k, n)
+    shift = 0
+    if family == "B":
+        elem, shift = tau_to_sigma(elem, k)
+    return sp, sp.vector(elem), shift
+
+
+def _leave(out: dict, k, family, shift):
+    # the one way out: a family-B sum goes back to the tau basis
+    return sigma_to_tau(out, k, shift) if family == "B" else out
+
+
 def pieri_apply(elem: dict, p: int, k: int, n: int, family: str) -> dict:
     """One special-class multiplication distributed over a formal sum.
 
     p = 0 is the unit, and p < 0 or p > n + k gives 0. Raises ValueError
     unless every key of elem is a class of the space.
     """
-    _check_family(family)
-    sp = _space(k, n)
-    elem, shift = tau_to_sigma(elem, k) if family == "B" else (elem, 0)
-    v = sp.vector(elem)
+    sp, v, shift = _enter(elem, k, n, family)
     if p:
         v = sp.apply(v, p) if 0 < p <= n + k else {}
-    out = sp.sum(v)
-    return sigma_to_tau(out, k, shift) if family == "B" else out
+    return _leave(sp.sum(v), k, family, shift)
 
 
 def reduce_monomial(beta, k: int, n: int, family: str) -> dict:
@@ -264,33 +274,21 @@ def reduce_monomial(beta, k: int, n: int, family: str) -> dict:
     monomial (the quotient bundle has no such Chern class). Raises
     ValueError unless (k, n) is a space.
     """
-    _check_family(family)
-    sp = _space(k, n)
+    sp, _, _ = _enter({}, k, n, family)
     key = tuple(sorted((b for b in beta if b), reverse=True))
     if any(b < 0 for b in key) or (key and key[0] > n + k):
         return {}
-    out = sp.sum(sp.monomial(key))
-    return out if family == "C" else sigma_to_tau(out, k)
-
-
-def _check_family(family):
-    if family not in ("B", "C"):
-        raise ValueError("family must be B or C, got %r" % (family,))
-
-
-@cache
-def _formula(lam, k):
-    # R^lam on the monomial of lam: sigma_lam (C), 2^l_k(lam) tau_lam (B)
-    return expand(strict_pairs(c_set(lam, k)), lam)
+    return _leave(sp.sum(sp.monomial(key)), k, family, 0)
 
 
 @cache
 def _trie(lam, k):
-    # the monomials of _formula(lam, k), index tuples that run high to
-    # low, as a prefix trie: a node is the flat tuple (coefficient of the
-    # monomial ending there, p1, child1, p2, child2, ...) by increasing p
+    # the monomials of R^lam on the monomial of lam, index tuples that run
+    # high to low, as a prefix trie: a node is the flat tuple (coefficient
+    # of the monomial ending there, p1, child1, p2, child2, ...) by
+    # increasing p
     root: list = [0, {}]
-    for key, c in _formula(lam, k).items():
+    for key, c in expand(strict_pairs(c_set(lam, k)), lam).items():
         node = root
         for p in key:
             node = node[1].setdefault(p, [0, {}])
@@ -352,36 +350,22 @@ def giambelli(lam, k: int, n: int, family: str) -> dict:
     C) or 2^(-l_k(lam)) R^lam c_lam in the c_p (family B), keyed by index
     tuples. Raises RuntimeError unless it reduces to exactly the class of
     lam, and ValueError unless lam is a class of the space."""
-    _check_family(family)
-    sp = _space(k, n)
-    lam = sp.classes[sp.intern(lam)]
+    sp, v, shift = _enter({lam: 1}, k, n, family)
+    (i,) = v
+    lam = sp.classes[i]
     acc: dict = {}
     _walk(sp, _trie(lam, k), sp.monos[()], 1, acc)
     acc = sp.sum(acc)
     if acc != {lam: 1}:
         raise RuntimeError("giambelli(%r, k=%d, n=%d, %s): R^lam reduced to "
                            "%r in the sigma basis" % (lam, k, n, family, acc))
-    raw = _formula(lam, k)
-    if family == "C":
-        return dict(raw)
-    return scaled(raw, Fraction(1, 1 << length_gt_k(lam, k)))
-
-
-def _product_args(a, b, k, n, family):
-    # the shared boundary of both product routes: validate every key by
-    # interning it, then carry a family-B pair as sigma sums over 2^shift
-    _check_family(family)
-    sp = _space(k, n)
-    for lam in (*a, *b):
-        sp.intern(lam)
-    if family == "C":
-        return sp, a, b, 0
-    (a, sa), (b, sb) = tau_to_sigma(a, k), tau_to_sigma(b, k)
-    return sp, a, b, sa + sb
+    # shift = l_k(lam) in family B, where R^lam c_lam is 2^l_k(lam) tau_lam
+    raw = expand(strict_pairs(c_set(lam, k)), lam)
+    return scaled(raw, Fraction(1, 1 << shift)) if shift else raw
 
 
 def _product_out(out, k, family, shift, route):
-    out = sigma_to_tau(out, k, shift) if family == "B" else out
+    out = _leave(out, k, family, shift)
     if not all(isinstance(c, int) for c in out.values()):
         raise RuntimeError("%s gave non-integral %r" % (route, out))
     return out
@@ -396,26 +380,28 @@ def multiply(a: dict, b: dict, k: int, n: int, family: str) -> dict:
     shared prefix is applied once. Raises ValueError unless every key of
     a and b is a class of the space.
     """
-    sp, a, b, shift = _product_args(a, b, k, n, family)
-    v = sp.vector(b)
+    sp, va, sa = _enter(a, k, n, family)
+    _, vb, sb = _enter(b, k, n, family)
     acc: dict = {}
-    for lam, ca in a.items():
-        _walk(sp, _trie(sp.classes[sp.index[lam]], k), v, ca, acc)
-    return _product_out(sp.sum(acc), k, family, shift, "multiply")
+    for i, ca in va.items():
+        _walk(sp, _trie(sp.classes[i], k), vb, ca, acc)
+    return _product_out(sp.sum(acc), k, family, sa + sb, "multiply")
 
 
 def theta_route_product(a: dict, b: dict, k: int, n: int, family: str) -> dict:
     """Product through the theta ring: multiply upstairs, convert to the
     canonical basis, and drop keys that fall outside the rectangle. Raises
     ValueError unless every key of a and b is a class of the space."""
-    _, a, b, shift = _product_args(a, b, k, n, family)
-    ea, eb = theta_ring.theta_sum(a, k), theta_ring.theta_sum(b, k)
+    sp, va, sa = _enter(a, k, n, family)
+    _, vb, sb = _enter(b, k, n, family)
+    ea = theta_ring.theta_sum(sp.sum(va), k)
+    eb = theta_ring.theta_sum(sp.sum(vb), k)
     prod = theta_ring.to_theta_basis(theta_ring.multiply(ea, eb, k), k)
     out: dict = {}
     for lam, c in prod.items():
         if in_rect(lam, k, n):
             add_into(out, lam, c)
-    return _product_out(out, k, family, shift, "theta_route_product")
+    return _product_out(out, k, family, sa + sb, "theta_route_product")
 
 
 def verify_presentation(k: int, n: int, r: int, family: str) -> bool:

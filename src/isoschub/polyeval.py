@@ -8,7 +8,7 @@ evaluation a universal identity check for everything in this package.
 """
 
 from .formal import add_into, combine, norm_scalar
-from .partitions import get, strip
+from .partitions import check_k, get, strip
 from .theta import theta
 
 
@@ -199,9 +199,12 @@ def evaluate(e: dict, k: int, m: int, bound: int | None = None) -> dict:
     """Evaluate a monomial-basis element or a mixed (mu, nu) element.
 
     Variables are x_1..x_m then y_1..y_k; exponent tuples have length
-    m + k. The truncation bound must cover the element's weight, or
-    ValueError.
+    m + k. Raises ValueError unless k >= 0, m >= 0 and the truncation
+    bound covers the element's weight.
     """
+    check_k(k)
+    if m < 0:
+        raise ValueError("need m >= 0, got m=%d" % m)
     if not e:
         return {}
     some = next(iter(e))

@@ -196,9 +196,10 @@ def build_forest(lam, p: int, k: int, modified: bool = False,
     Returns a dict with the roots, the level-0 leaves (psi0), the
     stopped leaves (psi1), and, when asked, every (tuple, label,
     children) node in discovery order.  Raises ValueError unless lam is
-    k-strict and p >= 1.  The asserts below (every tuple new, D inside
-    the rim of C, S inside D minus C) are debugging aids that python -O
-    skips; verify_claim1 and verify_claim2 check the leaves explicitly.
+    k-strict and p >= 1.  Every tuple must be new, D must stay inside the
+    rim of C, S inside D minus C with len(mu) = ell + 1, and every pair
+    of D in rows <= m and columns <= ell + 1; a tuple that breaks one of
+    these raises RuntimeError, with or without python -O.
     """
     lam = strip(lam)
     check_rect(lam, k)
@@ -214,14 +215,20 @@ def build_forest(lam, p: int, k: int, modified: bool = False,
     psi0, psi1, nodes = [], [], []
     stack = list(reversed(roots))
     for psi in roots:
-        assert psi not in seen
+        if psi in seen:
+            raise RuntimeError("repeated root: %r" % (psi,))
         seen.add(psi)
     while stack:
         psi = stack.pop()
         D, mu, S, h = psi
-        assert D <= allowed, (psi,)
-        assert S <= D - C and len(mu) == ell + 1, (psi,)
-        assert all(i <= m and j <= ell + 1 for i, j in D), (psi,)
+        if not D <= allowed:
+            raise RuntimeError("D leaves the rim of C: %r" % (psi,))
+        if not (S <= D - C and len(mu) == ell + 1):
+            raise RuntimeError("S outside D minus C or mu of the wrong "
+                               "length: %r" % (psi,))
+        if not all(i <= m and j <= ell + 1 for i, j in D):
+            raise RuntimeError("pair of D past row m or column ell+1: %r"
+                               % (psi,))
         if h == 0:
             psi0.append(psi)
             if keep_nodes:
@@ -232,7 +239,9 @@ def build_forest(lam, p: int, k: int, modified: bool = False,
             psi1.append(psi)
         else:
             for child in children:
-                assert child not in seen, (psi, child)
+                if child in seen:
+                    raise RuntimeError("repeated tuple: %r from %r"
+                                       % (child, psi))
                 seen.add(child)
             stack.extend(reversed(children))
         if keep_nodes:
@@ -260,12 +269,6 @@ def _ev(D, mu, k, n):
     for mono, c in expand(strict_pairs(D), mu).items():
         combine(res, reduce_monomial(mono, k, n, "C"), c)
     return sigma_to_tau(res, k, diagonal_count(D))
-
-
-def forest_n(lam, p: int, k: int) -> int:
-    """Ambient size with room to spare: no truncation at weight |lam|+p."""
-    lam = strip(lam)
-    return weight(lam) + p + len(lam) + k + 2
 
 
 def _check(ok: bool, what: str, *detail) -> None:
@@ -348,7 +351,7 @@ def verify_claim2(lam, p: int, k: int):
     """
     lam = strip(lam)
     res = build_forest(lam, p, k)
-    n = forest_n(lam, p, k)
+    n = stable_n(weight(lam) + p, k)
     leaves = set(res["psi1"])
     _check(len(leaves) == len(res["psi1"]), "stopped leaves repeat")
     fixed = 0
@@ -376,7 +379,7 @@ def modified_forest(lam, p: int, k: int):
     """
     lam = strip(lam)
     res = build_forest(lam, p, k, modified=True)
-    n = forest_n(lam, p, k)
+    n = stable_n(weight(lam) + p, k)
     nz = sum(1 for psi in res["psi1"] if ev(psi, k, n))
     return len(res["psi1"]), nz
 
@@ -389,7 +392,8 @@ def pieri_S_sets(lam, mu, k: int) -> dict:
     E holds the optional boxes' pairs (i, r(i+c)), F the forced ones,
     G the pairs joining a grown row to a shrunk one through related
     boxes.  The S-sets are E' union F union G over all E' inside E.
-    ValueError unless mu is a Pieri term of lam; RuntimeError on a failed check.
+    ValueError for k < 0 or unless mu is a Pieri term of lam; RuntimeError
+    on a failed check.
     """
     lam = strip(lam)
     mu = strip(mu)

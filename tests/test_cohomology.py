@@ -19,8 +19,9 @@ from isoschub.cohomology import (giambelli, multiply, pieri, pieri_apply,
                                  pieri_match, reduce_monomial, stable_n,
                                  theta_route_product, verify_presentation)
 from isoschub.formal import add_into, combine, norm_scalar, scaled
-from isoschub.partitions import (k_strict_partitions, length_gt_k,
-                                 rect_partitions, split_columns, weight)
+from isoschub.partitions import (count_bases, k_strict_partitions,
+                                 length_gt_k, rect_partitions, split_columns,
+                                 weight)
 from isoschub.polyeval import evaluate
 from isoschub.raising import (c_set, diagonal_count, expand, pfaffian_expand,
                               strict_pairs)
@@ -167,6 +168,11 @@ BAD_CALLS = {
     "reduce-monomial-family": lambda: reduce_monomial((), 1, 5, "D"),
     "giambelli-family": lambda: giambelli((), 1, 5, "D"),
     "evaluate-bound-below-weight": lambda: evaluate({(3,): 1}, 1, 2, 1),
+    "evaluate-negative-k": lambda: evaluate({(1,): 1}, -1, 2),
+    "evaluate-negative-m": lambda: evaluate({(2,): 1}, 1, -1),
+    "pieri-match-negative-k": lambda: pieri_match((1,), (2,), -1),
+    "pieri-s-sets-negative-k": lambda: pieri_S_sets((1,), (2,), -1),
+    "count-bases-negative-k": lambda: count_bases(5, -1),
     "apply-rule-not-downward-closed":
         lambda: apply_rule((2, 1), 1, (frozenset({(2, 3)}), (2, 1, 0),
                                        frozenset(), 1)),
@@ -506,6 +512,41 @@ def test_oracle_checks_survive_python_O(child_env):
     assert res.returncode == 0, res.stderr
     assert json.loads(res.stdout) == [
         1, "free boxes", "grassmannian_element((3, 1), 1, 4)"]
+
+
+_BROKEN_RULE = """
+import json, sys
+from isoschub import substitution
+got = [sys.flags.optimize]
+rule = substitution.apply_rule
+
+def repeated(*args):
+    label, children = rule(*args)
+    return label, children and children + children[:1]
+
+def s_outside(*args):
+    label, children = rule(*args)
+    return label, children and [(D, mu, S | {(9, 9)}, h)
+                                for D, mu, S, h in children]
+
+for broken in (repeated, s_outside):
+    substitution.apply_rule = broken
+    try:
+        got.append("returned %r" % (substitution.build_forest((2, 1), 2, 1),))
+    except RuntimeError as exc:
+        got.append(str(exc).split(":")[0])
+print(json.dumps(got))
+"""
+
+
+def test_forest_invariants_survive_python_O(child_env):
+    # a rule that repeats a child, or puts a pair outside D minus C into
+    # S, must stop build_forest with assert statements stripped
+    res = subprocess.run([sys.executable, "-O", "-c", _BROKEN_RULE],
+                         capture_output=True, text=True, env=child_env)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == [
+        1, "repeated tuple", "S outside D minus C or mu of the wrong length"]
 
 
 def test_pieri_apply_edges():

@@ -2,12 +2,14 @@ from math import comb
 
 import pytest
 
+import isoschub
+from isoschub import cohomology
 from isoschub.cohomology import pieri, stable_n
 from isoschub.formal import combine
 from isoschub.partitions import get, is_k_strict, partitions_of, strip, weight
 from isoschub.raising import c_set, outside_rim
 from isoschub.substitution import (apply_rule, build_forest, ef_values, ev,
-                                   forest_n, g_value, iota, modified_forest,
+                                   g_value, iota, modified_forest,
                                    pieri_S_sets, r_boxes, rank_r,
                                    root_compositions, verify_claim1,
                                    verify_claim2, w_holds, x_holds)
@@ -218,7 +220,7 @@ def test_soundness_and_conservation():
                 continue
             for p in (1, 2, 3):
                 ell = len(lam)
-                n = forest_n(lam, p, k)
+                n = stable_n(weight(lam) + p, k)
                 res = build_forest(lam, p, k, keep_nodes=True)
                 for psi, label, children in res["nodes"]:
                     if not children:
@@ -245,6 +247,18 @@ def test_soundness_and_conservation():
                         combine(kept, ev(psi, k, n))
                 want = pieri(lam, p, k, stable_n(weight(lam) + p, k), "B")
                 assert kept == want, (lam, p, k)
+
+
+def test_claims_share_one_space():
+    # both claims and the modified forest evaluate in the one stable space
+    # of weight |lam| + p that claim 1 builds for its Pieri check
+    isoschub.clear_caches()
+    lam, p, k = (2, 1), 2, 1
+    verify_claim1(lam, p, k)
+    verify_claim2(lam, p, k)
+    modified_forest(lam, p, k)
+    assert cohomology._space.cache_info().currsize == 1
+    isoschub.clear_caches()
 
 
 def test_psi0_support_containments():

