@@ -15,6 +15,7 @@ import json
 import sys
 import time
 from functools import cache
+from math import comb
 
 from . import theta, weyl
 from .cohomology import (giambelli, multiply, pieri, stable_n,
@@ -124,14 +125,12 @@ def _cmd_ktableaux(args):
 
 
 def _cmd_forest(args):
-    lam, p, k = args.lam, args.p, args.k
-    res = build_forest(lam, p, k, modified=args.modified,
+    res = build_forest(args.lam, args.p, args.k, modified=args.modified,
                        keep_nodes=args.stats or args.dump_json)
-    prod = verify_claim1(lam, p, k, modified=args.modified)
-    payload = {"roots": len(res["roots"]), "psi0": len(res["psi0"]),
-               "psi1": len(res["psi1"]), "product": sum_to_json(prod)}
-    lines = ["roots %d" % len(res["roots"]), "psi0 %d" % len(res["psi0"]),
-             "psi1 %d" % len(res["psi1"]), "product:"]
+    prod = verify_claim1(res)
+    sizes = {key: len(res[key]) for key in ("roots", "psi0", "psi1")}
+    payload = dict(sizes, product=sum_to_json(prod))
+    lines = ["%s %d" % size for size in sizes.items()] + ["product:"]
     lines += term_lines(prod)
     if args.stats:
         rules: dict = {}
@@ -212,8 +211,9 @@ def _suite_claims(mw):
             for lam in k_strict_partitions(d, k):
                 for p in range(1, 5):
                     try:
-                        verify_claim1(lam, p, k)
-                        verify_claim2(lam, p, k)
+                        forest = build_forest(lam, p, k)
+                        verify_claim1(forest)
+                        verify_claim2(forest)
                     except RuntimeError as exc:
                         return False, "lam=%r p=%d k=%d: %s" % (lam, p, k, exc)
     return True, ""
@@ -263,9 +263,11 @@ def _suite_bh_example(mw):
 
 
 def _duality_fault(k, n, family):
-    # Poincare duality: at top degree the pairing of multiply must be a
-    # permutation matrix of 1s on the point class
+    # 2^(n-k) C(n,k) classes, a count free of Giambelli and Pieri; then at
+    # top degree the pairing of multiply is a permutation matrix of 1s
     classes = rect_partitions(k, n)
+    if len(classes) != 2 ** (n - k) * comb(n, k):
+        return "%d classes, not 2^(n-k) C(n,k)" % len(classes)
     point = max(classes, key=weight)
     top = weight(point)
     partner = {}

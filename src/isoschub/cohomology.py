@@ -138,7 +138,8 @@ def pieri(lam, p: int, k: int, n: int, family: str) -> dict:
     """
     if not 1 <= p <= n + k:
         raise ValueError("p must lie in 1..n+k, got %d" % p)
-    return pieri_apply({lam: 1}, p, k, n, family)
+    sp, v, shift = _enter({lam: 1}, k, n, family)
+    return _leave(sp.sum(sp.apply(v, p)), k, family, shift)
 
 
 def _pieri(lam, p, k, n):
@@ -252,18 +253,6 @@ def _enter(elem: dict, k, n, family):
 def _leave(out: dict, k, family, shift):
     # the one way out: a family-B sum goes back to the tau basis
     return sigma_to_tau(out, k, shift) if family == "B" else out
-
-
-def pieri_apply(elem: dict, p: int, k: int, n: int, family: str) -> dict:
-    """One special-class multiplication distributed over a formal sum.
-
-    p = 0 is the unit, and p < 0 or p > n + k gives 0. Raises ValueError
-    unless every key of elem is a class of the space.
-    """
-    sp, v, shift = _enter(elem, k, n, family)
-    if p:
-        v = sp.apply(v, p) if 0 < p <= n + k else {}
-    return _leave(sp.sum(v), k, family, shift)
 
 
 def reduce_monomial(beta, k: int, n: int, family: str) -> dict:

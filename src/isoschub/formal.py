@@ -75,9 +75,15 @@ def _key_tuple(key):
 
 
 def sum_from_json(rows) -> dict:
-    """Inverse of sum_to_json: nested lists in a key become tuples again."""
+    """Inverse of sum_to_json: nested lists in a key become tuples again.
+    A row needs a list key and integer strings num, den != 0, or ValueError."""
     acc: dict = {}
     for row in rows:
-        c = Fraction(int(row["num"]), int(row["den"]))
-        add_into(acc, _key_tuple(row["key"]), c)
+        try:
+            key, num, den = row["key"], row["num"], row["den"]
+            if type(key) is not list or {type(num), type(den)} != {str}:
+                raise TypeError
+            add_into(acc, _key_tuple(key), Fraction(int(num), int(den)))
+        except (KeyError, TypeError, ValueError, ZeroDivisionError):
+            raise ValueError("malformed formal sum row: %r" % (row,)) from None
     return acc

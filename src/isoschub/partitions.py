@@ -180,10 +180,12 @@ def count_bases(d: int, k: int) -> tuple[int, int]:
     of the same graded ring, and the equality is asserted by tests rather
     than here.  One pass over the partitions of d tests both properties.
     The enumeration time grows about sixfold for every 10 added to d
-    (about 3 s at d = 50), so d above 50 raises ValueError, as does
-    k < 0.
+    (about 3 s at d = 50), so d above 50 raises ValueError, as do d < 0
+    and k < 0.
     """
     check_k(k)
+    if d < 0:
+        raise ValueError("d must be nonnegative, got %d" % d)
     if d > 50:
         raise ValueError("d must be at most 50, got %d" % d)
     strict = odd = 0

@@ -193,13 +193,14 @@ def build_forest(lam, p: int, k: int, modified: bool = False,
                  keep_nodes: bool = False) -> dict:
     """Grow the forest from its roots down to leaves.
 
-    Returns a dict with the roots, the level-0 leaves (psi0), the
-    stopped leaves (psi1), and, when asked, every (tuple, label,
-    children) node in discovery order.  Raises ValueError unless lam is
-    k-strict and p >= 1.  Every tuple must be new, D must stay inside the
-    rim of C, S inside D minus C with len(mu) = ell + 1, and every pair
-    of D in rows <= m and columns <= ell + 1; a tuple that breaks one of
-    these raises RuntimeError, with or without python -O.
+    Returns a dict with the arguments it was built from (lam stripped,
+    p, k, modified), the roots, the level-0 leaves (psi0), the stopped
+    leaves (psi1), and, when asked, every (tuple, label, children) node
+    in discovery order.  Raises ValueError unless lam is k-strict and
+    p >= 1.  Every tuple must be new, D must stay inside the rim of C, S
+    inside D minus C with len(mu) = ell + 1, and every pair of D in rows
+    <= m and columns <= ell + 1; a tuple that breaks one of these raises
+    RuntimeError, with or without python -O.
     """
     lam = strip(lam)
     check_rect(lam, k)
@@ -246,7 +247,8 @@ def build_forest(lam, p: int, k: int, modified: bool = False,
             stack.extend(reversed(children))
         if keep_nodes:
             nodes.append((psi, label, children or []))
-    out = {"roots": roots, "psi0": psi0, "psi1": psi1}
+    out = {"lam": lam, "p": p, "k": k, "modified": modified,
+           "roots": roots, "psi0": psi0, "psi1": psi1}
     if keep_nodes:
         out["nodes"] = nodes
     return out
@@ -277,8 +279,8 @@ def _check(ok: bool, what: str, *detail) -> None:
         raise RuntimeError("%s: %r" % (what, detail))
 
 
-def verify_claim1(lam, p: int, k: int, modified: bool = False) -> dict:
-    """Check that level-0 leaves reproduce the one-row product.
+def verify_claim1(forest: dict) -> dict:
+    """Check that the level-0 leaves of a built forest give the product.
 
     Each leaf whose last entry is nonnegative must strip to a k-strict
     partition mu reachable from lam, with D the full pair support of mu
@@ -286,25 +288,23 @@ def verify_claim1(lam, p: int, k: int, modified: bool = False) -> dict:
     dict must equal the product's coefficients.  Returns it; a failed
     check raises RuntimeError.
     """
-    lam = strip(lam)
-    res = build_forest(lam, p, k, modified=modified)
+    lam, p, k = forest["lam"], forest["p"], forest["k"]
     ell = len(lam)
     counts: dict = {}
-    for D, mu, S, h in res["psi0"]:
+    for D, mu, S, h in forest["psi0"]:
         if mu[ell] < 0:
             continue
         smu = strip(mu)
-        _check(is_k_strict(smu, k), "leaf is not k-strict", mu)
-        _check(pieri_match(lam, smu, k) is not None, "leaf is no Pieri term",
-               mu)
-        _check(frozenset(D) == c_set(smu, k, ell + 1), "leaf pair set", mu, D)
+        _check(D == c_set(smu, k, ell + 1), "leaf pair set", mu, D)
         add_into(counts, smu, 1)
     for smu, c in counts.items():
-        _check(c == 1 << pieri_match(lam, smu, k)["N"], "leaf count", smu, c)
+        _check(is_k_strict(smu, k), "leaf is not k-strict", smu)
+        info = pieri_match(lam, smu, k)
+        _check(info is not None, "leaf is no Pieri term", smu)
+        _check(c == 1 << info["N"], "leaf count", smu, c)
     want = pieri(lam, p, k, stable_n(weight(lam) + p, k), "B")
     _check(counts == want, "leaves against the Pieri rule", counts, want)
     return counts
-
 
 
 def iota(lam, k: int, psi):
@@ -341,19 +341,20 @@ def iota(lam, k: int, psi):
     return (D, tuple(nmu), frozenset(ns), h)
 
 
-def verify_claim2(lam, p: int, k: int):
-    """Check that stopped leaves cancel in pairs.
+def verify_claim2(forest: dict):
+    """Check that the stopped leaves of a built forest cancel in pairs.
 
-    The pairing must stay inside the stopped set, square to the
-    identity, and sum to zero evaluation on each orbit; fixed points
-    must evaluate to zero on their own.  Returns (leaf count, fixed
-    point count); a failed check raises RuntimeError.
+    The pairing must stay inside the stopped set, square to the identity
+    and sum to zero evaluation on each orbit; fixed points must evaluate
+    to zero.  Returns (leaf count, fixed point count); a failed check
+    raises RuntimeError, and a modified forest raises ValueError.
     """
-    lam = strip(lam)
-    res = build_forest(lam, p, k)
-    n = stable_n(weight(lam) + p, k)
-    leaves = set(res["psi1"])
-    _check(len(leaves) == len(res["psi1"]), "stopped leaves repeat")
+    if forest["modified"]:
+        raise ValueError("claim 2 holds for the unmodified forest only")
+    lam, k = forest["lam"], forest["k"]
+    n = stable_n(weight(lam) + forest["p"], k)
+    leaves = set(forest["psi1"])
+    _check(len(leaves) == len(forest["psi1"]), "stopped leaves repeat")
     fixed = 0
     for psi in leaves:
         other = iota(lam, k, psi)
@@ -377,7 +378,6 @@ def modified_forest(lam, p: int, k: int):
     leaves no longer cancel.  Returns (stopped leaf count, how many of
     those have nonzero evaluation).
     """
-    lam = strip(lam)
     res = build_forest(lam, p, k, modified=True)
     n = stable_n(weight(lam) + p, k)
     nz = sum(1 for psi in res["psi1"] if ev(psi, k, n))

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from isoschub import cli, cohomology
+from isoschub import cli, cohomology, substitution
 from isoschub import theta as theta_ring
 from isoschub.cohomology import multiply
 from isoschub.formal import sum_from_json
@@ -205,6 +205,27 @@ def test_verify_single_suites(capsys):
         assert "pass" in out and "FAIL" not in out
 
 
+def test_one_forest_per_claim_pair(capsys, monkeypatch):
+    # verify builds each forest once and checks both claims on it, and
+    # the forest command certifies the forest it renders
+    calls = []
+    build = cli.build_forest
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    for mod in (cli, substitution):
+        monkeypatch.setattr(mod, "build_forest", counted)
+    assert run(["verify"], capsys)[0] == 0
+    assert len(calls) == 262
+    for flags in ([], ["--modified"], ["--stats"], ["--dump-json"]):
+        calls.clear()
+        assert run(["forest", "--k", "1", "--lambda", "2,1,1", "--p", "2"]
+                   + flags, capsys)[0] == 0
+        assert len(calls) == 1, flags
+
+
 def test_verify_scaled_sweeps(capsys):
     code, out = run(["verify", "--suite", "claims", "--max-weight", "3"],
                     capsys)
@@ -380,6 +401,28 @@ def test_routes_suite_catches_a_doubled_family_b_boundary(monkeypatch):
     ok, detail = dict(cli.SUITES)["routes"](1)
     assert ok is False
     assert detail.startswith("duality family B"), detail
+
+
+def test_routes_suite_counts_the_basis(monkeypatch):
+    # a basis that loses one class together with its Poincare dual still
+    # pairs as a permutation matrix; only the count of the classes sees it
+    full = cli.rect_partitions
+
+    def short(k, n):
+        classes = full(k, n)
+        point = max(classes, key=sum)
+        dual = next(mu for mu in classes if multiply(
+            {(1,): 1}, {mu: 1}, k, n, "C") == {point: 1})
+        return [lam for lam in classes if lam not in ((1,), dual)]
+
+    monkeypatch.setattr(cli, "rect_partitions", short)
+    for family in ("B", "C"):
+        for k, n in ((1, 3), (2, 4)):
+            assert cli._duality_fault(k, n, family) == \
+                "%d classes, not 2^(n-k) C(n,k)" % (len(full(k, n)) - 2)
+    ok, detail = dict(cli.SUITES)["routes"](1)
+    assert ok is False
+    assert detail.startswith("duality family C k=0 n=1: 0 classes"), detail
 
 
 def test_verification_survives_python_O(child_env):

@@ -15,10 +15,11 @@ import pytest
 import isoschub
 from isoschub import cohomology
 from isoschub import theta as theta_ring
-from isoschub.cohomology import (giambelli, multiply, pieri, pieri_apply,
-                                 pieri_match, reduce_monomial, stable_n,
+from isoschub.cohomology import (giambelli, multiply, pieri, pieri_match,
+                                 reduce_monomial, stable_n,
                                  theta_route_product, verify_presentation)
-from isoschub.formal import add_into, combine, norm_scalar, scaled
+from isoschub.formal import (add_into, combine, norm_scalar, scaled,
+                             sum_from_json)
 from isoschub.partitions import (count_bases, k_strict_partitions,
                                  length_gt_k, rect_partitions, split_columns,
                                  weight)
@@ -26,7 +27,7 @@ from isoschub.polyeval import evaluate
 from isoschub.raising import (c_set, diagonal_count, expand, pfaffian_expand,
                               strict_pairs)
 from isoschub.substitution import (apply_rule, build_forest, ev, iota,
-                                   pieri_S_sets)
+                                   pieri_S_sets, verify_claim2)
 from isoschub.theta import (hat_theta, mixed_expand, skew_S, straighten, theta,
                             to_hat_basis)
 from isoschub.weyl import (grassmannian_element, ktableaux, reduced_words,
@@ -46,8 +47,6 @@ MEMOIZED = {
     "giambelli": (giambelli, ((3, 2, 1), 1, 5, "B")),
     "multiply": (multiply, ({(2, 1): 1}, {(1,): 1}, 1, 5, "C")),
     "multiply-B": (multiply, ({(2, 1): 1, (1,): 2}, {(1,): 1}, 1, 5, "B")),
-    "pieri_apply": (pieri_apply, ({(2, 1): 1, (1,): 2}, 2, 1, 5, "C")),
-    "pieri_apply-B": (pieri_apply, ({(2, 1): 1, (1,): 2}, 2, 1, 5, "B")),
     "ev": (ev, ((frozenset({(1, 1)}), (2, 1, 1, 1), frozenset(), 0), 1, 10)),
 }
 
@@ -173,6 +172,18 @@ BAD_CALLS = {
     "pieri-match-negative-k": lambda: pieri_match((1,), (2,), -1),
     "pieri-s-sets-negative-k": lambda: pieri_S_sets((1,), (2,), -1),
     "count-bases-negative-k": lambda: count_bases(5, -1),
+    "count-bases-negative-d": lambda: count_bases(-3, 1),
+    "sum-from-json-zero-den":
+        lambda: sum_from_json([{"key": [1], "num": "1", "den": "0"}]),
+    "sum-from-json-missing-field":
+        lambda: sum_from_json([{"key": [1], "num": "1"}]),
+    "sum-from-json-key-not-list":
+        lambda: sum_from_json([{"key": 1, "num": "1", "den": "1"}]),
+    # int() would truncate a JSON number 1.5 to 1
+    "sum-from-json-num-not-string":
+        lambda: sum_from_json([{"key": [1], "num": 1.5, "den": "1"}]),
+    "claim2-modified-forest":
+        lambda: verify_claim2(build_forest((2, 1), 2, 1, modified=True)),
     "apply-rule-not-downward-closed":
         lambda: apply_rule((2, 1), 1, (frozenset({(2, 3)}), (2, 1, 0),
                                        frozenset(), 1)),
@@ -189,11 +200,6 @@ BAD_CALLS = {
     "theta-negative-k": lambda: theta((1,), -1),
     "reduce-monomial-k-above-n": lambda: reduce_monomial((), 5, 3, "C"),
     "presentation-k-above-n": lambda: verify_presentation(5, 3, 6, "C"),
-    "pieri-apply-outside-rect":
-        lambda: pieri_apply({(9, 9): 1}, 0, 1, 3, "C"),
-    "pieri-apply-outside-rect-B":
-        lambda: pieri_apply({(9, 9): 1}, 1, 1, 3, "B"),
-    "pieri-apply-negative-k": lambda: pieri_apply({(): 1}, 1, -1, 3, "C"),
     "straighten-negative-k": lambda: straighten((2, 1), -1),
     "hat-theta-negative-k": lambda: hat_theta(2, -1),
     "skew-S-negative-k": lambda: skew_S((2, 1), (), -1),
@@ -271,7 +277,6 @@ def test_one_pieri_call_per_class_and_p_per_space(monkeypatch):
         for lam in rect_partitions(k, n):
             giambelli(lam, k, n, family)
             pieri(lam, 2, k, n, family)
-            pieri_apply({lam: 1, (1,): 1}, 3, k, n, family)
             reduce_monomial(lam, k, n, family)
             multiply({lam: 1}, {(2, 1): 1}, k, n, family)
     multiply({(2, 1): 1}, {(1,): 1}, 1, 4, "C")
@@ -416,7 +421,7 @@ def test_one_product_compiles_few_operator_rows():
 
 def test_keys_with_trailing_zeros_are_their_classes():
     n = 5
-    assert pieri_apply({(1, 0): 1, (1,): 2}, 1, 1, n, "C") == \
+    assert multiply({(1, 0): 1, (1,): 2}, {(1,): 1}, 1, n, "C") == \
         {(2,): 3, (1, 1): 3}
     assert multiply({(1, 0): 1}, {(1, 0, 0): 1}, 1, n, "C") == \
         multiply({(1,): 1}, {(1,): 1}, 1, n, "C")
@@ -547,20 +552,6 @@ def test_forest_invariants_survive_python_O(child_env):
     assert res.returncode == 0, res.stderr
     assert json.loads(res.stdout) == [
         1, "repeated tuple", "S outside D minus C or mu of the wrong length"]
-
-
-def test_pieri_apply_edges():
-    n = 5
-    elem = {(1,): 2}
-    assert pieri_apply(elem, 0, 1, n, "C") == elem
-    assert pieri_apply(elem, -1, 1, n, "C") == {}
-    assert pieri_apply(elem, n + 2, 1, n, "C") == {}
-    # family B goes to the sigma basis and back, Fractions included
-    elem = {(2, 1): Fraction(1, 2), (1,): 3}
-    want: dict = {}
-    for lam, c in elem.items():
-        combine(want, pieri(lam, 2, 1, n, "B"), c)
-    assert pieri_apply(elem, 2, 1, n, "B") == want
 
 
 def test_presentation_sweep():

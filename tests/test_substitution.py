@@ -3,7 +3,7 @@ from math import comb
 import pytest
 
 import isoschub
-from isoschub import cohomology
+from isoschub import cohomology, substitution
 from isoschub.cohomology import pieri, stable_n
 from isoschub.formal import combine
 from isoschub.partitions import get, is_k_strict, partitions_of, strip, weight
@@ -166,12 +166,28 @@ def test_forest_manual_trace():
         (fz(), (1, 1), fz(), 0),
     }
     assert res["psi1"] == []
-    assert verify_claim1((1,), 1, 1) == {(2,): 2, (1, 1): 1}
+    assert verify_claim1(res) == {(2,): 2, (1, 1): 1}
 
 
 def test_claim1_intro_example():
-    assert verify_claim1((2, 1, 1), 1, 1) == \
+    assert verify_claim1(build_forest((2, 1, 1), 1, 1)) == \
         {(2, 1, 1, 1): 1, (3, 1, 1): 2, (5,): 1}
+
+
+def test_claim1_matches_each_leaf_class_once(monkeypatch):
+    # the forest carries the arguments it was built from, and claim 1
+    # runs the Pieri oracle once per class of its level-0 leaves
+    forest = build_forest((2, 1, 1, 0), 2, 1)
+    assert [forest[key] for key in ("lam", "p", "k", "modified")] == \
+        [(2, 1, 1), 2, 1, False]
+    calls = []
+    match = substitution.pieri_match
+    monkeypatch.setattr(substitution, "pieri_match",
+                        lambda *args: calls.append(args) or match(*args))
+    counts = verify_claim1(forest)
+    assert sorted(calls) == sorted(((2, 1, 1), mu, 1) for mu in counts)
+    # more leaves than classes, so a per-leaf call would show
+    assert sum(counts.values()) > len(counts)
 
 
 def test_claim2_frozen_iota():
@@ -179,7 +195,7 @@ def test_claim2_frozen_iota():
     psi = (D, (3, 4, 1), frozenset({(2, 2)}), 2)
     assert iota((3, 1), 1, psi) == (D, (4, 3, 1), frozenset({(1, 3)}), 2)
     assert iota((3, 1), 1, iota((3, 1), 1, psi)) == psi
-    assert verify_claim2((3, 1), 4, 1) == (51, 13)
+    assert verify_claim2(build_forest((3, 1), 4, 1)) == (51, 13)
 
 
 def test_claims_sweep_small():
@@ -188,8 +204,9 @@ def test_claims_sweep_small():
             if not lam:
                 continue
             for p in (1, 2, 3):
-                verify_claim1(lam, p, k)
-                verify_claim2(lam, p, k)
+                forest = build_forest(lam, p, k)
+                verify_claim1(forest)
+                verify_claim2(forest)
 
 
 def test_sticky_x():
@@ -254,8 +271,9 @@ def test_claims_share_one_space():
     # of weight |lam| + p that claim 1 builds for its Pieri check
     isoschub.clear_caches()
     lam, p, k = (2, 1), 2, 1
-    verify_claim1(lam, p, k)
-    verify_claim2(lam, p, k)
+    forest = build_forest(lam, p, k)
+    verify_claim1(forest)
+    verify_claim2(forest)
     modified_forest(lam, p, k)
     assert cohomology._space.cache_info().currsize == 1
     isoschub.clear_caches()
@@ -290,7 +308,7 @@ def test_modified_claim1_sweep():
             if not lam:
                 continue
             for p in (1, 2, 3):
-                verify_claim1(lam, p, k, modified=True)
+                verify_claim1(build_forest(lam, p, k, modified=True))
 
 
 def test_pieri_s_sets_hand_case():

@@ -9,7 +9,8 @@ import pytest
 from isoschub import cli
 from isoschub.formal import combine, scaled, sum_to_json
 from isoschub.partitions import (contains, dominates, is_k_strict,
-                                 k_strict_partitions, partitions_of, weight)
+                                 k_strict_partitions, partitions_of,
+                                 subpartitions, weight)
 from isoschub.polyeval import (e_list, evaluate, p_mul, q_list,
                                q_monomial_poly, schur_conj_poly)
 from isoschub.raising import c_set, expand, pfaffian_expand, strict_pairs
@@ -282,18 +283,6 @@ def test_even_odd_generator_identity():
             es = e_list(m, m + k, nv, r // 2)
             sq = {tuple(2 * x for x in e): c for e, c in es[r // 2].items()}
             assert lhs == scaled(sq, -1 if (r // 2) % 2 else 1), (k, r)
-
-
-def subpartitions(lam):
-    out = []
-    for d in range(weight(lam) + 1):
-        for mu in partitions_of(d, max_part=lam[0] if lam else 0,
-                                max_len=len(lam)):
-            if contains(lam, mu):
-                out.append(mu)
-    if not lam:
-        out.append(())
-    return out
 
 
 def no_pair_regime(lam, k):
