@@ -143,14 +143,77 @@ def pieri(lam, p: int, k: int, n: int, family: str) -> dict:
 
 
 def _pieri(lam, p, k, n):
-    # the rule on one validated class; _Space compiles each row once
+    # the rule on one validated class; _Space compiles each row once.
+    # _candidates makes every mu rowwise-compatible and k-strict, so only
+    # the column conditions and the count N are left (_free_components).
+    # The engine shares no code with pieri_match, the oracle of claims.
     ell = length_gt_k(lam, k)
+    heights = [sum(1 for x in lam if x >= c) for c in range(k + 1)]
     out = {}
     for mu in sorted(_candidates(lam, p, k, n)):
-        m = pieri_match(lam, mu, k)
-        if m is not None:
-            out[mu] = 1 << m["N"] + ell - length_gt_k(mu, k)
+        N = _free_components(lam, mu, k, heights)
+        if N is not None:
+            out[mu] = 1 << N + ell - length_gt_k(mu, k)
     return out
+
+
+def _free_components(lam, mu, k, heights):
+    # N of pieri_match for a rowwise-compatible mu, or None when a column
+    # condition fails. Related boxes share the diagonal value
+    # r + |c - k - 1|, so each added box is indexed by it: diag maps a
+    # value to its one box, or to None when two or more boxes have it.
+    mentioned = set()
+    if k:
+        diag: dict = {}
+        for r, m in enumerate(mu, 1):
+            for c in range(get(lam, r) + 1, m + 1):
+                d = r + abs(c - k - 1)
+                diag[d] = None if d in diag else (r, c)
+        for c in range(1, k + 1):
+            hl = heights[c]
+            hm = sum(1 for x in mu if x >= c)
+            if hm > hl or hl == 0:
+                continue
+            if hm == hl:
+                # the bottom box relates to at most one added box
+                box = diag.get(hm + k + 1 - c, 0)
+                if box is None:
+                    return None
+                if box:
+                    mentioned.add(box)
+                continue
+            if hm == 0:
+                return None
+            # the bottom box and each removed box relate to exactly one
+            # added box, all in one row
+            row = None
+            for r in range(hm, hl + 1):
+                box = diag.get(r + k + 1 - c)
+                if not box or row not in (None, box[0]):
+                    return None
+                row = box[0]
+                mentioned.add(box)
+    # the free boxes of a row (columns above k, not mentioned) form runs.
+    # As mu_r <= lam_{r-1}, no added box of row r lies below one of row
+    # r-1: the rows touch only at the corner of (r-1, lam_{r-1} + 1) and
+    # (r, mu_r) when mu_r = lam_{r-1}. So N is the number of runs less
+    # one per such corner whose two boxes are free.
+    runs = 0
+    first_free = False
+    for r, m in enumerate(mu, 1):
+        lr = get(lam, r)
+        lo = max(lr, k) + 1
+        inside = False
+        for c in range(lo, m + 1):
+            if (r, c) in mentioned:
+                inside = False
+            elif not inside:
+                runs += 1
+                inside = True
+        if first_free and inside and m == get(lam, r - 1):
+            runs -= 1
+        first_free = (lo == lr + 1 <= m and (r, lo) not in mentioned)
+    return runs
 
 
 class _Space:

@@ -1,10 +1,23 @@
 """Exact truncated polynomial oracle.
 
-Polynomials in x_1..x_m, y_1..y_k live as sparse dicts mapping exponent
-tuples of length m + k to integers (or Fractions); every product is
-truncated above a total-degree bound. Two homogeneous ring elements of
-weight d are equal iff their evaluations agree once m >= d, which makes
-evaluation a universal identity check for everything in this package.
+Polynomials in x_1..x_m, y_1..y_k are truncated above a total-degree
+bound: a product drops every term of higher degree. Two homogeneous
+ring elements of weight d are equal iff their evaluations agree once
+m >= d, which makes evaluation a universal identity check for
+everything in this package.
+
+At the public boundary a polynomial is a sparse dict mapping exponent
+tuples of length m + k to integers (or Fractions). Inside the module it
+is packed: {degree: {key: c}}, each exponent vector packed into one int
+(Kronecker substitution, variable 0 in the lowest field) with fields of
+width = max(bound.bit_length(), 8) bits. Every exponent of a kept term
+is at most bound, so adding two keys adds the vectors with no carry
+between fields, and with terms grouped by degree truncation is one
+compare per pair of degrees. Fields that would fit in a byte get a
+whole byte, so that int.from_bytes and int.to_bytes pack and unpack in
+C. Each public function packs its arguments once and unpacks its
+result once; matrix entries, minors, the q_r and the theta polynomials
+stay packed in between.
 """
 
 from .formal import add_into, combine, norm_scalar
@@ -16,109 +29,176 @@ def const(c, nv: int) -> dict:
     return {(0,) * nv: c} if c else {}
 
 
-def _by_degree(a: dict, bound: int, width: int) -> list:
-    """Terms of degree <= bound as (degree, [(packed exponents, c), ...])."""
-    groups: dict = {}
+def _one() -> dict:
+    return {0: {0: 1}}
+
+
+def _width(bound: int) -> int:
+    return max(bound.bit_length(), 8)
+
+
+def _check_vars(lo: int, hi: int, nv: int) -> None:
+    # an unpacked key has nv fields: a variable outside them would be
+    # dropped silently by wide fields, and fail deep inside byte fields
+    if not 0 <= lo <= hi <= nv:
+        raise ValueError("need 0 <= lo <= hi <= nv for the variables "
+                         "lo..hi-1, got lo=%d hi=%d nv=%d" % (lo, hi, nv))
+
+
+def _pack(a: dict, bound: int, width: int) -> dict:
+    """The nonzero terms of a of degree <= bound, packed."""
+    out: dict = {}
     for e, c in a.items():
         d = sum(e)
-        if d <= bound:
+        if d <= bound and c:
             if width == 8:
                 key = int.from_bytes(bytes(e), "little")
             else:
                 key = 0
                 for x in reversed(e):
                     key = key << width | x
-            groups.setdefault(d, []).append((key, c))
-    return sorted(groups.items())
+            terms = out.get(d)
+            if terms is None:
+                out[d] = {key: c}
+            else:
+                terms[key] = c
+    return out
 
 
-def p_mul(a: dict, b: dict, bound: int) -> dict:
-    """The product a * b with every term above total degree bound dropped.
-
-    Exponent vectors are packed into one int each (Kronecker
-    substitution, variable 0 in the lowest field).  Every exponent of a
-    kept term is at most bound, so with fields of bound's bit length
-    adding two keys adds the vectors with no carry between fields.
-    Fields that would fit in a byte get a whole byte, so that
-    int.from_bytes and int.to_bytes pack and unpack in C.  Terms are
-    grouped by total degree, so truncation is one compare per pair of
-    degrees.
-    """
-    if not a or not b:
-        return {}
-    width = max(bound.bit_length(), 8)
-    gb = _by_degree(b, bound, width)
-    acc: dict = {}
-    get = acc.get
-    for d1, ta in _by_degree(a, bound, width):
-        room = bound - d1
-        for d2, tb in gb:
-            if d2 > room:
-                break
-            for k1, c1 in ta:
-                for k2, c2 in tb:
-                    key = k1 + k2
-                    acc[key] = get(key, 0) + c1 * c2
-    nv = len(next(iter(a)))
+def _unpack(p: dict, nv: int, width: int) -> dict:
+    """A packed value as a dict keyed by exponent tuples of length nv."""
     if width == 8:
         return {tuple(key.to_bytes(nv, "little")): norm_scalar(c)
-                for key, c in acc.items() if c}
+                for terms in p.values() for key, c in terms.items()}
     mask = (1 << width) - 1
     shifts = range(0, nv * width, width)
     return {tuple(key >> s & mask for s in shifts): norm_scalar(c)
-            for key, c in acc.items() if c}
+            for terms in p.values() for key, c in terms.items()}
+
+
+def _mul(a: dict, b: dict, bound: int) -> dict:
+    """The packed product a * b without its terms above degree bound."""
+    out: dict = {}
+    for d1, ta in a.items():
+        room = bound - d1
+        for d2, tb in b.items():
+            if d2 > room:
+                continue
+            acc = out.get(d1 + d2)
+            if acc is None:
+                acc = out[d1 + d2] = {}
+            get = acc.get
+            for k1, c1 in ta.items():
+                for k2, c2 in tb.items():
+                    key = k1 + k2
+                    acc[key] = get(key, 0) + c1 * c2
+    for d, terms in list(out.items()):
+        if 0 in terms.values():
+            terms = {key: c for key, c in terms.items() if c}
+            if terms:
+                out[d] = terms
+            else:
+                del out[d]
+    return out
+
+
+def _add(acc: dict, p: dict, scale=1) -> dict:
+    """acc += scale * p for packed values, in place; returns acc."""
+    for d, terms in p.items():
+        got = acc.get(d)
+        if got is None:
+            got = acc[d] = {}
+        combine(got, terms, scale)
+        if not got:
+            del acc[d]
+    return acc
+
+
+def _monomial(key, factors: dict, bound: int) -> dict:
+    """The packed product of factors[r] over the parts r of key; a part
+    missing from factors makes the product 0."""
+    p = _one()
+    for r in key:
+        f = factors.get(r)
+        if not f:
+            return {}
+        p = _mul(p, f, bound)
+    return p
+
+
+def p_mul(a: dict, b: dict, bound: int) -> dict:
+    """The product a * b with every term above total degree bound dropped."""
+    if not a or not b:
+        return {}
+    width = _width(bound)
+    prod = _mul(_pack(a, bound, width), _pack(b, bound, width), bound)
+    return _unpack(prod, len(next(iter(a))), width)
+
+
+def _e_list(lo: int, hi: int, top: int, width: int) -> list[dict]:
+    es: list[dict] = [{0: 1}] + [{} for _ in range(top)]
+    for v in range(lo, hi):
+        unit = 1 << width * v
+        for r in range(top, 0, -1):
+            for key, c in es[r - 1].items():
+                add_into(es[r], key + unit, c)
+    return [{r: terms} if terms else {} for r, terms in enumerate(es)]
 
 
 def e_list(lo: int, hi: int, nv: int, top: int) -> list[dict]:
-    """Elementary symmetric polynomials e_0..e_top in variables lo..hi-1."""
-    es: list[dict] = [const(1, nv)] + [{} for _ in range(top)]
-    for v in range(lo, hi):
-        for r in range(top, 0, -1):
-            for e, c in list(es[r - 1].items()):
-                e2 = list(e)
-                e2[v] += 1
-                add_into(es[r], tuple(e2), c)
-    return es
+    """Elementary symmetric polynomials e_0..e_top in variables lo..hi-1.
+    Raises ValueError unless 0 <= lo <= hi <= nv."""
+    _check_vars(lo, hi, nv)
+    # no exponent exceeds 1, so byte fields hold every key
+    return [_unpack(e, nv, 8) for e in _e_list(lo, hi, top, 8)]
+
+
+def _q_list(m: int, top: int, width: int) -> list[dict]:
+    # one variable at a time: multiplying by (1 + x t)/(1 - x t) gives
+    # q'_d = q_d + x (q_{d-1} + q'_{d-1}), all coefficients positive
+    qs: list[dict] = [{0: 1}] + [{} for _ in range(top)]
+    for v in range(m):
+        unit = 1 << width * v
+        new = [qs[0]]
+        for d in range(1, top + 1):
+            terms = dict(qs[d])
+            get = terms.get
+            for src in (qs[d - 1], new[d - 1]):
+                for key, c in src.items():
+                    key += unit
+                    terms[key] = get(key, 0) + c
+            new.append(terms)
+        qs = new
+    return [{d: terms} if terms else {} for d, terms in enumerate(qs)]
 
 
 def q_list(m: int, nv: int, top: int) -> list[dict]:
-    """q_0..q_top for x_1..x_m, from the product of (1+x_i t)/(1-x_i t)."""
-    qs: list[dict] = [const(1, nv)] + [{} for _ in range(top)]
-    for v in range(m):
-        out: list[dict] = [{} for _ in range(top + 1)]
-        for d in range(top + 1):
-            combine(out[d], qs[d])
-            # one variable contributes 1 + 2 x_v t + 2 x_v^2 t^2 + ...
-            for j in range(1, d + 1):
-                for e, c in qs[d - j].items():
-                    e2 = list(e)
-                    e2[v] += j
-                    add_into(out[d], tuple(e2), 2 * c)
-        qs = out
-    return qs
+    """q_0..q_top for x_1..x_m, from the product of (1+x_i t)/(1-x_i t).
+    Raises ValueError unless 0 <= m <= nv."""
+    _check_vars(0, m, nv)
+    width = _width(top)
+    return [_unpack(q, nv, width) for q in _q_list(m, top, width)]
 
 
-def p_det(mat: list[list[dict]], nv: int, bound: int) -> dict:
-    """Determinant of a square polynomial matrix, minors memoized."""
+def _det(mat: list[list[dict]], bound: int) -> dict:
+    # expansion along the rows, each minor (a set of columns) computed once
     n = len(mat)
-    if n == 0:
-        return const(1, nv)
     memo: dict = {}
 
     def minor(row, cols):
         if row == n:
-            return const(1, nv)
+            return _one()
         got = memo.get(cols)
         if got is not None:
             return got
         acc: dict = {}
         sign = 1
         for j in range(n):
-            if cols & (1 << j):
+            if cols >> j & 1:
                 if mat[row][j]:
                     sub = minor(row + 1, cols & ~(1 << j))
                     if sub:
-                        combine(acc, p_mul(mat[row][j], sub, bound), sign)
+                        _add(acc, _mul(mat[row][j], sub, bound), sign)
                 sign = -sign
         memo[cols] = acc
         return acc
@@ -126,38 +206,55 @@ def p_det(mat: list[list[dict]], nv: int, bound: int) -> dict:
     return minor(0, (1 << n) - 1)
 
 
+def p_det(mat: list[list[dict]], nv: int, bound: int) -> dict:
+    """Determinant of a square polynomial matrix, minors memoized.
+    Raises ValueError unless it is square."""
+    n = len(mat)
+    if any(len(row) != n for row in mat):
+        raise ValueError("need a square matrix, got rows of lengths %s"
+                         % [len(row) for row in mat])
+    if n == 0:
+        return const(1, nv)
+    width = _width(bound)
+    rows = [[_pack(a, bound, width) for a in row] for row in mat]
+    return _unpack(_det(rows, bound), nv, width)
+
+
 def q_monomial_poly(key, qs: list[dict], nv: int, bound: int) -> dict:
     """Product of q_r over the parts of key."""
-    p = const(1, nv)
-    for r in key:
-        if r >= len(qs):
-            return {}
-        p = p_mul(p, qs[r], bound)
-    return p
+    width = _width(bound)
+    factors = {r: _pack(qs[r], bound, width) for r in set(key)
+               if r < len(qs)}
+    return _unpack(_monomial(key, factors, bound), nv, width)
+
+
+def _q_basis(mu, factors: dict, bound: int) -> dict:
+    # theta through the module globals: a patched theta is used too
+    out: dict = {}
+    for key, c in theta(mu, 0).items():
+        _add(out, _monomial(key, factors, bound), c)
+    return out
 
 
 def q_basis_poly(mu, qs: list[dict], nv: int, bound: int) -> dict:
     """Schur Q-function of the strict partition mu in the x variables."""
-    out: dict = {}
-    for key, c in theta(mu, 0).items():
-        combine(out, q_monomial_poly(key, qs, nv, bound), c)
-    return out
+    width = _width(bound)
+    # theta(mu, 0) has weight |mu|, so no part exceeds it
+    factors = {r: _pack(qs[r], bound, width)
+               for r in range(min(sum(mu) + 1, len(qs)))}
+    return _unpack(_q_basis(mu, factors, bound), nv, width)
 
 
-def schur_conj_poly(nu, mu, lo: int, hi: int, nv: int, bound: int) -> dict:
-    """Skew Schur class s_{nu'/mu'} in variables lo..hi-1.
-
-    Dual Jacobi-Trudi on the unconjugated rows: det(e_{nu_i - mu_j + j - i}).
-    """
+def _schur_conj(nu, mu, lo: int, hi: int, bound: int, width: int) -> dict:
     nu = strip(nu)
     mu = strip(mu)
     if len(mu) > len(nu):
         return {}
     n = len(nu)
     if n == 0:
-        return const(1, nv)
+        return _one()
     top = max(nu[0] + n, 1)
-    es = e_list(lo, hi, nv, top)
+    es = _e_list(lo, hi, top, width)
     mat = []
     for i in range(1, n + 1):
         row = []
@@ -165,7 +262,18 @@ def schur_conj_poly(nu, mu, lo: int, hi: int, nv: int, bound: int) -> dict:
             d = nu[i - 1] - get(mu, j) + j - i
             row.append(es[d] if 0 <= d <= top else {})
         mat.append(row)
-    return p_det(mat, nv, bound)
+    return _det(mat, bound)
+
+
+def schur_conj_poly(nu, mu, lo: int, hi: int, nv: int, bound: int) -> dict:
+    """Skew Schur class s_{nu'/mu'} in variables lo..hi-1.
+
+    Dual Jacobi-Trudi on the unconjugated rows: det(e_{nu_i - mu_j + j - i}).
+    Raises ValueError unless 0 <= lo <= hi <= nv.
+    """
+    _check_vars(lo, hi, nv)
+    width = _width(bound)
+    return _unpack(_schur_conj(nu, mu, lo, hi, bound, width), nv, width)
 
 
 def q_det_poly(mu, qs: list[dict], nv: int, bound: int) -> dict:
@@ -184,15 +292,23 @@ def q_det_poly(mu, qs: list[dict], nv: int, bound: int) -> dict:
     return p_det(mat, nv, bound)
 
 
-def theta_polys(k: int, qs: list[dict], es: list[dict], bound: int) -> list[dict]:
-    """t_0..t_bound as polynomials: t_r = sum_{i<=min(k,r)} q_{r-i} e_i."""
+def _theta_polys(k: int, qs: list[dict], es: list[dict], bound: int) -> list:
     ths = []
     for r in range(bound + 1):
         p: dict = {}
         for i in range(0, min(k, r) + 1):
-            combine(p, p_mul(qs[r - i], es[i], bound))
+            _add(p, _mul(qs[r - i], es[i], bound))
         ths.append(p)
     return ths
+
+
+def theta_polys(k: int, qs: list[dict], es: list[dict], bound: int) -> list[dict]:
+    """t_0..t_bound as polynomials: t_r = sum_{i<=min(k,r)} q_{r-i} e_i."""
+    width = _width(bound)
+    nv = len(next(iter(qs[0])))  # q_0 = 1
+    pq = [_pack(q, bound, width) for q in qs[:bound + 1]]
+    pe = [_pack(e, bound, width) for e in es[:min(k, bound) + 1]]
+    return [_unpack(t, nv, width) for t in _theta_polys(k, pq, pe, bound)]
 
 
 def evaluate(e: dict, k: int, m: int, bound: int | None = None) -> dict:
@@ -217,24 +333,21 @@ def evaluate(e: dict, k: int, m: int, bound: int | None = None) -> dict:
     if bound < top:
         raise ValueError("truncation bound %d below element weight %d"
                          % (bound, top))
-    nv = m + k
-    qs = q_list(m, nv, bound)
+    width = _width(bound)
+    qs = _q_list(m, bound, width)
     acc: dict = {}
     if mixed:
         qcache: dict = {}
+        factors = dict(enumerate(qs))
         for (mu, nu), c in e.items():
             qp = qcache.get(mu)
             if qp is None:
-                qp = q_basis_poly(mu, qs, nv, bound)
-                qcache[mu] = qp
-            sp = schur_conj_poly(nu, (), m, m + k, nv, bound)
-            combine(acc, p_mul(qp, sp, bound), c)
-        return acc
-    es = e_list(m, m + k, nv, bound)
-    ths = theta_polys(k, qs, es, bound)
-    for key, c in e.items():
-        p = const(1, nv)
-        for r in key:
-            p = p_mul(p, ths[r], bound)
-        combine(acc, p, c)
-    return acc
+                qp = qcache[mu] = _q_basis(mu, factors, bound)
+            sp = _schur_conj(nu, (), m, m + k, bound, width)
+            _add(acc, _mul(qp, sp, bound), c)
+    else:
+        ths = _theta_polys(k, qs, _e_list(m, m + k, bound, width), bound)
+        factors = dict(enumerate(ths))
+        for key, c in e.items():
+            _add(acc, _monomial(key, factors, bound), c)
+    return _unpack(acc, m + k, width)

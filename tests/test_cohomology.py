@@ -23,7 +23,8 @@ from isoschub.formal import (add_into, combine, norm_scalar, scaled,
 from isoschub.partitions import (count_bases, k_strict_partitions,
                                  length_gt_k, rect_partitions, split_columns,
                                  weight)
-from isoschub.polyeval import evaluate
+from isoschub.polyeval import (e_list, evaluate, p_det, q_list,
+                               schur_conj_poly)
 from isoschub.raising import (c_set, diagonal_count, expand, pfaffian_expand,
                               strict_pairs)
 from isoschub.substitution import (apply_rule, build_forest, ev, iota,
@@ -126,6 +127,31 @@ def test_pieri_match_big_case():
     assert pieri_match(lam, mu, 5) is not None
 
 
+def test_pieri_rows_match_pieri_match():
+    # the engine's one-pass row against the row built from pieri_match
+    # over every class of the right weight, so _candidates is checked too
+    rows = 0
+    for k in range(4):
+        for n in range(max(k, 1), 7):
+            classes = rect_partitions(k, n)
+            by_weight = {}
+            for mu in classes:
+                by_weight.setdefault(weight(mu), []).append(mu)
+            for lam in classes:
+                ell = length_gt_k(lam, k)
+                for p in range(1, n + k + 1):
+                    want = {}
+                    for mu in by_weight.get(weight(lam) + p, ()):
+                        m = pieri_match(lam, mu, k)
+                        if m is not None:
+                            want[mu] = 1 << m["N"] + ell - length_gt_k(mu, k)
+                    got = cohomology._pieri(lam, p, k, n)
+                    assert got == want, (lam, p, k, n)
+                    assert list(got) == sorted(got)
+                    rows += 1
+    assert rows == 7168
+
+
 def test_pieri_errors():
     with pytest.raises(ValueError):
         pieri((1,), 9, 1, 5, "B")  # p beyond n + k
@@ -169,6 +195,15 @@ BAD_CALLS = {
     "evaluate-bound-below-weight": lambda: evaluate({(3,): 1}, 1, 2, 1),
     "evaluate-negative-k": lambda: evaluate({(1,): 1}, -1, 2),
     "evaluate-negative-m": lambda: evaluate({(2,): 1}, 1, -1),
+    # a variable outside the nv fields of a key, and a matrix that is
+    # not square
+    "q-list-m-above-nv": lambda: q_list(3, 2, 2),
+    "q-list-negative-m": lambda: q_list(-1, 2, 2),
+    "e-list-hi-above-nv": lambda: e_list(1, 4, 2, 2),
+    "e-list-negative-lo": lambda: e_list(-1, 1, 2, 2),
+    "schur-conj-hi-above-nv":
+        lambda: schur_conj_poly((1,), (), 2, 4, 3, 1),
+    "p-det-not-square": lambda: p_det([[{(1,): 1}], [{(1,): 1}]], 1, 2),
     "pieri-match-negative-k": lambda: pieri_match((1,), (2,), -1),
     "pieri-s-sets-negative-k": lambda: pieri_S_sets((1,), (2,), -1),
     "count-bases-negative-k": lambda: count_bases(5, -1),

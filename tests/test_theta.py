@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import subprocess
@@ -6,13 +7,13 @@ from fractions import Fraction
 
 import pytest
 
-from isoschub import cli
+from isoschub import cli, polyeval
 from isoschub.formal import combine, scaled, sum_to_json
 from isoschub.partitions import (contains, dominates, is_k_strict,
                                  k_strict_partitions, partitions_of,
                                  subpartitions, weight)
-from isoschub.polyeval import (e_list, evaluate, p_mul, q_list,
-                               q_monomial_poly, schur_conj_poly)
+from isoschub.polyeval import (e_list, evaluate, p_det, p_mul, q_basis_poly,
+                               q_list, q_monomial_poly, schur_conj_poly)
 from isoschub.raising import c_set, expand, pfaffian_expand, strict_pairs
 from isoschub.theta import (hat_theta, horizontal_strips, mixed_expand,
                             multiply, skew_S, straighten, theta, theta_sum,
@@ -390,6 +391,90 @@ def test_p_mul_edges():
     assert p_mul({(): 3}, {(): Fraction(1, 3)}, 0) == {(): 1}
     # a negative bound keeps nothing
     assert p_mul({(0,): 1}, {(0,): 1}, -1) == {}
+
+
+def naive_det(mat, nv, bound):
+    # Leibniz: a signed sum over permutations of products of naive_mul
+    n = len(mat)
+    out = {}
+    for perm in itertools.permutations(range(n)):
+        sign = 1
+        for i in range(n):
+            for j in range(i + 1, n):
+                if perm[i] > perm[j]:
+                    sign = -sign
+        term = {(0,) * nv: 1}
+        for i in range(n):
+            term = naive_mul(term, mat[i][perm[i]], bound)
+        combine(out, term, sign)
+    return out
+
+
+def test_p_det_matches_leibniz():
+    # int and Fraction entries, empty entries, and entries with terms
+    # above the bound; one entry object may sit in several places
+    rng = random.Random(20261)
+    for bound in (0, 1, 2, 3, 5, 8, 300):
+        for _ in range(12):
+            n = rng.randint(1, 4)
+            nv = rng.randint(1, 3)
+            top = min(bound, 6) + 2
+            pool = [random_poly(rng, nv, top, rng.randint(0, 4))
+                    for _ in range(n + 1)] + [{}]
+            mat = [[rng.choice(pool) for _ in range(n)] for _ in range(n)]
+            got = p_det(mat, nv, bound)
+            assert same_sum(got, naive_det(mat, nv, bound)), (mat, bound)
+            assert 0 not in got.values()
+    assert p_det([], 2, 3) == {(0, 0): 1}
+    assert p_det([[{}]], 2, 3) == {}
+
+
+def naive_q_list(m, top):
+    # q_0..q_top as the truncated product over the variables of
+    # 1 + 2 x t + 2 x^2 t^2 + ..., one naive_mul per variable
+    total = {(0,) * m: 1}
+    for v in range(m):
+        factor = {(0,) * m: 1}
+        for j in range(1, top + 1):
+            factor[tuple(j if i == v else 0 for i in range(m))] = 2
+        total = naive_mul(total, factor, top)
+    qs = [{} for _ in range(top + 1)]
+    for e, c in total.items():
+        qs[sum(e)][e] = c
+    return qs
+
+
+def test_q_basis_poly_matches_pfaffian():
+    # Schur's Pfaffian of the two-row Q_(a, b), left unstraightened, is a
+    # route to Q_mu that does not go through theta(mu, 0); its q-monomials
+    # are also checked against naive products
+    for d in range(1, 7):
+        m = d
+        qs = q_list(m, m, d)
+        assert qs == naive_q_list(m, d), d
+        for mu in k_strict_partitions(d, 0):
+            want = {}
+            for key, c in pfaffian_expand(mu).items():
+                got = q_monomial_poly(key, qs, m, d)
+                naive = {(0,) * m: 1}
+                for r in key:
+                    naive = naive_mul(naive, qs[r], d)
+                assert got == naive, key
+                combine(want, got, c)
+            assert q_basis_poly(mu, qs, m, d) == want, mu
+
+
+def test_thcor_fails_with_a_wrong_q_function(monkeypatch):
+    # Q_mu keeps its leading q_mu monomial but loses every other term;
+    # the small-parts closed form compares Q-functions with determinants
+    # of the q_r, so the suite must fail
+    def leading_only(mu, k):
+        return {key: c for key, c in theta(mu, k).items() if key == mu}
+
+    monkeypatch.setattr(polyeval, "theta", leading_only)
+    ok, detail = cli._suite_thcor(6)
+    assert ok is False
+    assert detail.startswith("small-parts regime"), detail
 
 
 _BROKEN_CHECKS = """
