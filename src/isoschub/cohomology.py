@@ -11,13 +11,15 @@ Over Q the two rings are one ring under sigma_p -> c_p, sigma_lam ->
 2^l_k(lam) tau_lam, with l_k(lam) the number of parts above k (the
 rescaling map of Buch-Kresch-Tamvakis). The product engine computes in
 the sigma basis only, on integers. Family B crosses in one place each
-way: _enter (tau_to_sigma) on the way in and _leave (sigma_to_tau, one
-exact shift per coefficient) on the way out.
+way, on vectors of interned classes: _enter scales each coefficient by
+2^(shift - l_k) on the way in, and _leave shifts each back by one exact
+power of two on the way out.
 """
 
 from fractions import Fraction
 from functools import cache
 
+# add_into is unused but stays bound: bench/tracing.TARGETS expects it here
 from .formal import add_into, combine, norm_scalar, scaled
 from .partitions import (check_k, check_rect, get, in_rect, is_k_strict,
                          k_related, length_gt_k, strip, weight)
@@ -105,25 +107,34 @@ def pieri_match(lam, mu, k: int):
 
 
 def _candidates(lam, p, k, n):
-    # mu with |mu| = |lam| + p, rowwise-compatible, inside the rectangle
+    # mu with |mu| = |lam| + p, rowwise-compatible and k-strict, inside the
+    # rectangle. Row j takes a value in floor[j]..cap[j], no more than the
+    # row before it, and less when that row is above k. The weight left
+    # after it must lie between least[j + 1] and most[j + 1], the least
+    # and the most that the later rows can take, ignoring k-strictness.
     rows = min(len(lam) + 1, n - k)
-    total = weight(lam) + p
+    floor = [lj if lj > k else max(lj - 1, 0)
+             for lj in (get(lam, j) for j in range(1, rows + 1))]
+    cap = [n + k] + [lam[j] for j in range(rows - 1)]
+    least, most = [0] * (rows + 1), [0] * (rows + 1)
+    for j in range(rows - 1, -1, -1):
+        least[j] = least[j + 1] + floor[j]
+        most[j] = most[j + 1] + cap[j]
+    mu = [0] * rows
     out = []
 
-    def rec(j, prev, acc, rem):
-        if j > rows:
-            if rem == 0:
-                out.append(strip(acc))
+    def rec(j, prev, rem):
+        if j == rows:
+            if rem == 0:  # only when there are no rows at all can it fail
+                out.append(strip(mu))
             return
-        lj = get(lam, j)
-        lo = lj if lj > k else max(lj - 1, 0)
-        hi = min(prev, get(lam, j - 1) if j > 1 else n + k, rem)
+        lo = max(floor[j], rem - most[j + 1])
+        hi = min(prev - 1 if prev > k else prev, cap[j], rem - least[j + 1])
         for v in range(lo, hi + 1):
-            if v > k and j > 1 and v == prev:
-                continue  # would break k-strictness
-            rec(j + 1, v, acc + (v,), rem - v)
+            mu[j] = v
+            rec(j + 1, v, rem - v)
 
-    rec(1, total, (), total)
+    rec(0, n + k + 1, weight(lam) + p)
     return out
 
 
@@ -139,7 +150,7 @@ def pieri(lam, p: int, k: int, n: int, family: str) -> dict:
     if not 1 <= p <= n + k:
         raise ValueError("p must lie in 1..n+k, got %d" % p)
     sp, v, shift = _enter({lam: 1}, k, n, family)
-    return _leave(sp.sum(sp.apply(v, p)), k, family, shift)
+    return _leave(sp.apply(v, p), sp, family, shift)
 
 
 def _pieri(lam, p, k, n):
@@ -221,9 +232,9 @@ class _Space:
 
     Classes are interned to ints as they are first reached, each checked
     by check_rect once; index also maps a key with trailing zeros to its
-    class. ops[p][i] is the row of sigma_p on class i, a tuple of (index,
-    coefficient) pairs compiled from _pieri the first time a vector
-    reaches it, and None until then. monos maps a monomial, an index
+    class, and ell[i] is l_k of class i. ops[p][i] is the row of sigma_p
+    on class i, a tuple of (index, coefficient) pairs compiled from
+    _pieri the first time a vector reaches it, and None until then. monos maps a monomial, an index
     tuple running high to low, to its vector, one sigma_p per prefix
     from the unit. Nothing is built ahead: at stable_n a rectangle holds
     hundreds of thousands of classes, of which a product reaches a few.
@@ -233,6 +244,7 @@ class _Space:
         self.k, self.n = k, n
         self.index = {}
         self.classes = []
+        self.ell = []
         self.ops = {}
         self.monos = {(): {self.intern(()): 1}}
 
@@ -245,6 +257,7 @@ class _Space:
             if i is None:
                 i = len(self.classes)
                 self.classes.append(key)
+                self.ell.append(length_gt_k(key, self.k))
                 for rows in self.ops.values():
                     rows.append(None)
             self.index[lam] = self.index[key] = i
@@ -303,19 +316,29 @@ def _space(k, n):
 
 def _enter(elem: dict, k, n, family):
     # the one way in: check the family and the space, intern every key
-    # once, and carry a family-B sum as 2^shift times its sigma vector
+    # once, and carry a family-B sum as 2^shift times its sigma vector,
+    # shift the largest l_k of a key: tau_lam = 2^(-l_k(lam)) sigma_lam,
+    # so integers stay integers and a single basis class enters as 1
     if family not in ("B", "C"):
         raise ValueError("family must be B or C, got %r" % (family,))
     sp = _space(k, n)
+    v = sp.vector(elem)
     shift = 0
-    if family == "B":
-        elem, shift = tau_to_sigma(elem, k)
-    return sp, sp.vector(elem), shift
+    if family == "B" and v:
+        ell = sp.ell
+        shift = max(ell[i] for i in v)
+        v = {i: c * (1 << shift - ell[i]) for i, c in v.items()}
+    return sp, v, shift
 
 
-def _leave(out: dict, k, family, shift):
-    # the one way out: a family-B sum goes back to the tau basis
-    return sigma_to_tau(out, k, shift) if family == "B" else out
+def _leave(v: dict, sp, family, shift):
+    # the one way out: the formal sum of v, and in family B the tau
+    # coefficients of 2^(-shift) v, one exact shift each
+    if family == "C":
+        return sp.sum(v)
+    classes, ell = sp.classes, sp.ell
+    return {classes[i]: _shifted(c, ell[i] - shift)
+            for i, c in v.items() if c}
 
 
 def reduce_monomial(beta, k: int, n: int, family: str) -> dict:
@@ -330,7 +353,7 @@ def reduce_monomial(beta, k: int, n: int, family: str) -> dict:
     key = tuple(sorted((b for b in beta if b), reverse=True))
     if any(b < 0 for b in key) or (key and key[0] > n + k):
         return {}
-    return _leave(sp.sum(sp.monomial(key)), k, family, 0)
+    return _leave(sp.monomial(key), sp, family, 0)
 
 
 @cache
@@ -374,27 +397,19 @@ def _walk(sp, node, v, scale, acc):
             _walk(sp, node[t + 1], w, scale, acc)
 
 
-def tau_to_sigma(e: dict, k: int) -> tuple:
-    """(2^shift e in the sigma basis, shift) for a family-B sum e, with
-    shift the largest l_k of a key: tau_lam = 2^(-l_k(lam)) sigma_lam, so
-    integers stay integers and a single basis class enters as 1."""
-    shift = max((length_gt_k(lam, k) for lam in e), default=0)
-    return {lam: c * (1 << shift - length_gt_k(lam, k))
-            for lam, c in e.items()}, shift
+def _shifted(c, s):
+    # 2^s c, an int when it is integral
+    if type(c) is int and (s >= 0 or not c & ((1 << -s) - 1)):
+        return c << s if s >= 0 else c >> -s
+    return norm_scalar(c * Fraction(2) ** s)
 
 
 def sigma_to_tau(e: dict, k: int, shift: int = 0) -> dict:
     """Family-B coefficients of 2^(-shift) e, e a sum in the sigma basis:
     each moves by one exact shift, 2^(l_k(mu) - shift), and stays an int
     when the result is integral."""
-    out = {}
-    for mu, c in e.items():
-        s = length_gt_k(mu, k) - shift
-        if type(c) is int and (s >= 0 or not c & ((1 << -s) - 1)):
-            out[mu] = c << s if s >= 0 else c >> -s
-        else:
-            out[mu] = norm_scalar(c * Fraction(2) ** s)
-    return out
+    return {mu: _shifted(c, length_gt_k(mu, k) - shift)
+            for mu, c in e.items()}
 
 
 def giambelli(lam, k: int, n: int, family: str) -> dict:
@@ -416,8 +431,8 @@ def giambelli(lam, k: int, n: int, family: str) -> dict:
     return scaled(raw, Fraction(1, 1 << shift)) if shift else raw
 
 
-def _product_out(out, k, family, shift, route):
-    out = _leave(out, k, family, shift)
+def _product_out(v, sp, family, shift, route):
+    out = _leave(v, sp, family, shift)
     if not all(isinstance(c, int) for c in out.values()):
         raise RuntimeError("%s gave non-integral %r" % (route, out))
     return out
@@ -437,7 +452,7 @@ def multiply(a: dict, b: dict, k: int, n: int, family: str) -> dict:
     acc: dict = {}
     for i, ca in va.items():
         _walk(sp, _trie(sp.classes[i], k), vb, ca, acc)
-    return _product_out(sp.sum(acc), k, family, sa + sb, "multiply")
+    return _product_out(acc, sp, family, sa + sb, "multiply")
 
 
 def theta_route_product(a: dict, b: dict, k: int, n: int, family: str) -> dict:
@@ -449,11 +464,8 @@ def theta_route_product(a: dict, b: dict, k: int, n: int, family: str) -> dict:
     ea = theta_ring.theta_sum(sp.sum(va), k)
     eb = theta_ring.theta_sum(sp.sum(vb), k)
     prod = theta_ring.to_theta_basis(theta_ring.multiply(ea, eb, k), k)
-    out: dict = {}
-    for lam, c in prod.items():
-        if in_rect(lam, k, n):
-            add_into(out, lam, c)
-    return _product_out(out, k, family, sa + sb, "theta_route_product")
+    v = sp.vector({lam: c for lam, c in prod.items() if in_rect(lam, k, n)})
+    return _product_out(v, sp, family, sa + sb, "theta_route_product")
 
 
 def verify_presentation(k: int, n: int, r: int, family: str) -> bool:

@@ -146,8 +146,25 @@ def partitions_of(d: int, max_part: int | None = None, max_len: int | None = Non
 
 def k_strict_partitions(d: int, k: int, max_part: int | None = None,
                         max_len: int | None = None) -> list[tuple[int, ...]]:
-    """All k-strict partitions of weight exactly d."""
-    return [lam for lam in partitions_of(d, max_part, max_len) if is_k_strict(lam, k)]
+    """All k-strict partitions of weight exactly d, in the lex-decreasing
+    order of partitions_of. A part above k is never followed by itself,
+    so no other partition is generated."""
+    out: list = []
+    acc: list = []
+
+    def rec(rem, biggest, rows):
+        if rem == 0:
+            out.append(tuple(acc))
+            return
+        if rem > biggest * rows:
+            return
+        for first in range(min(rem, biggest), 0, -1):
+            acc.append(first)
+            rec(rem - first, first if first <= k else first - 1, rows - 1)
+            acc.pop()
+
+    rec(d, d if max_part is None else max_part, d if max_len is None else max_len)
+    return out
 
 
 def rect_partitions(k: int, n: int) -> list[tuple[int, ...]]:

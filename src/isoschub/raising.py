@@ -141,36 +141,57 @@ def _expand(D, lam):
         r = lam[0]
         return {} if r < 0 else ({(): 1} if r == 0 else {(r,): 1})
     mu, r = lam[:-1], lam[-1]
-    res = {}
     # a negative last entry leaves an empty alpha budget: the term vanishes
-    if r >= 0:
-        in_d = tuple((i, ell) in D for i in range(1, ell))
-        _alpha_walk(D, mu, r, in_d, 0, (), 0, 0, res)
-    return res
+    if r < 0:
+        return {}
+    in_d = tuple((i, ell) in D for i in range(1, ell))
+    # the pairs of D that a child of each length keeps
+    pairs = [frozenset(p for p in D if p[1] <= m) for m in range(ell)]
+    # by_s[s]: the children's expansions, each scaled by 2^mcount, whose
+    # alpha leaves s = r - |alpha| for the last entry; s joins the keys once
+    by_s: dict = {}
+    _alpha_walk(mu, r, in_d, pairs, list(mu), 0, 0, 0, by_s)
+    res: dict = {}
+    get = res.get
+    for s, acc in by_s.items():
+        sign = -1 if (r - s) % 2 else 1
+        for key, c in acc.items():
+            if c:
+                if s:
+                    i = len(key)
+                    while i and key[i - 1] < s:
+                        i -= 1
+                    key = key[:i] + (s,) + key[i:]
+                res[key] = get(key, 0) + sign * c
+    return {key: c for key, c in res.items() if c}
 
 
-def _alpha_walk(D, mu, r, in_d, pos, vec, used, mcount, res):
+def _alpha_walk(mu, r, in_d, pairs, child, pos, used, mcount, by_s):
+    # child holds mu + alpha, alpha fixed on the positions before pos
     if pos == len(mu):
-        child = strip(m + a for m, a in zip(mu, vec))
-        Dc = frozenset(p for p in D if p[1] <= len(child))
-        sub = _expand(Dc, child)
-        if not sub:
-            return
-        s = r - used
-        coeff = (1 << mcount) if used % 2 == 0 else -(1 << mcount)
-        if s == 0:
-            for key, v in sub.items():
-                add_into(res, key, coeff * v)
-        else:
-            for key, v in sub.items():
-                add_into(res, tuple(sorted(key + (s,), reverse=True)), coeff * v)
+        nu = strip(child)
+        sub = _expand(pairs[len(nu)], nu)
+        if sub:
+            acc = by_s.get(r - used)
+            if acc is None:
+                acc = by_s[r - used] = {}
+            get = acc.get
+            scale = 1 << mcount
+            for key, c in sub.items():
+                acc[key] = get(key, 0) + scale * c
         return
-    _alpha_walk(D, mu, r, in_d, pos + 1, vec + (0,), used, mcount, res)
+    m = mu[pos]
+    _alpha_walk(mu, r, in_d, pairs, child, pos + 1, used, mcount, by_s)
     if in_d[pos]:
         for a in range(1, r - used + 1):
-            _alpha_walk(D, mu, r, in_d, pos + 1, vec + (a,), used + a, mcount + 1, res)
+            child[pos] = m + a
+            _alpha_walk(mu, r, in_d, pairs, child, pos + 1, used + a,
+                        mcount + 1, by_s)
+        child[pos] = m
     elif used < r:
-        _alpha_walk(D, mu, r, in_d, pos + 1, vec + (1,), used + 1, mcount, res)
+        child[pos] = m + 1
+        _alpha_walk(mu, r, in_d, pairs, child, pos + 1, used + 1, mcount, by_s)
+        child[pos] = m
 
 
 def two_special(a: int, b: int) -> dict[tuple[int, ...], int]:

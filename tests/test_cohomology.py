@@ -20,7 +20,7 @@ from isoschub.cohomology import (giambelli, multiply, pieri, pieri_match,
                                  theta_route_product, verify_presentation)
 from isoschub.formal import (add_into, combine, norm_scalar, scaled,
                              sum_from_json)
-from isoschub.partitions import (count_bases, k_strict_partitions,
+from isoschub.partitions import (count_bases, get, k_strict_partitions,
                                  length_gt_k, rect_partitions, split_columns,
                                  weight)
 from isoschub.polyeval import (e_list, evaluate, p_det, q_list,
@@ -150,6 +150,36 @@ def test_pieri_rows_match_pieri_match():
                     assert list(got) == sorted(got)
                     rows += 1
     assert rows == 7168
+
+
+def rowwise(lam, mu, k):
+    # the rowwise conditions of pieri_match: lam_j - 1 <= mu_j <= lam_{j-1},
+    # and no row longer than k shrinks
+    for j in range(1, max(len(lam), len(mu)) + 1):
+        lj, mj = get(lam, j), get(mu, j)
+        if j > 1 and mj > get(lam, j - 1):
+            return False
+        if mj < lj - 1 or (lj > k and mj < lj):
+            return False
+    return True
+
+
+def test_candidates_match_rowwise_filter():
+    # every class of the rectangle with |mu| = |lam| + p that passes the
+    # rowwise conditions, each once
+    for k in range(4):
+        for n in range(k, 7):
+            classes = rect_partitions(k, n)
+            by_weight = {}
+            for mu in classes:
+                by_weight.setdefault(weight(mu), []).append(mu)
+            for lam in classes:
+                for p in range(1, n + k + 1):
+                    want = {mu for mu in by_weight.get(weight(lam) + p, ())
+                            if rowwise(lam, mu, k)}
+                    got = cohomology._candidates(lam, p, k, n)
+                    assert len(got) == len(set(got)), (lam, p, k, n)
+                    assert set(got) == want, (lam, p, k, n)
 
 
 def test_pieri_errors():

@@ -99,6 +99,19 @@ def test_k_odd_definition():
     assert set(k_strict_partitions(4, 1)) == {(4,), (3, 1), (2, 1, 1), (1, 1, 1, 1)}
 
 
+def test_k_strict_partitions_match_filtered_partitions():
+    # the generator skips a repeated part above k; filtering every
+    # partition must give the same list in the same order
+    for d in range(21):
+        for k in range(4):
+            for max_part, max_len in ((None, None), (4, None), (None, 3),
+                                      (5, 4), (0, 2), (3, 0)):
+                want = [lam for lam in partitions_of(d, max_part, max_len)
+                        if is_k_strict(lam, k)]
+                assert k_strict_partitions(d, k, max_part, max_len) == want, \
+                    (d, k, max_part, max_len)
+
+
 def test_contains_and_length():
     assert contains((3, 2, 1), (2, 2))
     assert not contains((3, 2), (2, 2, 1))

@@ -1,12 +1,12 @@
 import json
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from isoschub.formal import add_into, sum_from_json, sum_to_json
-from isoschub.partitions import strip
+from isoschub.partitions import rect_partitions, strip
 from isoschub.raising import (
     c_set, diagonal_count, expand, is_valid_pairs, middle_row,
     outer_corner_in_col, outer_corner_in_row, outer_corners, outside_rim,
@@ -67,6 +67,80 @@ def test_expand_edge_sequences():
 
 def test_expand_trailing_zeros_ignored():
     assert expand({(1, 2)}, (3, 2, 0, 0)) == expand({(1, 2)}, (3, 2))
+
+
+# Independent oracle: the operator series term by term. The product of
+# (1 - R_ij) over i < j and (1 + R_ij)^-1 over (i, j) in D is a sum over
+# upper-triangular exponent matrices (a_ij), a_ij in {0, 1} off D and any
+# a_ij >= 0 on D, with coefficient (-1)^sum(a) 2^#{a_ij > 0 on D}. R^a takes
+# lam to nu_i = lam_i + sum_j a_ij - sum_h a_hi, and the term vanishes when
+# an entry of nu is negative. Columns are chosen last first: row j's entries
+# lie in later columns, so once column j is chosen nu_j is final, and
+# nu_j >= 0 bounds column j. No memo, and no expansion of a shorter sequence.
+
+
+def matrix_expand(D, lam):
+    lam = strip(lam)
+    by_nu = {}
+
+    def fill(j, rowsum, nu, coeff):
+        budget = lam[j - 1] + rowsum[j - 1]  # nu_j when column j is all 0
+        if budget < 0:
+            return
+        if j == 1:
+            nu += (budget,)
+            by_nu[nu] = by_nu.get(nu, 0) + coeff
+            return
+        in_d = [(i, j) in D for i in range(1, j)]
+        for col in product(*(range(budget + 1) if d else range(2)
+                             for d in in_d)):
+            used = sum(col)
+            if used <= budget:
+                twos = sum(1 for a, d in zip(col, in_d) if a and d)
+                fill(j - 1, [r + a for r, a in zip(rowsum, col)],
+                     nu + (budget - used,),
+                     (-1) ** used * coeff << twos)
+
+    if lam:
+        fill(len(lam), [0] * len(lam), (), 1)
+    else:
+        by_nu[()] = 1
+    acc = {}
+    for nu, c in by_nu.items():
+        add_into(acc, tuple(sorted((x for x in nu if x), reverse=True)), c)
+    return acc
+
+
+def closed_strict_sets(ell):
+    """Every downward-closed set of strict pairs (i, j), j <= ell."""
+    pairs = [(i, j) for j in range(2, ell + 1) for i in range(1, j)]
+    out = []
+    for bits in product((0, 1), repeat=len(pairs)):
+        S = {ij for ij, bit in zip(pairs, bits) if bit}
+        if all((i == 1 or (i - 1, j) in S) and (j == i + 1 or (i, j - 1) in S)
+               for i, j in S):
+            out.append(frozenset(S))
+    return out
+
+
+def test_expand_matches_matrix_oracle_on_giambelli_formulas():
+    count = 0
+    for k in range(3):
+        for n in range(k, 6):
+            for lam in rect_partitions(k, n):
+                D = strict_pairs(c_set(lam, k))
+                assert expand(D, lam) == matrix_expand(D, lam), (lam, k)
+                count += 1
+    assert count == 303
+
+
+@pytest.mark.parametrize("ell", range(5))
+def test_expand_matches_matrix_oracle_on_every_pair_set(ell):
+    sets = closed_strict_sets(ell)
+    assert len(sets) == (1, 1, 2, 4, 8)[ell]
+    for lam in product(range(1, 5), repeat=ell):
+        for D in sets:
+            assert expand(D, lam) == matrix_expand(D, lam), (sorted(D), lam)
 
 
 def grow_valid(choices, diagonal=False):
