@@ -18,6 +18,6 @@ def clear_caches() -> None:
     from . import cli, cohomology, raising, substitution, theta, weyl
     for memo in (raising._expand, raising._pf, cohomology._space,
                  cohomology._trie, theta._straighten, theta._theta,
-                 theta._hat_product, substitution._ev, weyl._reduced_words,
-                 weyl._word_count, cli._build_parser):
+                 substitution._ev, weyl._reduced_words, weyl._word_count,
+                 cli._build_parser):
         memo.cache_clear()

@@ -10,17 +10,21 @@ space is passed around as the explicit arguments (k, n, family).
 Over Q the two rings are one ring under sigma_p -> c_p, sigma_lam ->
 2^l_k(lam) tau_lam, with l_k(lam) the number of parts above k (the
 rescaling map of Buch-Kresch-Tamvakis). The product engine computes in
-the sigma basis only, on integers. Family B crosses in one place each
-way, on vectors of interned classes: _enter scales each coefficient by
-2^(shift - l_k) on the way in, and _leave shifts each back by one exact
-power of two on the way out.
+the sigma basis only, on integers. Every route (pieri, reduce_monomial
+and so the forest's evaluation map, both products) crosses in one place
+each way, on vectors of interned classes: _enter clears the input's
+denominators and, in family B, scales each coefficient by 2^(shift -
+l_k); _leave shifts each family-B coefficient back by one exact power
+of two, raises RuntimeError unless it is an integer, and divides the
+input denominators back out.
 """
 
 from fractions import Fraction
 from functools import cache
+from math import lcm
 
 # add_into is unused but stays bound: bench/tracing.TARGETS expects it here
-from .formal import add_into, combine, norm_scalar, scaled
+from .formal import add_into, combine, scaled
 from .partitions import (check_k, check_rect, get, in_rect, is_k_strict,
                          k_related, length_gt_k, strip, weight)
 from .raising import c_set, expand, strict_pairs
@@ -149,8 +153,8 @@ def pieri(lam, p: int, k: int, n: int, family: str) -> dict:
     """
     if not 1 <= p <= n + k:
         raise ValueError("p must lie in 1..n+k, got %d" % p)
-    sp, v, shift = _enter({lam: 1}, k, n, family)
-    return _leave(sp.apply(v, p), sp, family, shift)
+    sp, v, shift, den = _enter({lam: 1}, k, n, family)
+    return _leave(sp.apply(v, p), sp, family, shift, den)
 
 
 def _pieri(lam, p, k, n):
@@ -274,8 +278,7 @@ class _Space:
     def sum(self, v: dict) -> dict:
         """The formal sum of a vector, without its zeros."""
         classes = self.classes
-        return {classes[i]: c if type(c) is int else norm_scalar(c)
-                for i, c in v.items() if c}
+        return {classes[i]: c for i, c in v.items() if c}
 
     def apply(self, v: dict, p: int) -> dict:
         """sigma_p times the vector v, for 1 <= p <= n + k."""
@@ -316,29 +319,44 @@ def _space(k, n):
 
 def _enter(elem: dict, k, n, family):
     # the one way in: check the family and the space, intern every key
-    # once, and carry a family-B sum as 2^shift times its sigma vector,
-    # shift the largest l_k of a key: tau_lam = 2^(-l_k(lam)) sigma_lam,
-    # so integers stay integers and a single basis class enters as 1
+    # once, and carry den times the sum as 2^(-shift) times an integer
+    # sigma vector: den clears the denominators, and in family B shift
+    # is the largest l_k of a key, as tau_lam = 2^(-l_k(lam)) sigma_lam.
+    # The vector is rebuilt only for a shift or a coefficient not an int.
     if family not in ("B", "C"):
         raise ValueError("family must be B or C, got %r" % (family,))
     sp = _space(k, n)
     v = sp.vector(elem)
-    shift = 0
-    if family == "B" and v:
-        ell = sp.ell
-        shift = max(ell[i] for i in v)
-        v = {i: c * (1 << shift - ell[i]) for i, c in v.items()}
-    return sp, v, shift
+    den, mixed = 1, False
+    for c in v.values():
+        if type(c) is not int:
+            den, mixed = lcm(den, Fraction(c).denominator), True
+    ell = sp.ell
+    shift = max(ell[i] for i in v) if family == "B" and v else 0
+    if shift:
+        v = {i: int(c * den) << shift - ell[i] for i, c in v.items()}
+    elif mixed:
+        v = {i: int(c * den) for i, c in v.items()}
+    return sp, v, shift, den
 
 
-def _leave(v: dict, sp, family, shift):
-    # the one way out: the formal sum of v, and in family B the tau
-    # coefficients of 2^(-shift) v, one exact shift each
-    if family == "C":
-        return sp.sum(v)
+def _leave(v: dict, sp, family, shift, den):
+    # the one way out: in family B each coefficient of 2^(-shift) v
+    # moves to tau by one exact shift, l_k(mu) - shift. The structure
+    # constants are integers, so a coefficient that is not one is a
+    # fault. Then the input denominators go back.
     classes, ell = sp.classes, sp.ell
-    return {classes[i]: _shifted(c, ell[i] - shift)
-            for i, c in v.items() if c}
+    tau = family == "B"
+    out = {}
+    for i, c in v.items():
+        if c:
+            s = ell[i] - shift if tau else 0
+            if type(c) is not int or s < 0 and c & (1 << -s) - 1:
+                raise RuntimeError(
+                    "non-integral coefficient %s of %r in family %s"
+                    % (Fraction(c) * Fraction(2) ** s, classes[i], family))
+            out[classes[i]] = c << s if s >= 0 else c >> -s
+    return scaled(out, Fraction(1, den)) if den != 1 else out
 
 
 def reduce_monomial(beta, k: int, n: int, family: str) -> dict:
@@ -349,11 +367,11 @@ def reduce_monomial(beta, k: int, n: int, family: str) -> dict:
     monomial (the quotient bundle has no such Chern class). Raises
     ValueError unless (k, n) is a space.
     """
-    sp, _, _ = _enter({}, k, n, family)
+    sp = _enter({}, k, n, family)[0]
     key = tuple(sorted((b for b in beta if b), reverse=True))
     if any(b < 0 for b in key) or (key and key[0] > n + k):
         return {}
-    return _leave(sp.monomial(key), sp, family, 0)
+    return _leave(sp.monomial(key), sp, family, 0, 1)
 
 
 @cache
@@ -397,27 +415,12 @@ def _walk(sp, node, v, scale, acc):
             _walk(sp, node[t + 1], w, scale, acc)
 
 
-def _shifted(c, s):
-    # 2^s c, an int when it is integral
-    if type(c) is int and (s >= 0 or not c & ((1 << -s) - 1)):
-        return c << s if s >= 0 else c >> -s
-    return norm_scalar(c * Fraction(2) ** s)
-
-
-def sigma_to_tau(e: dict, k: int, shift: int = 0) -> dict:
-    """Family-B coefficients of 2^(-shift) e, e a sum in the sigma basis:
-    each moves by one exact shift, 2^(l_k(mu) - shift), and stays an int
-    when the result is integral."""
-    return {mu: _shifted(c, length_gt_k(mu, k) - shift)
-            for mu, c in e.items()}
-
-
 def giambelli(lam, k: int, n: int, family: str) -> dict:
     """The Giambelli formula of lam: R^lam sigma_lam in the sigma_p (family
     C) or 2^(-l_k(lam)) R^lam c_lam in the c_p (family B), keyed by index
     tuples. Raises RuntimeError unless it reduces to exactly the class of
     lam, and ValueError unless lam is a class of the space."""
-    sp, v, shift = _enter({lam: 1}, k, n, family)
+    sp, v, shift, _ = _enter({lam: 1}, k, n, family)
     (i,) = v
     lam = sp.classes[i]
     acc: dict = {}
@@ -431,15 +434,9 @@ def giambelli(lam, k: int, n: int, family: str) -> dict:
     return scaled(raw, Fraction(1, 1 << shift)) if shift else raw
 
 
-def _product_out(v, sp, family, shift, route):
-    out = _leave(v, sp, family, shift)
-    if not all(isinstance(c, int) for c in out.values()):
-        raise RuntimeError("%s gave non-integral %r" % (route, out))
-    return out
-
-
 def multiply(a: dict, b: dict, k: int, n: int, family: str) -> dict:
-    """Product of two basis elements by Giambelli expansion plus Pieri.
+    """Product of two formal sums of classes, with int or Fraction
+    coefficients, by Giambelli expansion plus Pieri.
 
     The Giambelli formula of each key of a is a polynomial in the special
     classes; it is evaluated on the vector of b in the Pieri operators,
@@ -447,25 +444,25 @@ def multiply(a: dict, b: dict, k: int, n: int, family: str) -> dict:
     shared prefix is applied once. Raises ValueError unless every key of
     a and b is a class of the space.
     """
-    sp, va, sa = _enter(a, k, n, family)
-    _, vb, sb = _enter(b, k, n, family)
+    sp, va, sa, da = _enter(a, k, n, family)
+    _, vb, sb, db = _enter(b, k, n, family)
     acc: dict = {}
     for i, ca in va.items():
         _walk(sp, _trie(sp.classes[i], k), vb, ca, acc)
-    return _product_out(acc, sp, family, sa + sb, "multiply")
+    return _leave(acc, sp, family, sa + sb, da * db)
 
 
 def theta_route_product(a: dict, b: dict, k: int, n: int, family: str) -> dict:
     """Product through the theta ring: multiply upstairs, convert to the
     canonical basis, and drop keys that fall outside the rectangle. Raises
     ValueError unless every key of a and b is a class of the space."""
-    sp, va, sa = _enter(a, k, n, family)
-    _, vb, sb = _enter(b, k, n, family)
+    sp, va, sa, da = _enter(a, k, n, family)
+    _, vb, sb, db = _enter(b, k, n, family)
     ea = theta_ring.theta_sum(sp.sum(va), k)
     eb = theta_ring.theta_sum(sp.sum(vb), k)
     prod = theta_ring.to_theta_basis(theta_ring.multiply(ea, eb, k), k)
     v = sp.vector({lam: c for lam, c in prod.items() if in_rect(lam, k, n)})
-    return _product_out(v, sp, family, sa + sb, "theta_route_product")
+    return _leave(v, sp, family, sa + sb, da * db)
 
 
 def verify_presentation(k: int, n: int, r: int, family: str) -> bool:

@@ -22,6 +22,7 @@ stay packed in between.
 
 from .formal import add_into, combine, norm_scalar
 from .partitions import check_k, get, strip
+from .raising import pfaffian_expand
 from .theta import theta
 
 
@@ -228,21 +229,25 @@ def q_monomial_poly(key, qs: list[dict], nv: int, bound: int) -> dict:
     return _unpack(_monomial(key, factors, bound), nv, width)
 
 
-def _q_basis(mu, factors: dict, bound: int) -> dict:
-    # theta through the module globals: a patched theta is used too
+def _monomial_sum(e: dict, factors: dict, bound: int) -> dict:
+    """The packed value of the sum e of monomials in the factors."""
     out: dict = {}
-    for key, c in theta(mu, 0).items():
+    for key, c in e.items():
         _add(out, _monomial(key, factors, bound), c)
     return out
 
 
 def q_basis_poly(mu, qs: list[dict], nv: int, bound: int) -> dict:
-    """Schur Q-function of the strict partition mu in the x variables."""
+    """Schur Q-function of the strict partition mu in the x variables,
+    from Schur's Pfaffian (raising.pfaffian_expand). It does not go
+    through theta(mu, 0), which evaluate's mixed branch expands, so each
+    checks the other. Raises ValueError unless mu is strict."""
     width = _width(bound)
-    # theta(mu, 0) has weight |mu|, so no part exceeds it
+    # the Pfaffian has weight |mu|, so no part exceeds it
     factors = {r: _pack(qs[r], bound, width)
                for r in range(min(sum(mu) + 1, len(qs)))}
-    return _unpack(_q_basis(mu, factors, bound), nv, width)
+    out = _monomial_sum(pfaffian_expand(mu), factors, bound)
+    return _unpack(out, nv, width)
 
 
 def _schur_conj(nu, mu, lo: int, hi: int, bound: int, width: int) -> dict:
@@ -335,19 +340,18 @@ def evaluate(e: dict, k: int, m: int, bound: int | None = None) -> dict:
                          % (bound, top))
     width = _width(bound)
     qs = _q_list(m, bound, width)
-    acc: dict = {}
     if mixed:
+        acc: dict = {}
         qcache: dict = {}
         factors = dict(enumerate(qs))
         for (mu, nu), c in e.items():
             qp = qcache.get(mu)
             if qp is None:
-                qp = qcache[mu] = _q_basis(mu, factors, bound)
+                # theta through the module globals: a patched one is used
+                qp = qcache[mu] = _monomial_sum(theta(mu, 0), factors, bound)
             sp = _schur_conj(nu, (), m, m + k, bound, width)
             _add(acc, _mul(qp, sp, bound), c)
     else:
         ths = _theta_polys(k, qs, _e_list(m, m + k, bound, width), bound)
-        factors = dict(enumerate(ths))
-        for key, c in e.items():
-            _add(acc, _monomial(key, factors, bound), c)
+        acc = _monomial_sum(e, dict(enumerate(ths)), bound)
     return _unpack(acc, m + k, width)

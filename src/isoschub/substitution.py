@@ -13,10 +13,10 @@ term in two), stops, or lowers the level.  Level-0 leaves carry the
 product terms; stopped leaves cancel in pairs under an involution.
 """
 
+from fractions import Fraction
 from functools import cache
 
-from .cohomology import (pieri, pieri_match, reduce_monomial, sigma_to_tau,
-                         stable_n)
+from .cohomology import pieri, pieri_match, reduce_monomial, stable_n
 from .formal import add_into, combine
 from .partitions import check_rect, get, is_k_strict, strip, weight
 from .raising import (c_set, diagonal_count, expand, is_valid_pairs,
@@ -258,9 +258,9 @@ def ev(psi, k: int, n: int) -> dict:
     """Evaluation of a 4-tuple in the weight-graded basis.
 
     2^(-#diagonal pairs of D) times the expansion of mu over the strict
-    part of D in the tau basis: the monomials reduce as sigma_p products
-    summed as integers, then one exact shift per coefficient takes the sum
-    to tau and divides. Exact dyadic coefficients; independent of S and h.
+    part of D in the tau basis: each monomial reduces in the c_p of
+    family B, on integers, and the sum is divided by 2^#diag once, an
+    int where that is exact. Exact dyadic; independent of S and h.
     """
     return dict(_ev(frozenset(psi[0]), tuple(psi[1]), k, n))
 
@@ -269,8 +269,10 @@ def ev(psi, k: int, n: int) -> dict:
 def _ev(D, mu, k, n):
     res = {}
     for mono, c in expand(strict_pairs(D), mu).items():
-        combine(res, reduce_monomial(mono, k, n, "C"), c)
-    return sigma_to_tau(res, k, diagonal_count(D))
+        combine(res, reduce_monomial(mono, k, n, "B"), c)
+    d = diagonal_count(D)
+    return {nu: Fraction(c, 1 << d) if c & (1 << d) - 1 else c >> d
+            for nu, c in res.items()}
 
 
 def _check(ok: bool, what: str, *detail) -> None:

@@ -175,13 +175,6 @@ def theta_sum(f: dict, k: int) -> dict:
     return out
 
 
-@cache
-def _hat_product(alpha, k):
-    if not alpha:
-        return {(): 1}
-    return multiply(_hat_product(alpha[1:], k), hat_theta(alpha[0], k), k)
-
-
 def _solve(rows, rhs):
     # exact Gauss-Jordan; every column must be a pivot
     n, m = len(rows), len(rows[0]) if rows else 0
@@ -222,7 +215,12 @@ def to_hat_basis(e: dict, k: int) -> dict:
     out: dict = {}
     for d, target in sorted(by_weight.items()):
         basis = sorted(k_strict_partitions(d, k))
-        cols = [_hat_product(lam, k) for lam in basis]
+        cols = []
+        for lam in basis:
+            col = {(): 1}
+            for a in lam:
+                col = multiply(col, hat_theta(a, k), k)
+            cols.append(col)
         keys = sorted(set(target) | {key for col in cols for key in col})
         mat = [[col.get(key, 0) for col in cols] for key in keys]
         rhs = [target.get(key, 0) for key in keys]

@@ -184,8 +184,8 @@ def _reduced_words(w):
     return tuple(out)
 
 
-def word_product(word, n=0):
-    w = tuple(range(1, n + 1))
+def word_product(word):
+    w = ()
     for a in word:
         w = apply_s(w, a)
     return trim(w)

@@ -390,14 +390,14 @@ def test_theta_hat_suite_catches_wrong_straightening(capsys, monkeypatch):
 
 
 def test_routes_suite_catches_a_doubled_family_b_boundary(monkeypatch):
-    # both product routes leave through _product_out, so comparing them
-    # cannot see a fault there; the duality leg must
-    right = cohomology._product_out
+    # every route leaves the sigma basis through _leave, so comparing
+    # the two product routes cannot see a fault there; the duality leg must
+    right = cohomology._leave
 
-    def doubled(out, k, family, shift, route):
-        return right(out, k, family, shift - (family == "B"), route)
+    def doubled(v, sp, family, shift, den):
+        return right(v, sp, family, shift - (family == "B"), den)
 
-    monkeypatch.setattr(cohomology, "_product_out", doubled)
+    monkeypatch.setattr(cohomology, "_leave", doubled)
     ok, detail = dict(cli.SUITES)["routes"](1)
     assert ok is False
     assert detail.startswith("duality family B"), detail

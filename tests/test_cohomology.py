@@ -467,6 +467,38 @@ def test_multiply_matches_theta_route_on_seeded_sums():
                     assert all(type(c) is int for c in got.values())
 
 
+def test_rational_sums_multiply_exactly():
+    # denominators 2, 3, 4 and 6 on both sides, so products need not be
+    # integral: both routes must agree, and agree with the sum of the
+    # products of basis classes, scaled term by term (bilinearity)
+    half = Fraction(1, 2)
+    for route in (multiply, theta_route_product):
+        assert route({(1,): half}, {(1,): 1}, 1, 4, "C") == {
+            (2,): half, (1, 1): half}
+        assert route({(1,): half}, {(1,): 1}, 1, 4, "B") == {
+            (2,): 1, (1, 1): half}
+    rng = random.Random(15)
+    thirds = (1, -2, Fraction(1, 3), Fraction(-5, 6), Fraction(3, 4))
+    for family in ("C", "B"):
+        for k in (0, 1, 2):
+            for n in (k + 2, k + 3):
+                pool = [lam for d in range(1, 4) for lam in
+                        k_strict_partitions(d, k, n + k, n - k)]
+                for _ in range(2):
+                    a = _seeded_sum(rng, pool, k, thirds)
+                    b = _seeded_sum(rng, pool, k, thirds)
+                    got = multiply(a, b, k, n, family)
+                    assert exact(got, theta_route_product(a, b, k, n,
+                                                          family)), \
+                        (family, k, n, a, b)
+                    want: dict = {}
+                    for lam, ca in a.items():
+                        for mu, cb in b.items():
+                            combine(want, multiply({lam: 1}, {mu: 1}, k, n,
+                                                   family), ca * cb)
+                    assert exact(got, want), (family, k, n, a, b)
+
+
 def test_one_product_compiles_few_operator_rows():
     # at stable_n the rectangle is far too big to compile ahead; a product
     # reaches only the rows its vectors touch
@@ -537,24 +569,30 @@ def test_truncation_drops_overflow():
 
 
 def test_integrality_check_survives_python_O(child_env):
-    # a Pieri rule with halved coefficients makes B-family products
-    # non-integral; multiply must say so even with asserts stripped
+    # a Pieri rule with halved coefficients makes products, Pieri rows
+    # and monomial reductions non-integral; each leaves the sigma basis
+    # through the same check, which must raise even with asserts stripped
     script = """
 from fractions import Fraction
-import sys
+import json, sys
 from isoschub import cohomology
 rule = cohomology._pieri
 cohomology._pieri = lambda *args: {mu: Fraction(c, 2)
                                    for mu, c in rule(*args).items()}
-try:
-    cohomology.multiply({(1,): 1}, {(1,): 1}, 1, 5, "B")
-except RuntimeError:
-    print(sys.flags.optimize, "raised")
+got = [sys.flags.optimize]
+for call in (lambda: cohomology.multiply({(1,): 1}, {(1,): 1}, 1, 5, "B"),
+             lambda: cohomology.pieri((1,), 1, 1, 5, "B"),
+             lambda: cohomology.reduce_monomial((1, 1), 1, 5, "C")):
+    try:
+        got.append("returned %r" % (call(),))
+    except RuntimeError:
+        got.append("raised")
+print(json.dumps(got))
 """
     res = subprocess.run([sys.executable, "-O", "-c", script],
                          capture_output=True, text=True, env=child_env)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.split() == ["1", "raised"]
+    assert json.loads(res.stdout) == [1, "raised", "raised", "raised"]
 
 
 _BROKEN_HELPERS = """

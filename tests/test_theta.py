@@ -445,16 +445,16 @@ def naive_q_list(m, top):
 
 
 def test_q_basis_poly_matches_pfaffian():
-    # Schur's Pfaffian of the two-row Q_(a, b), left unstraightened, is a
-    # route to Q_mu that does not go through theta(mu, 0); its q-monomials
-    # are also checked against naive products
+    # q_basis_poly takes Q_mu from Schur's Pfaffian; the reference is the
+    # q-monomial sum of theta(mu, 0), a route that does not go through
+    # the Pfaffian. Its q-monomials are also checked against naive products
     for d in range(1, 7):
         m = d
         qs = q_list(m, m, d)
         assert qs == naive_q_list(m, d), d
         for mu in k_strict_partitions(d, 0):
             want = {}
-            for key, c in pfaffian_expand(mu).items():
+            for key, c in theta(mu, 0).items():
                 got = q_monomial_poly(key, qs, m, d)
                 naive = {(0,) * m: 1}
                 for r in key:
@@ -467,7 +467,9 @@ def test_q_basis_poly_matches_pfaffian():
 def test_thcor_fails_with_a_wrong_q_function(monkeypatch):
     # Q_mu keeps its leading q_mu monomial but loses every other term;
     # the small-parts closed form compares Q-functions with determinants
-    # of the q_r, so the suite must fail
+    # of the q_r, so the suite must fail. The large-parts form takes its
+    # right side from the Pfaffian, so each of its cases must fail too,
+    # save Q_1 = q_1, which has no other term to lose
     def leading_only(mu, k):
         return {key: c for key, c in theta(mu, k).items() if key == mu}
 
@@ -475,6 +477,9 @@ def test_thcor_fails_with_a_wrong_q_function(monkeypatch):
     ok, detail = cli._suite_thcor(6)
     assert ok is False
     assert detail.startswith("small-parts regime"), detail
+    held = [lam for lam, k in cli._THCOR_B_POOL
+            if cli._closed_form_b_holds(lam, k)]
+    assert held == [(1,)]
 
 
 _BROKEN_CHECKS = """

@@ -159,11 +159,11 @@ def test_reduced_words_brute_force():
     assert len(set(words)) == len(words)
     count = 0
     for seq in itertools.product(range(4), repeat=6):
-        if word_product(seq, 4) == w:
+        if word_product(seq) == w:
             count += 1
     assert count == len(words)
     for word in words:
-        assert word_product(word, 4) == w
+        assert word_product(word) == w
 
 
 def test_unimodal_lus():
