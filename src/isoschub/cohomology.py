@@ -10,20 +10,23 @@ space is passed around as the explicit arguments (k, n, family).
 Over Q the two rings are one ring under sigma_p -> c_p, sigma_lam ->
 2^l_k(lam) tau_lam, with l_k(lam) the number of parts above k (the
 rescaling map of Buch-Kresch-Tamvakis). The product engine computes in
-the sigma basis only, on integers. Every route (pieri, reduce_monomial
-and so the forest's evaluation map, both products) crosses in one place
-each way, on vectors of interned classes: _enter clears the input's
-denominators and, in family B, scales each coefficient by 2^(shift -
-l_k); _leave shifts each family-B coefficient back by one exact power
-of two, raises RuntimeError unless it is an integer, and divides the
-input denominators back out.
+the sigma basis only, on integers. Every route (pieri, both products,
+and reduce_polynomial, which reduces a polynomial in the special
+classes on the unit for giambelli, verify_presentation, reduce_monomial
+and the forest's evaluation map) crosses in one place each way, on
+vectors of interned classes: _enter clears the input's denominators
+and, in family B, scales each coefficient by 2^(shift - l_k); _leave
+shifts each family-B coefficient back by one exact power of two,
+raises RuntimeError unless it is an integer, and divides the input
+denominators back out.
 """
 
 from fractions import Fraction
 from functools import cache
 from math import lcm
 
-# add_into is unused but stays bound: bench/tracing.TARGETS expects it here
+# add_into and combine are unused but stay bound: bench/tracing.TARGETS
+# expects them here
 from .formal import add_into, combine, scaled
 from .partitions import (check_k, check_rect, get, in_rect, is_k_strict,
                          k_related, length_gt_k, strip, weight)
@@ -320,24 +323,32 @@ def _space(k, n):
 def _enter(elem: dict, k, n, family):
     # the one way in: check the family and the space, intern every key
     # once, and carry den times the sum as 2^(-shift) times an integer
-    # sigma vector: den clears the denominators, and in family B shift
-    # is the largest l_k of a key, as tau_lam = 2^(-l_k(lam)) sigma_lam.
-    # The vector is rebuilt only for a shift or a coefficient not an int.
+    # sigma vector: den clears the denominators (_cleared), and in
+    # family B shift is the largest l_k of a key, as tau_lam =
+    # 2^(-l_k(lam)) sigma_lam.
     if family not in ("B", "C"):
         raise ValueError("family must be B or C, got %r" % (family,))
     sp = _space(k, n)
-    v = sp.vector(elem)
-    den, mixed = 1, False
-    for c in v.values():
-        if type(c) is not int:
-            den, mixed = lcm(den, Fraction(c).denominator), True
+    den, v = _cleared(sp.vector(elem))
     ell = sp.ell
     shift = max(ell[i] for i in v) if family == "B" and v else 0
     if shift:
-        v = {i: int(c * den) << shift - ell[i] for i, c in v.items()}
-    elif mixed:
-        v = {i: int(c * den) for i, c in v.items()}
+        v = {i: c << shift - ell[i] for i, c in v.items()}
     return sp, v, shift, den
+
+
+def _cleared(v: dict):
+    # den, the lcm of the denominators of v's int or Fraction
+    # coefficients, and den * v with int coefficients; v itself when they
+    # are all ints already
+    den, mixed = 1, False
+    for c in v.values():
+        if type(c) is not int:
+            den, mixed = lcm(den, c.denominator), True
+    if not mixed:
+        return 1, v
+    return den, {i: c.numerator * (den // c.denominator)
+                 for i, c in v.items()}
 
 
 def _leave(v: dict, sp, family, shift, den):
@@ -359,19 +370,35 @@ def _leave(v: dict, sp, family, shift, den):
     return scaled(out, Fraction(1, den)) if den != 1 else out
 
 
-def reduce_monomial(beta, k: int, n: int, family: str) -> dict:
-    """Product of special classes with indices beta in the Schubert basis.
+def reduce_polynomial(poly: dict, k: int, n: int, family: str) -> dict:
+    """A polynomial in the special classes in the Schubert basis.
 
-    Indices sort high-to-low so shared prefixes share their vectors;
-    zero indices are the unit and anything above n + k kills the
-    monomial (the quotient bundle has no such Chern class). Raises
-    ValueError unless (k, n) is a space.
+    poly maps index tuples, the monomials, to int or Fraction
+    coefficients: sigma_p monomials in family C, c_p monomials in family
+    B. Indices may come in any order; zero indices are the unit and a
+    negative index or one above n + k kills its monomial (the quotient
+    bundle has no such Chern class). The memoized vectors of the
+    monomials are summed into one sigma vector, which leaves the sigma
+    basis once. Raises ValueError unless (k, n) is a space.
     """
     sp = _enter({}, k, n, family)[0]
-    key = tuple(sorted((b for b in beta if b), reverse=True))
-    if any(b < 0 for b in key) or (key and key[0] > n + k):
-        return {}
-    return _leave(sp.monomial(key), sp, family, 0, 1)
+    den, coeffs = _cleared(poly)
+    top = n + k
+    acc: dict = {}
+    get = acc.get
+    for beta, c in coeffs.items():
+        # high to low, so that monomials with a common prefix share it
+        key = tuple(sorted((b for b in beta if b), reverse=True))
+        if c and not (key and (key[0] > top or key[-1] < 0)):
+            for i, x in sp.monomial(key).items():
+                acc[i] = get(i, 0) + c * x
+    return _leave(acc, sp, family, 0, den)
+
+
+def reduce_monomial(beta, k: int, n: int, family: str) -> dict:
+    """Product of special classes with indices beta in the Schubert basis:
+    reduce_polynomial of the one monomial beta."""
+    return reduce_polynomial({tuple(beta): 1}, k, n, family)
 
 
 @cache
@@ -423,14 +450,12 @@ def giambelli(lam, k: int, n: int, family: str) -> dict:
     sp, v, shift, _ = _enter({lam: 1}, k, n, family)
     (i,) = v
     lam = sp.classes[i]
-    acc: dict = {}
-    _walk(sp, _trie(lam, k), sp.monos[()], 1, acc)
-    acc = sp.sum(acc)
-    if acc != {lam: 1}:
-        raise RuntimeError("giambelli(%r, k=%d, n=%d, %s): R^lam reduced to "
-                           "%r in the sigma basis" % (lam, k, n, family, acc))
-    # shift = l_k(lam) in family B, where R^lam c_lam is 2^l_k(lam) tau_lam
     raw = expand(strict_pairs(c_set(lam, k)), lam)
+    got = reduce_polynomial(raw, k, n, "C")
+    if got != {lam: 1}:
+        raise RuntimeError("giambelli(%r, k=%d, n=%d, %s): R^lam reduced to "
+                           "%r in the sigma basis" % (lam, k, n, family, got))
+    # shift = l_k(lam) in family B, where R^lam c_lam is 2^l_k(lam) tau_lam
     return scaled(raw, Fraction(1, 1 << shift)) if shift else raw
 
 
@@ -474,11 +499,10 @@ def verify_presentation(k: int, n: int, r: int, family: str) -> bool:
     """
     if not k < r <= n + k:
         raise ValueError("r must lie in %d..%d, got %d" % (k + 1, n + k, r))
-    acc = dict(reduce_monomial((r, r), k, n, family))
+    rel = {(r, r): 1}
     for i in range(1, n + k - r + 1):
-        term = reduce_monomial((r + i, r - i), k, n, family)
-        combine(acc, term, -2 if i % 2 else 2)
-    return not acc
+        rel[(r + i, r - i)] = -2 if i % 2 else 2
+    return not reduce_polynomial(rel, k, n, family)
 
 
 def stable_n(d: int, k: int) -> int:

@@ -16,8 +16,11 @@ product terms; stopped leaves cancel in pairs under an involution.
 from fractions import Fraction
 from functools import cache
 
-from .cohomology import pieri, pieri_match, reduce_monomial, stable_n
-from .formal import add_into, combine
+# reduce_monomial is unused but stays bound: bench/tracing.TARGETS
+# expects it here
+from .cohomology import (pieri, pieri_match, reduce_monomial,
+                         reduce_polynomial, stable_n)
+from .formal import add_into, combine, scaled
 from .partitions import check_rect, get, is_k_strict, strip, weight
 from .raising import (c_set, diagonal_count, expand, is_valid_pairs,
                       middle_row, outer_corner_in_col, outer_corner_in_row,
@@ -258,21 +261,17 @@ def ev(psi, k: int, n: int) -> dict:
     """Evaluation of a 4-tuple in the weight-graded basis.
 
     2^(-#diagonal pairs of D) times the expansion of mu over the strict
-    part of D in the tau basis: each monomial reduces in the c_p of
-    family B, on integers, and the sum is divided by 2^#diag once, an
-    int where that is exact. Exact dyadic; independent of S and h.
+    part of D, a polynomial in the c_p of family B, reduced to the tau
+    basis as one polynomial. Exact dyadic; independent of S and h.
     """
     return dict(_ev(frozenset(psi[0]), tuple(psi[1]), k, n))
 
 
 @cache
 def _ev(D, mu, k, n):
-    res = {}
-    for mono, c in expand(strict_pairs(D), mu).items():
-        combine(res, reduce_monomial(mono, k, n, "B"), c)
-    d = diagonal_count(D)
-    return {nu: Fraction(c, 1 << d) if c & (1 << d) - 1 else c >> d
-            for nu, c in res.items()}
+    poly = scaled(expand(strict_pairs(D), mu),
+                  Fraction(1, 1 << diagonal_count(D)))
+    return reduce_polynomial(poly, k, n, "B")
 
 
 def _check(ok: bool, what: str, *detail) -> None:

@@ -51,6 +51,20 @@ def _straighten(key, k):
     return {key: 1}
 
 
+def _straightened(poly: dict, k) -> dict:
+    # a polynomial {index tuple: c} in the t_p in the k-strict basis: its
+    # monomials are sorted high to low and merged, and each distinct one
+    # is straightened once
+    monos: dict = {}
+    for key, c in poly.items():
+        key = tuple(sorted(key, reverse=True))
+        monos[key] = monos.get(key, 0) + c
+    out: dict = {}
+    for key, c in monos.items():
+        combine(out, _straighten(key, k), c)
+    return out
+
+
 def theta(lam, k: int) -> dict[tuple[int, ...], int]:
     """Canonical basis element for the k-strict partition lam.
 
@@ -67,10 +81,7 @@ def theta(lam, k: int) -> dict[tuple[int, ...], int]:
 
 @cache
 def _theta(lam, k):
-    res = {}
-    for key, co in expand(strict_pairs(c_set(lam, k)), lam).items():
-        combine(res, _straighten(key, k), co)
-    return res
+    return _straightened(expand(strict_pairs(c_set(lam, k)), lam), k)
 
 
 def hat_theta(r: int, k: int) -> dict[tuple[int, ...], int]:
@@ -84,11 +95,7 @@ def hat_theta(r: int, k: int) -> dict[tuple[int, ...], int]:
         return {}
     if r == 0:
         return {(): 1}
-    raw = expand(frozenset(), (1,) * r)
-    out: dict = {}
-    for key, co in raw.items():
-        combine(out, _straighten(key, k), co)
-    return out
+    return _straightened(expand(frozenset(), (1,) * r), k)
 
 
 # skew_S sums l(lam)! signed terms: 8 rows take seconds, 9 half a minute
@@ -111,7 +118,7 @@ def skew_S(lam, mu, k: int) -> dict[tuple[int, ...], int]:
     if n > MAX_SKEW_ROWS:
         raise ValueError("lambda has %d rows, more than the limit of %d for "
                          "a skew determinant" % (n, MAX_SKEW_ROWS))
-    out: dict = {}
+    poly: dict = {}
     for perm in permutations(range(n)):
         key = []
         dead = False
@@ -126,9 +133,9 @@ def skew_S(lam, mu, k: int) -> dict[tuple[int, ...], int]:
             inv += sum(1 for j in range(i) if perm[j] > perm[i])
         if dead:
             continue
-        sign = -1 if inv % 2 else 1
-        combine(out, _straighten(tuple(sorted(key, reverse=True)), k), sign)
-    return out
+        key = tuple(key)
+        poly[key] = poly.get(key, 0) + (-1 if inv % 2 else 1)
+    return _straightened(poly, k)
 
 
 def multiply(a: dict, b: dict, k: int) -> dict:
@@ -137,14 +144,12 @@ def multiply(a: dict, b: dict, k: int) -> dict:
     Raises ValueError for k < 0.
     """
     check_k(k)
-    out: dict = {}
+    poly: dict = {}
     for ka, ca in a.items():
         for kb, cb in b.items():
-            c = ca * cb
-            sub = _straighten(tuple(sorted(ka + kb, reverse=True)), k)
-            for key, c2 in sub.items():
-                add_into(out, key, c * c2)
-    return out
+            key = ka + kb
+            poly[key] = poly.get(key, 0) + ca * cb
+    return _straightened(poly, k)
 
 
 def to_theta_basis(e: dict, k: int) -> dict:

@@ -70,12 +70,6 @@ def mul(u, v):
     return tuple(u[a - 1] if a > 0 else -u[-a - 1] for a in v)
 
 
-def s_elem(i):
-    if i == 0:
-        return (-1,)
-    return tuple(range(1, i)) + (i + 1, i)
-
-
 def apply_s(w, i):
     """Right multiplication by s_i."""
     if i == 0:

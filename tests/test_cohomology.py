@@ -16,7 +16,7 @@ import isoschub
 from isoschub import cohomology
 from isoschub import theta as theta_ring
 from isoschub.cohomology import (giambelli, multiply, pieri, pieri_match,
-                                 reduce_monomial, stable_n,
+                                 reduce_monomial, reduce_polynomial, stable_n,
                                  theta_route_product, verify_presentation)
 from isoschub.formal import (add_into, combine, norm_scalar, scaled,
                              sum_from_json)
@@ -45,6 +45,8 @@ MEMOIZED = {
     "pieri-C": (pieri, ((2, 1, 1), 1, 1, 7, "C")),
     "reduce_monomial": (reduce_monomial, ((2, 1), 1, 5, "C")),
     "reduce_monomial-B": (reduce_monomial, ((2, 1), 1, 5, "B")),
+    "reduce_polynomial": (reduce_polynomial,
+                          ({(2, 1): 1, (3,): Fraction(1, 2)}, 1, 5, "B")),
     "giambelli": (giambelli, ((3, 2, 1), 1, 5, "B")),
     "multiply": (multiply, ({(2, 1): 1}, {(1,): 1}, 1, 5, "C")),
     "multiply-B": (multiply, ({(2, 1): 1, (1,): 2}, {(1,): 1}, 1, 5, "B")),
@@ -379,17 +381,79 @@ def test_giambelli_sweep():
 
 
 def test_giambelli_formula_reduces_monomial_by_monomial():
-    # the per-monomial reduction is the reference for giambelli's trie walk
+    # multiply walks the prefix trie of the Giambelli formula from the
+    # unit, one sigma_p per edge: a route to the class of lam that shares
+    # no code with giambelli's own check through reduce_polynomial
     for k in (0, 1, 2):
         for n in range(k, 6):
             for lam in rect_partitions(k, n):
-                undo = 1 << length_gt_k(lam, k)
-                for fam, scale in (("C", 1), ("B", undo)):
-                    acc: dict = {}
-                    for key, c in giambelli(lam, k, n, fam).items():
-                        combine(acc, reduce_monomial(key, k, n, "C"),
-                                c * scale)
-                    assert acc == {lam: 1}, (lam, k, n, fam)
+                for fam in ("C", "B"):
+                    got = multiply({lam: 1}, {(): 1}, k, n, fam)
+                    assert got == {lam: 1}, (lam, k, n, fam)
+
+
+def _monomial_sum(poly, k, n, family):
+    # the reference applies the rules itself: a negative or over-(n + k)
+    # index kills the monomial, zeros drop, and the rest sort high to
+    # low. Then one reduce_monomial per key, with coefficient 1, summed.
+    acc: dict = {}
+    for beta, c in poly.items():
+        if all(0 <= b <= n + k for b in beta):
+            mono = tuple(sorted((b for b in beta if b), reverse=True))
+            combine(acc, reduce_monomial(mono, k, n, family), c)
+    return acc
+
+
+def test_reduce_polynomial_sums_its_monomials():
+    rng = random.Random(16)
+    coeffs = (1, -1, 2, -3, Fraction(1, 2), Fraction(-3, 4), Fraction(2, 3))
+    for k, n in ((0, 3), (1, 4), (2, 4)):
+        top = n + k
+        for family in ("C", "B"):
+            for _ in range(40):
+                poly: dict = {}
+                for _ in range(rng.randrange(1, 6)):
+                    # any order, with 0, negative and over-(n + k) indices
+                    beta = tuple(rng.randint(-1, top + 1)
+                                 for _ in range(rng.randrange(4)))
+                    poly[beta] = rng.choice(coeffs)
+                got = reduce_polynomial(poly, k, n, family)
+                assert exact(got, _monomial_sum(poly, k, n, family)), poly
+    # two keys that sort to the same monomial, a unit, a killed monomial
+    poly = {(1, 2): Fraction(1, 2), (2, 0, 1): Fraction(1, 2), (0,): 3,
+            (1, -1): 5, (9, 1): 7}
+    for family in ("C", "B"):
+        want = _monomial_sum(poly, 1, 4, family)
+        assert exact(reduce_polynomial(poly, 1, 4, family), want)
+        assert exact(want, combine(reduce_monomial((2, 1), 1, 4, family),
+                                   {(): 3}))
+    # sigma_1^2 = 2 sigma_2 in the Lagrangian Grassmannian
+    assert reduce_polynomial({(1, 1): 1, (2,): -2}, 0, 3, "C") == {}
+    assert reduce_polynomial({(1, 2): 1, (2, 1): -1}, 1, 4, "B") == {}
+    assert reduce_polynomial({}, 1, 4, "C") == {}
+
+
+def test_a_dropped_pieri_term_fails_the_formula_checks(monkeypatch):
+    # a Pieri rule that loses the last term of every row with two or more
+    # must break the Giambelli formula of (1, 1) and the first quadratic
+    # relation, in both families
+    rule = cohomology._pieri
+
+    def dropped(lam, p, k, n):
+        out = rule(lam, p, k, n)
+        if len(out) > 1:
+            out.popitem()
+        return out
+
+    isoschub.clear_caches()
+    monkeypatch.setattr(cohomology, "_pieri", dropped)
+    try:
+        for family in ("C", "B"):
+            with pytest.raises(RuntimeError, match="R.lam reduced to"):
+                giambelli((1, 1), 1, 4, family)
+            assert not verify_presentation(1, 4, 2, family)
+    finally:
+        isoschub.clear_caches()
 
 
 def test_multiply_unit_and_example():
