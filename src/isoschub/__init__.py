@@ -12,12 +12,14 @@ __version__ = "0.1.0"
 def clear_caches() -> None:
     """Empty every memo of the package, the Pieri store of each space included.
 
-    A new process starts cold anyway; this gives the same cold start
+    A scan of the package's modules finds every functools memo bound in
+    one. A new process starts cold anyway; this gives the same cold start
     inside one process, for timing a layer or after patching an engine.
     """
-    from . import cli, cohomology, raising, substitution, theta, weyl
-    for memo in (raising._expand, raising._pf, cohomology._space,
-                 cohomology._trie, theta._straighten, theta._theta,
-                 substitution._ev, weyl._reduced_words, weyl._word_count,
-                 cli._build_parser):
-        memo.cache_clear()
+    from importlib import import_module
+    from pkgutil import iter_modules
+    for info in iter_modules(__path__):
+        mod = import_module("%s.%s" % (__name__, info.name))
+        for value in vars(mod).values():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()

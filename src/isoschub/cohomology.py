@@ -340,10 +340,13 @@ def _enter(elem: dict, k, n, family):
 def _cleared(v: dict):
     # den, the lcm of the denominators of v's int or Fraction
     # coefficients, and den * v with int coefficients; v itself when they
-    # are all ints already
+    # are all ints already. Any other coefficient is a ValueError.
     den, mixed = 1, False
     for c in v.values():
         if type(c) is not int:
+            if not isinstance(c, (int, Fraction)):
+                raise ValueError("coefficient %r is a %s, not an int or a "
+                                 "Fraction" % (c, type(c).__name__))
             den, mixed = lcm(den, c.denominator), True
     if not mixed:
         return 1, v

@@ -221,14 +221,6 @@ def p_det(mat: list[list[dict]], nv: int, bound: int) -> dict:
     return _unpack(_det(rows, bound), nv, width)
 
 
-def q_monomial_poly(key, qs: list[dict], nv: int, bound: int) -> dict:
-    """Product of q_r over the parts of key."""
-    width = _width(bound)
-    factors = {r: _pack(qs[r], bound, width) for r in set(key)
-               if r < len(qs)}
-    return _unpack(_monomial(key, factors, bound), nv, width)
-
-
 def _monomial_sum(e: dict, factors: dict, bound: int) -> dict:
     """The packed value of the sum e of monomials in the factors."""
     out: dict = {}
@@ -308,7 +300,11 @@ def _theta_polys(k: int, qs: list[dict], es: list[dict], bound: int) -> list:
 
 
 def theta_polys(k: int, qs: list[dict], es: list[dict], bound: int) -> list[dict]:
-    """t_0..t_bound as polynomials: t_r = sum_{i<=min(k,r)} q_{r-i} e_i."""
+    """t_0..t_bound as polynomials: t_r = sum_{i<=min(k,r)} q_{r-i} e_i.
+    Raises ValueError unless qs runs to q_bound and es to e_min(k,bound)."""
+    if len(qs) <= bound or len(es) <= min(k, bound):
+        raise ValueError("need q_0..q_%d and e_0..e_%d, got %d q and %d e"
+                         % (bound, min(k, bound), len(qs), len(es)))
     width = _width(bound)
     nv = len(next(iter(qs[0])))  # q_0 = 1
     pq = [_pack(q, bound, width) for q in qs[:bound + 1]]

@@ -47,20 +47,6 @@ def middle_row(D) -> int:
     return i
 
 
-def outer_corners(D, diagonal: bool = True) -> list[tuple[int, int]]:
-    """Pairs whose addition keeps the set downward closed."""
-    S = set(D)
-    max_row = max((i for i, _ in S), default=0)
-    out = []
-    for i in range(1, max_row + 2):
-        j = i if diagonal else i + 1
-        while (i, j) in S:
-            j += 1
-        if i == 1 or (i - 1, j) in S:
-            out.append((i, j))
-    return out
-
-
 def outer_corner_in_col(D, col: int) -> tuple[int, int] | None:
     """The unique addable pair in a given column of the full triangle."""
     S = set(D)

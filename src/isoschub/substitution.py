@@ -260,18 +260,18 @@ def build_forest(lam, p: int, k: int, modified: bool = False,
 def ev(psi, k: int, n: int) -> dict:
     """Evaluation of a 4-tuple in the weight-graded basis.
 
-    2^(-#diagonal pairs of D) times the expansion of mu over the strict
-    part of D, a polynomial in the c_p of family B, reduced to the tau
-    basis as one polynomial. Exact dyadic; independent of S and h.
+    The expansion of mu over the strict part of D, an integer polynomial
+    in the c_p of family B, reduced to the tau basis as one polynomial
+    and then divided by 2^(#diagonal pairs of D) once. Exact dyadic;
+    independent of S and h.
     """
     return dict(_ev(frozenset(psi[0]), tuple(psi[1]), k, n))
 
 
 @cache
 def _ev(D, mu, k, n):
-    poly = scaled(expand(strict_pairs(D), mu),
-                  Fraction(1, 1 << diagonal_count(D)))
-    return reduce_polynomial(poly, k, n, "B")
+    out = reduce_polynomial(expand(strict_pairs(D), mu), k, n, "B")
+    return scaled(out, Fraction(1, 1 << diagonal_count(D)))
 
 
 def _check(ok: bool, what: str, *detail) -> None:

@@ -262,17 +262,18 @@ def mixed_expand(lam, k: int) -> dict:
     Schur class of the conjugate of nu in the k extra variables.
 
     Each one-row class splits as t_a = sum_{i=0..min(k,a)} q_{a-i} e_i;
-    the q-part is straightened at threshold 0 and converted to the
-    canonical (Schur Q) basis, the e-part is folded into Schur classes
-    by horizontal-strip Pieri steps, pruning nu_1 > k. Raises ValueError
-    unless lam is k-strict.
+    the e-part is folded into Schur classes by horizontal-strip Pieri
+    steps, pruning nu_1 > k, and the q-parts of each Schur class nu add
+    up to one polynomial, straightened at threshold 0 and converted to
+    the canonical (Schur Q) basis once. Raises ValueError unless lam is
+    k-strict.
     """
     lam = strip(lam)
     check_rect(lam, k)
     raw = expand(strict_pairs(c_set(lam, k)), lam)
-    out: dict = {}
+    by_nu: dict = {}
     for alpha, co in raw.items():
-        states: dict = {((), ()): 1}
+        states: dict = {((), ()): co}
         for a in alpha:
             nxt: dict = {}
             for (qk, nu), c in states.items():
@@ -284,7 +285,7 @@ def mixed_expand(lam, k: int) -> dict:
                         add_into(nxt, (qk2, rho), c)
             states = nxt
         for (qk, nu), c in states.items():
-            for mu, cq in to_theta_basis(dict(_straighten(qk, 0)), 0).items():
-                add_into(out, (mu, nu), co * c * cq)
-    return out
+            add_into(by_nu.setdefault(nu, {}), qk, c)
+    return {(mu, nu): c for nu, poly in by_nu.items()
+            for mu, c in to_theta_basis(_straightened(poly, 0), 0).items()}
 

@@ -24,7 +24,7 @@ from isoschub.partitions import (count_bases, get, k_strict_partitions,
                                  length_gt_k, rect_partitions, split_columns,
                                  weight)
 from isoschub.polyeval import (e_list, evaluate, p_det, q_list,
-                               schur_conj_poly)
+                               schur_conj_poly, theta_polys)
 from isoschub.raising import (c_set, diagonal_count, expand, pfaffian_expand,
                               strict_pairs)
 from isoschub.substitution import (apply_rule, build_forest, ev, iota,
@@ -236,6 +236,13 @@ BAD_CALLS = {
     "schur-conj-hi-above-nv":
         lambda: schur_conj_poly((1,), (), 2, 4, 3, 1),
     "p-det-not-square": lambda: p_det([[{(1,): 1}], [{(1,): 1}]], 1, 2),
+    # q_0..q_1 where t_0..t_3 need q_0..q_3
+    "theta-polys-too-few-q":
+        lambda: theta_polys(1, q_list(1, 2, 1), e_list(1, 2, 2, 1), 3),
+    # a float coefficient, neither an int nor a Fraction
+    "reduce-polynomial-float":
+        lambda: reduce_polynomial({(1,): 0.5}, 1, 3, "C"),
+    "multiply-float": lambda: multiply({(1,): 0.5}, {(1,): 1}, 1, 3, "C"),
     "pieri-match-negative-k": lambda: pieri_match((1,), (2,), -1),
     "pieri-s-sets-negative-k": lambda: pieri_S_sets((1,), (2,), -1),
     "count-bases-negative-k": lambda: count_bases(5, -1),

@@ -9,7 +9,7 @@ from isoschub.formal import add_into, sum_from_json, sum_to_json
 from isoschub.partitions import rect_partitions, strip
 from isoschub.raising import (
     c_set, diagonal_count, expand, is_valid_pairs, middle_row,
-    outer_corner_in_col, outer_corner_in_row, outer_corners, outside_rim,
+    outer_corner_in_col, outer_corner_in_row, outside_rim,
     pfaffian_expand, strict_pairs, two_special,
 )
 from isoschub.weyl import bh_expand
@@ -141,6 +141,20 @@ def test_expand_matches_matrix_oracle_on_every_pair_set(ell):
     for lam in product(range(1, 5), repeat=ell):
         for D in sets:
             assert expand(D, lam) == matrix_expand(D, lam), (sorted(D), lam)
+
+
+def outer_corners(D, diagonal=True):
+    """Pairs whose addition keeps the set downward closed."""
+    S = set(D)
+    max_row = max((i for i, _ in S), default=0)
+    out = []
+    for i in range(1, max_row + 2):
+        j = i if diagonal else i + 1
+        while (i, j) in S:
+            j += 1
+        if i == 1 or (i - 1, j) in S:
+            out.append((i, j))
+    return out
 
 
 def grow_valid(choices, diagonal=False):

@@ -323,8 +323,8 @@ def test_bh_single_row_small():
 
 
 def test_bh_matches_mixed():
-    for k in (0, 1, 2):
-        for d in range(0, 7):
+    for k in (0, 1, 2, 3):
+        for d in range(0, 8):
             for lam in partitions_of(d):
                 if not is_k_strict(lam, k):
                     continue
