@@ -454,11 +454,12 @@ def giambelli(lam, k: int, n: int, family: str) -> dict:
     (i,) = v
     lam = sp.classes[i]
     raw = expand(strict_pairs(c_set(lam, k)), lam)
-    got = reduce_polynomial(raw, k, n, "C")
-    if got != {lam: 1}:
-        raise RuntimeError("giambelli(%r, k=%d, n=%d, %s): R^lam reduced to "
-                           "%r in the sigma basis" % (lam, k, n, family, got))
     # shift = l_k(lam) in family B, where R^lam c_lam is 2^l_k(lam) tau_lam
+    want = {lam: 1 << shift}
+    got = reduce_polynomial(raw, k, n, family)
+    if got != want:
+        raise RuntimeError("giambelli(%r, k=%d, n=%d, %s): R^lam reduced to "
+                           "%r, not %r" % (lam, k, n, family, got, want))
     return scaled(raw, Fraction(1, 1 << shift)) if shift else raw
 
 

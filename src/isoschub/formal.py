@@ -31,8 +31,6 @@ def add_into(acc: dict, key, c) -> None:
 
 def combine(acc: dict, other: dict, scale=1) -> dict:
     """acc += scale * other, in place; returns acc."""
-    if not scale:
-        return acc
     get = acc.get
     unit = scale == 1
     for key, c in other.items():

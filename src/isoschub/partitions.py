@@ -52,19 +52,6 @@ def contains(lam, mu) -> bool:
     return all(get(lam, j) >= m for j, m in enumerate(strip(mu), start=1))
 
 
-def dominates(mu, lam) -> bool:
-    """Dominance order on partitions of equal weight: mu >= lam."""
-    if sum(mu) != sum(lam):
-        return False
-    s = t = 0
-    for j in range(max(len(mu), len(lam))):
-        s += get(mu, j + 1)
-        t += get(lam, j + 1)
-        if s < t:
-            return False
-    return True
-
-
 def length_gt_k(lam, k: int) -> int:
     """Number of parts strictly greater than k."""
     return sum(1 for x in lam if x > k)

@@ -26,10 +26,6 @@ from .raising import pfaffian_expand
 from .theta import theta
 
 
-def const(c, nv: int) -> dict:
-    return {(0,) * nv: c} if c else {}
-
-
 def _one() -> dict:
     return {0: {0: 1}}
 
@@ -214,8 +210,6 @@ def p_det(mat: list[list[dict]], nv: int, bound: int) -> dict:
     if any(len(row) != n for row in mat):
         raise ValueError("need a square matrix, got rows of lengths %s"
                          % [len(row) for row in mat])
-    if n == 0:
-        return const(1, nv)
     width = _width(bound)
     rows = [[_pack(a, bound, width) for a in row] for row in mat]
     return _unpack(_det(rows, bound), nv, width)
@@ -242,24 +236,28 @@ def q_basis_poly(mu, qs: list[dict], nv: int, bound: int) -> dict:
     return _unpack(out, nv, width)
 
 
+def _jacobi_trudi(seq: list, lam, mu) -> list[list]:
+    # the matrix (seq[lam_i - mu_j + j - i]), entries outside seq zero
+    n = len(lam)
+    mat = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            d = lam[i] - get(mu, j + 1) + j - i
+            row.append(seq[d] if 0 <= d < len(seq) else {})
+        mat.append(row)
+    return mat
+
+
 def _schur_conj(nu, mu, lo: int, hi: int, bound: int, width: int) -> dict:
     nu = strip(nu)
     mu = strip(mu)
     if len(mu) > len(nu):
         return {}
-    n = len(nu)
-    if n == 0:
+    if not nu:
         return _one()
-    top = max(nu[0] + n, 1)
-    es = _e_list(lo, hi, top, width)
-    mat = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            d = nu[i - 1] - get(mu, j) + j - i
-            row.append(es[d] if 0 <= d <= top else {})
-        mat.append(row)
-    return _det(mat, bound)
+    es = _e_list(lo, hi, max(nu[0] + len(nu), 1), width)
+    return _det(_jacobi_trudi(es, nu, mu), bound)
 
 
 def schur_conj_poly(nu, mu, lo: int, hi: int, nv: int, bound: int) -> dict:
@@ -275,18 +273,7 @@ def schur_conj_poly(nu, mu, lo: int, hi: int, nv: int, bound: int) -> dict:
 
 def q_det_poly(mu, qs: list[dict], nv: int, bound: int) -> dict:
     """The determinant det(q_{mu_i + j - i}) in the x variables."""
-    mu = strip(mu)
-    n = len(mu)
-    if n == 0:
-        return const(1, nv)
-    mat = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            d = mu[i - 1] + j - i
-            row.append(qs[d] if 0 <= d < len(qs) else {})
-        mat.append(row)
-    return p_det(mat, nv, bound)
+    return p_det(_jacobi_trudi(qs, strip(mu), ()), nv, bound)
 
 
 def _theta_polys(k: int, qs: list[dict], es: list[dict], bound: int) -> list:

@@ -123,9 +123,6 @@ def _expand(D, lam):
     ell = len(lam)
     if ell == 0:
         return {(): 1}
-    if ell == 1:
-        r = lam[0]
-        return {} if r < 0 else ({(): 1} if r == 0 else {(r,): 1})
     mu, r = lam[:-1], lam[-1]
     # a negative last entry leaves an empty alpha budget: the term vanishes
     if r < 0:
@@ -209,8 +206,6 @@ def pfaffian_expand(lam) -> dict[tuple[int, ...], int]:
     check_rect(lam, 0)
     if len(lam) == 0:
         return {(): 1}
-    if len(lam) == 1:
-        return {lam: 1}
     seq = lam if len(lam) % 2 == 0 else lam + (0,)
     return dict(_pf(seq))
 

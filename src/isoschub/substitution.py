@@ -113,8 +113,6 @@ def x_holds(lam, k: int, psi) -> bool:
 
 def _shift(mu, i: int, j: int):
     """One unit from slot j to slot i (1-based); i = j changes nothing."""
-    if i == j:
-        return tuple(mu)
     out = list(mu)
     out[i - 1] += 1
     out[j - 1] -= 1

@@ -93,8 +93,6 @@ def hat_theta(r: int, k: int) -> dict[tuple[int, ...], int]:
     check_k(k)
     if r < 0:
         return {}
-    if r == 0:
-        return {(): 1}
     return _straightened(expand(frozenset(), (1,) * r), k)
 
 

@@ -282,7 +282,6 @@ def ktableaux(w, shape=None):
     row first, so lengths strictly decrease.  Raises ValueError for a
     malformed window or one past the limits of reduced_words.
     """
-    check_window(w)
     out = []
     for word in reduced_words(w):
         _word_tableaux(word, out)
@@ -312,7 +311,6 @@ def valid_ktableau(w, rows):
 
 def stanley_F(w):
     """Tableau counts by shape; the strict-basis expansion of F_w."""
-    check_window(w)
     out = {}
     for t in ktableaux(w):
         add_into(out, tuple(len(r) for r in t), 1)

@@ -5,6 +5,7 @@ fails the run if a listed binding is missing.  This checks the same
 bindings without installing any wrapper.
 """
 
+import ast
 import importlib.util
 import json
 import subprocess
@@ -35,6 +36,33 @@ def test_trace_targets_are_bound_where_listed(monkeypatch):
         for modname in expected:
             bound = vars(sys.modules["isoschub." + modname]).values()
             assert any(value is fn for value in bound), (home, fname, modname)
+
+
+def _unread_imports(path):
+    # names a module imports and never reads
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {(a.asname or a.name).split(".")[0]
+                         for a in node.names}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return imported - read
+
+
+def test_every_unread_import_is_a_traced_binding(monkeypatch):
+    # an import a module never reads may stay only while the tracer
+    # expects that binding there
+    tracing = _load_tracing(monkeypatch)
+    pinned = {(modname, fname) for _, fname, _, _, expected in tracing.TARGETS
+              for modname in expected}
+    package = Path(sys.modules["isoschub"].__file__).parent
+    unread = {(path.stem, name) for path in sorted(package.glob("*.py"))
+              for name in _unread_imports(path)}
+    assert unread <= pinned, sorted(unread - pinned)
 
 
 _INSTALL_AFTER_WARM_PRODUCT = """

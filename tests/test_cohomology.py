@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 import isoschub
-from isoschub import cohomology
+from isoschub import cohomology, substitution
 from isoschub import theta as theta_ring
 from isoschub.cohomology import (giambelli, multiply, pieri, pieri_match,
                                  reduce_monomial, reduce_polynomial, stable_n,
@@ -23,7 +23,7 @@ from isoschub.formal import (add_into, combine, norm_scalar, scaled,
 from isoschub.partitions import (count_bases, get, k_strict_partitions,
                                  length_gt_k, rect_partitions, split_columns,
                                  weight)
-from isoschub.polyeval import (e_list, evaluate, p_det, q_list,
+from isoschub.polyeval import (e_list, evaluate, p_det, q_det_poly, q_list,
                                schur_conj_poly, theta_polys)
 from isoschub.raising import (c_set, diagonal_count, expand, pfaffian_expand,
                               strict_pairs)
@@ -463,6 +463,21 @@ def test_a_dropped_pieri_term_fails_the_formula_checks(monkeypatch):
         isoschub.clear_caches()
 
 
+def test_family_b_giambelli_reduces_in_family_b(monkeypatch):
+    # the family-B formula is reduced in family B, through _leave's tau
+    # branch, so a boundary that shifts family B one place too far breaks
+    # it while family C still passes
+    right = cohomology._leave
+
+    def doubled(v, sp, family, shift, den):
+        return right(v, sp, family, shift - (family == "B"), den)
+
+    monkeypatch.setattr(cohomology, "_leave", doubled)
+    with pytest.raises(RuntimeError, match="R.lam reduced to"):
+        giambelli((2, 1), 1, 4, "B")
+    assert giambelli((2, 1), 1, 4, "C") == {(2, 1): 1, (3,): -1}
+
+
 def test_multiply_unit_and_example():
     n = stable_n(5, 1)
     b = {(2, 1, 1): 1}
@@ -774,6 +789,35 @@ def test_combine_zero_coefficients_and_zero_scale():
     acc = {(1,): 3}
     assert combine(acc, {(1,): 5, (2,): 1}, 0) is acc
     assert acc == {(1,): 3}
+
+
+# Edge inputs that the general step covers with no branch of its own: one
+# row, an empty determinant, a unit moved onto its own slot and a zero
+# scale. Each value and its coefficient types are pinned here.
+EDGE_CASES = [
+    ("expand-one-row", lambda: expand(frozenset(), (3,)), {(3,): 1}),
+    ("pfaffian-one-row", lambda: pfaffian_expand((5,)), {(5,): 1}),
+    ("p-det-empty", lambda: p_det([], 2, 3), {(0, 0): 1}),
+    ("q-det-empty", lambda: q_det_poly((), q_list(2, 2, 3), 2, 3),
+     {(0, 0): 1}),
+    ("hat-theta-0-k0", lambda: hat_theta(0, 0), {(): 1}),
+    ("hat-theta-0-k2", lambda: hat_theta(0, 2), {(): 1}),
+    ("shift-same-slot", lambda: substitution._shift((3, 1, 0), 2, 2),
+     (3, 1, 0)),
+    ("combine-zero-scale",
+     lambda: combine({(1,): 3, (2,): Fraction(1, 2)}, {(1,): 5, (3,): 1}, 0),
+     {(1,): 3, (2,): Fraction(1, 2)}),
+]
+
+
+@pytest.mark.parametrize("make, want", [c[1:] for c in EDGE_CASES],
+                         ids=[c[0] for c in EDGE_CASES])
+def test_edge_inputs_take_the_general_path(make, want):
+    got = make()
+    assert got == want
+    if isinstance(want, dict):
+        assert {key: type(c) for key, c in got.items()} == {
+            key: type(c) for key, c in want.items()}
 
 
 def old_ev(psi, k, n):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from isoschub.partitions import (
-    check_rect, conjugate, contains, count_bases, dominates, is_k_odd, is_k_strict,
+    check_rect, conjugate, contains, count_bases, is_k_odd, is_k_strict,
     k_related, k_strict_partitions, length_gt_k, partitions_of, split_columns,
     strip,
 )
@@ -66,14 +66,6 @@ def test_k_related_symmetric(k, r1, c1, c2, r2, c3):
     b1, b2 = (r1, c1), (r2, c2)
     assert k_related(b1, b2, k) == k_related(b2, b1, k)
     assert k_related(b1, b1, k)
-
-
-def test_dominance():
-    assert dominates((4, 1, 1), (3, 2, 1))
-    assert not dominates((3, 2, 1), (4, 1, 1))
-    assert dominates((3, 2, 1), (3, 2, 1))
-    assert dominates((3, 3), (3, 2, 1))
-    assert not dominates((4, 3), (3, 2, 1))  # different weights
 
 
 def test_partitions_of():

@@ -9,7 +9,7 @@ import pytest
 
 from isoschub import cli, polyeval
 from isoschub.formal import combine, scaled, sum_to_json
-from isoschub.partitions import (contains, dominates, is_k_strict,
+from isoschub.partitions import (contains, get, is_k_strict,
                                  k_strict_partitions, partitions_of,
                                  subpartitions, weight)
 from isoschub.polyeval import (e_list, evaluate, p_det, p_mul, q_basis_poly,
@@ -20,6 +20,27 @@ from isoschub.theta import (hat_theta, horizontal_strips, mixed_expand,
                             to_hat_basis, to_theta_basis)
 
 UNIT = {(): 1}
+
+
+def dominates(mu, lam) -> bool:
+    """Dominance order on partitions of equal weight: mu >= lam."""
+    if sum(mu) != sum(lam):
+        return False
+    s = t = 0
+    for j in range(max(len(mu), len(lam))):
+        s += get(mu, j + 1)
+        t += get(lam, j + 1)
+        if s < t:
+            return False
+    return True
+
+
+def test_dominance():
+    assert dominates((4, 1, 1), (3, 2, 1))
+    assert not dominates((3, 2, 1), (4, 1, 1))
+    assert dominates((3, 2, 1), (3, 2, 1))
+    assert dominates((3, 3), (3, 2, 1))
+    assert not dominates((4, 3), (3, 2, 1))  # different weights
 
 
 def gen(r):
