@@ -239,12 +239,15 @@ class _Space:
 
     Classes are interned to ints as they are first reached, each checked
     by check_rect once; index also maps a key with trailing zeros to its
-    class, and ell[i] is l_k of class i. ops[p][i] is the row of sigma_p
-    on class i, a tuple of (index, coefficient) pairs compiled from
-    _pieri the first time a vector reaches it, and None until then. monos maps a monomial, an index
-    tuple running high to low, to its vector, one sigma_p per prefix
-    from the unit. Nothing is built ahead: at stable_n a rectangle holds
-    hundreds of thousands of classes, of which a product reaches a few.
+    class, ell[i] is l_k of class i and wt[i] its weight. dim is the
+    weight of the full class, (n-k)(n+3k+1)/2 = dim X: no class lies
+    above it, so a product whose weights sum past it is zero. ops[p][i]
+    is the row of sigma_p on class i, a tuple of (index, coefficient)
+    pairs compiled from _pieri the first time a vector reaches it, and
+    None until then. monos maps a monomial, an index tuple running high
+    to low, to its vector, one sigma_p per prefix from the unit. Nothing
+    is built ahead: at stable_n a rectangle holds hundreds of thousands
+    of classes, of which a product reaches a few.
     """
 
     def __init__(self, k, n):
@@ -252,6 +255,8 @@ class _Space:
         self.index = {}
         self.classes = []
         self.ell = []
+        self.wt = []
+        self.dim = (n - k) * (n + 3 * k + 1) // 2
         self.ops = {}
         self.monos = {(): {self.intern(()): 1}}
 
@@ -265,6 +270,7 @@ class _Space:
                 i = len(self.classes)
                 self.classes.append(key)
                 self.ell.append(length_gt_k(key, self.k))
+                self.wt.append(weight(key))
                 for rows in self.ops.values():
                     rows.append(None)
             self.index[lam] = self.index[key] = i
@@ -283,17 +289,20 @@ class _Space:
         classes = self.classes
         return {classes[i]: c for i, c in v.items() if c}
 
-    def apply(self, v: dict, p: int) -> dict:
-        """sigma_p times the vector v, for 1 <= p <= n + k."""
+    def apply(self, v: dict, p: int, scale=1, out=None) -> dict:
+        """scale times sigma_p times the vector v, for 1 <= p <= n + k,
+        added into out when it is given and into a new vector if not."""
         rows = self.ops.get(p)
         if rows is None:
             rows = self.ops[p] = [None] * len(self.classes)
-        out: dict = {}
+        if out is None:
+            out = {}
         get = out.get
         for i, c in v.items():
             row = rows[i]
             if row is None:
                 row = self._compile(i, p)
+            c *= scale
             for j, m in row:
                 out[j] = get(j, 0) + c * m
         return out
@@ -428,7 +437,11 @@ def _freeze(node):
 
 def _walk(sp, node, v, scale, acc):
     # acc += scale * (the polynomial of the trie below node) applied to v:
-    # one sigma_p per trie edge, and no further once the vector is empty
+    # one sigma_p per trie edge, and no further once the vector is empty.
+    # All monomials of a trie have one weight, so only leaves carry a
+    # coefficient. An edge into a leaf, a node that is only its
+    # coefficient, applies its sigma_p straight into acc; the root is
+    # the one leaf reached otherwise, in the unit's trie (1,).
     c = node[0]
     if c:
         c *= scale
@@ -440,9 +453,13 @@ def _walk(sp, node, v, scale, acc):
         p = node[t]
         if p > top:
             break
-        w = sp.apply(v, p)
-        if w:
-            _walk(sp, node[t + 1], w, scale, acc)
+        child = node[t + 1]
+        if len(child) == 1:
+            sp.apply(v, p, scale * child[0], acc)
+        else:
+            w = sp.apply(v, p)
+            if w:
+                _walk(sp, child, w, scale, acc)
 
 
 def giambelli(lam, k: int, n: int, family: str) -> dict:
@@ -470,14 +487,22 @@ def multiply(a: dict, b: dict, k: int, n: int, family: str) -> dict:
     The Giambelli formula of each key of a is a polynomial in the special
     classes; it is evaluated on the vector of b in the Pieri operators,
     in the sigma basis, walking the formula's prefix trie so that a
-    shared prefix is applied once. Raises ValueError unless every key of
+    shared prefix is applied once and the last sigma_p of each monomial
+    adds into the sum. Every monomial of the formula of lam has weight
+    |lam|, and no class lies above the weight dim X, so the walk of lam
+    takes only the classes of b of weight at most dim X - |lam|, and is
+    not made when there are none. Raises ValueError unless every key of
     a and b is a class of the space.
     """
     sp, va, sa, da = _enter(a, k, n, family)
     _, vb, sb, db = _enter(b, k, n, family)
+    wt, dim = sp.wt, sp.dim
     acc: dict = {}
     for i, ca in va.items():
-        _walk(sp, _trie(sp.classes[i], k), vb, ca, acc)
+        room = dim - wt[i]
+        v = {j: c for j, c in vb.items() if wt[j] <= room}
+        if v:
+            _walk(sp, _trie(sp.classes[i], k), v, ca, acc)
     return _leave(acc, sp, family, sa + sb, da * db)
 
 

@@ -585,6 +585,64 @@ def test_rational_sums_multiply_exactly():
                     assert exact(got, want), (family, k, n, a, b)
 
 
+def test_products_above_the_top_degree_vanish_unwalked():
+    # the theta route multiplies without truncating by weight, so it is
+    # the evidence that every pair past the top degree is zero; multiply
+    # must say so without building a trie or compiling a Pieri row
+    for family in ("C", "B"):
+        for k in (0, 1, 2):
+            for n in range(k + 1, 5):
+                classes = list(rect_partitions(k, n))
+                top = max(map(weight, classes))
+                above = [(lam, mu) for lam in classes for mu in classes
+                         if weight(lam) + weight(mu) > top]
+                assert above
+                isoschub.clear_caches()
+                for lam, mu in above:
+                    assert multiply({lam: 1}, {mu: 1}, k, n, family) == {}
+                space = cohomology._space(k, n)
+                assert space.dim == top
+                assert cohomology._trie.cache_info().currsize == 0
+                assert not any(row is not None
+                               for rows in space.ops.values()
+                               for row in rows)
+                for lam, mu in above:
+                    assert theta_route_product({lam: 1}, {mu: 1}, k, n,
+                                               family) == {}, \
+                        (family, k, n, lam, mu)
+    isoschub.clear_caches()
+
+
+def test_sums_that_straddle_the_top_degree():
+    # the second factor holds classes below, at and above the room
+    # top - |lam| that the first factor's lightest lam leaves, so the
+    # classes of the first factor walk different parts of it
+    rng = random.Random(19)
+    coefficients = (1, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 6))
+    for family in ("C", "B"):
+        for k, n in ((0, 2), (0, 3), (1, 3), (1, 4), (2, 4)):
+            classes = list(rect_partitions(k, n))
+            top = max(map(weight, classes))
+            for _ in range(3):
+                a = {lam: rng.choice(coefficients)
+                     for lam in rng.sample([c for c in classes if c], 2)}
+                room = top - weight(min(a, key=weight))
+                sides = [[mu for mu in classes if cmp(weight(mu), room)]
+                         for cmp in (int.__lt__, int.__eq__, int.__gt__)]
+                b = {rng.choice(side): rng.choice(coefficients)
+                     for side in sides}
+                assert len(b) == 3
+                got = multiply(a, b, k, n, family)
+                assert exact(got, theta_route_product(a, b, k, n, family)), \
+                    (family, k, n, a, b)
+                want: dict = {}
+                for lam, ca in a.items():
+                    for mu, cb in b.items():
+                        combine(want, multiply({lam: 1}, {mu: 1}, k, n,
+                                               family), ca * cb)
+                assert exact(got, want), (family, k, n, a, b)
+
+
 def test_one_product_compiles_few_operator_rows():
     # at stable_n the rectangle is far too big to compile ahead; a product
     # reaches only the rows its vectors touch
