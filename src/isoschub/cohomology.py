@@ -414,52 +414,44 @@ def reduce_monomial(beta, k: int, n: int, family: str) -> dict:
 
 
 @cache
-def _trie(lam, k):
-    # the monomials of R^lam on the monomial of lam, index tuples that run
-    # high to low, as a prefix trie: a node is the flat tuple (coefficient
-    # of the monomial ending there, p1, child1, p2, child2, ...) by
-    # increasing p
-    root: list = [0, {}]
-    for key, c in expand(strict_pairs(c_set(lam, k)), lam).items():
-        node = root
-        for p in key:
-            node = node[1].setdefault(p, [0, {}])
-        node[0] += c
-    return _freeze(root)
+def _formula(lam, k):
+    # the Giambelli formula R^lam on the monomial of lam as sorted
+    # (monomial, coefficient) pairs, each monomial an index tuple that
+    # runs high to low: monomials with a common prefix sit side by side
+    return tuple(sorted(expand(strict_pairs(c_set(lam, k)), lam).items()))
 
 
-def _freeze(node):
-    out = [node[0]]
-    for p, child in sorted(node[1].items()):
-        out += (p, _freeze(child))
-    return tuple(out)
-
-
-def _walk(sp, node, v, scale, acc):
-    # acc += scale * (the polynomial of the trie below node) applied to v:
-    # one sigma_p per trie edge, and no further once the vector is empty.
-    # All monomials of a trie have one weight, so only leaves carry a
-    # coefficient. An edge into a leaf, a node that is only its
-    # coefficient, applies its sigma_p straight into acc; the root is
-    # the one leaf reached otherwise, in the unit's trie (1,).
-    c = node[0]
-    if c:
-        c *= scale
-        get = acc.get
-        for i, x in v.items():
-            acc[i] = get(i, 0) + c * x
+def _walk(sp, formula, v, scale, acc):
+    # acc += scale * (a formula of _formula) applied to v. stack[j] is
+    # v under the first j indices of the monomial before, so the indices
+    # the next one shares with it are applied once; each last sigma_p
+    # adds straight into acc. The monomials are sorted: none is a prefix
+    # of the one before, an empty vector on the stack skips all that
+    # pass through it, and the first to start above n + k, where sigma_p
+    # is zero, ends the walk.
     top = sp.n + sp.k
-    for t in range(1, len(node), 2):
-        p = node[t]
-        if p > top:
+    apply = sp.apply
+    stack, prev = [v], ()
+    for key, c in formula:
+        if not key:  # the unit's formula, ((), 1)
+            for i, x in v.items():
+                acc[i] = acc.get(i, 0) + scale * c * x
+            continue
+        if key[0] > top:
             break
-        child = node[t + 1]
-        if len(child) == 1:
-            sp.apply(v, p, scale * child[0], acc)
-        else:
-            w = sp.apply(v, p)
-            if w:
-                _walk(sp, child, w, scale, acc)
+        s, d = 0, len(stack) - 1
+        while s < d and key[s] == prev[s]:
+            s += 1
+        del stack[s + 1:]
+        w = stack[s]
+        for p in key[s:-1]:
+            if not w:
+                break
+            w = apply(w, p)
+            stack.append(w)
+        if w:
+            apply(w, key[-1], scale * c, acc)
+        prev = key
 
 
 def giambelli(lam, k: int, n: int, family: str) -> dict:
@@ -486,13 +478,14 @@ def multiply(a: dict, b: dict, k: int, n: int, family: str) -> dict:
 
     The Giambelli formula of each key of a is a polynomial in the special
     classes; it is evaluated on the vector of b in the Pieri operators,
-    in the sigma basis, walking the formula's prefix trie so that a
-    shared prefix is applied once and the last sigma_p of each monomial
-    adds into the sum. Every monomial of the formula of lam has weight
-    |lam|, and no class lies above the weight dim X, so the walk of lam
-    takes only the classes of b of weight at most dim X - |lam|, and is
-    not made when there are none. Raises ValueError unless every key of
-    a and b is a class of the space.
+    in the sigma basis, walking the formula's sorted monomials so that
+    a prefix shared with the monomial before is applied once and the
+    last sigma_p of each monomial adds into the sum. Every monomial of
+    the formula of lam has weight |lam|, and no class lies above the
+    weight dim X, so the walk of lam takes only the classes of b of
+    weight at most dim X - |lam|, and is not made when there are none.
+    Raises ValueError unless every key of a and b is a class of the
+    space.
     """
     sp, va, sa, da = _enter(a, k, n, family)
     _, vb, sb, db = _enter(b, k, n, family)
@@ -502,7 +495,7 @@ def multiply(a: dict, b: dict, k: int, n: int, family: str) -> dict:
         room = dim - wt[i]
         v = {j: c for j, c in vb.items() if wt[j] <= room}
         if v:
-            _walk(sp, _trie(sp.classes[i], k), v, ca, acc)
+            _walk(sp, _formula(sp.classes[i], k), v, ca, acc)
     return _leave(acc, sp, family, sa + sb, da * db)
 
 

@@ -42,14 +42,30 @@ def _check_vars(lo: int, hi: int, nv: int) -> None:
                          "lo..hi-1, got lo=%d hi=%d nv=%d" % (lo, hi, nv))
 
 
-def _pack(a: dict, bound: int, width: int) -> dict:
-    """The nonzero terms of a of degree <= bound, packed."""
+def _key_error(e, nv: int) -> ValueError:
+    return ValueError("exponent key %r: need %d exponents, none negative"
+                      % (e, nv))
+
+
+def _pack(a: dict, nv: int, bound: int, width: int) -> dict:
+    """The nonzero terms of a of degree <= bound, packed. Raises
+    ValueError unless every key is nv exponents and no kept one is
+    negative: a field past nv is lost on unpacking, and a negative one
+    borrows from the field above it. A dropped term cannot matter, as
+    its products with the kept terms lie above bound."""
     out: dict = {}
     for e, c in a.items():
+        if len(e) != nv:
+            raise _key_error(e, nv)
         d = sum(e)
         if d <= bound and c:
             if width == 8:
-                key = int.from_bytes(bytes(e), "little")
+                try:  # bytes() rejects a negative exponent
+                    key = int.from_bytes(bytes(e), "little")
+                except ValueError:
+                    raise _key_error(e, nv) from None
+            elif min(e, default=0) < 0:
+                raise _key_error(e, nv)
             else:
                 key = 0
                 for x in reversed(e):
@@ -124,12 +140,15 @@ def _monomial(key, factors: dict, bound: int) -> dict:
 
 
 def p_mul(a: dict, b: dict, bound: int) -> dict:
-    """The product a * b with every term above total degree bound dropped."""
+    """The product a * b with every term above total degree bound dropped.
+    Raises ValueError unless every key of a and b has as many exponents
+    as the first key of a, and none of degree <= bound is negative."""
     if not a or not b:
         return {}
+    nv = len(next(iter(a)))
     width = _width(bound)
-    prod = _mul(_pack(a, bound, width), _pack(b, bound, width), bound)
-    return _unpack(prod, len(next(iter(a))), width)
+    prod = _mul(_pack(a, nv, bound, width), _pack(b, nv, bound, width), bound)
+    return _unpack(prod, nv, width)
 
 
 def _e_list(lo: int, hi: int, top: int, width: int) -> list[dict]:
@@ -205,13 +224,14 @@ def _det(mat: list[list[dict]], bound: int) -> dict:
 
 def p_det(mat: list[list[dict]], nv: int, bound: int) -> dict:
     """Determinant of a square polynomial matrix, minors memoized.
-    Raises ValueError unless it is square."""
+    Raises ValueError unless it is square and every key of every entry is
+    nv exponents, none of degree <= bound negative."""
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise ValueError("need a square matrix, got rows of lengths %s"
                          % [len(row) for row in mat])
     width = _width(bound)
-    rows = [[_pack(a, bound, width) for a in row] for row in mat]
+    rows = [[_pack(a, nv, bound, width) for a in row] for row in mat]
     return _unpack(_det(rows, bound), nv, width)
 
 
@@ -227,10 +247,12 @@ def q_basis_poly(mu, qs: list[dict], nv: int, bound: int) -> dict:
     """Schur Q-function of the strict partition mu in the x variables,
     from Schur's Pfaffian (raising.pfaffian_expand). It does not go
     through theta(mu, 0), which evaluate's mixed branch expands, so each
-    checks the other. Raises ValueError unless mu is strict."""
+    checks the other. Raises ValueError unless mu is strict and every
+    key of the q_r it uses is nv exponents, none of degree <= bound
+    negative."""
     width = _width(bound)
     # the Pfaffian has weight |mu|, so no part exceeds it
-    factors = {r: _pack(qs[r], bound, width)
+    factors = {r: _pack(qs[r], nv, bound, width)
                for r in range(min(sum(mu) + 1, len(qs)))}
     out = _monomial_sum(pfaffian_expand(mu), factors, bound)
     return _unpack(out, nv, width)
@@ -294,8 +316,8 @@ def theta_polys(k: int, qs: list[dict], es: list[dict], bound: int) -> list[dict
                          % (bound, min(k, bound), len(qs), len(es)))
     width = _width(bound)
     nv = len(next(iter(qs[0])))  # q_0 = 1
-    pq = [_pack(q, bound, width) for q in qs[:bound + 1]]
-    pe = [_pack(e, bound, width) for e in es[:min(k, bound) + 1]]
+    pq = [_pack(q, nv, bound, width) for q in qs[:bound + 1]]
+    pe = [_pack(e, nv, bound, width) for e in es[:min(k, bound) + 1]]
     return [_unpack(t, nv, width) for t in _theta_polys(k, pq, pe, bound)]
 
 

@@ -6,6 +6,7 @@ import json
 import math
 import pkgutil
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -23,8 +24,8 @@ from isoschub.formal import (add_into, combine, norm_scalar, scaled,
 from isoschub.partitions import (count_bases, get, k_strict_partitions,
                                  length_gt_k, rect_partitions, split_columns,
                                  weight)
-from isoschub.polyeval import (e_list, evaluate, p_det, q_det_poly, q_list,
-                               schur_conj_poly, theta_polys)
+from isoschub.polyeval import (e_list, evaluate, p_det, p_mul, q_det_poly,
+                               q_list, schur_conj_poly, theta_polys)
 from isoschub.raising import (c_set, diagonal_count, expand, pfaffian_expand,
                               strict_pairs)
 from isoschub.substitution import (apply_rule, build_forest, ev, iota,
@@ -89,7 +90,7 @@ def test_clear_caches_empties_every_memo():
     cold = [name for name, memo in memos.items()
             if not memo.cache_info().currsize]
     # every memo holds something, so one left out below would show
-    assert {"cohomology._space", "cohomology._trie"} <= set(memos)
+    assert {"cohomology._space", "cohomology._formula"} <= set(memos)
     assert cold == []
     isoschub.clear_caches()
     left = {name: memo.cache_info().currsize for name, memo in memos.items()
@@ -236,6 +237,15 @@ BAD_CALLS = {
     "schur-conj-hi-above-nv":
         lambda: schur_conj_poly((1,), (), 2, 4, 3, 1),
     "p-det-not-square": lambda: p_det([[{(1,): 1}], [{(1,): 1}]], 1, 2),
+    # a key longer than the others, in byte fields and in wide ones, and
+    # a negative exponent, which wide fields would borrow across
+    "p-mul-long-key": lambda: p_mul({(1, 0): 1}, {(0, 0, 1): 1}, 3),
+    "p-mul-long-key-wide": lambda: p_mul({(1, 0): 1}, {(0, 0, 1): 1}, 300),
+    "p-det-long-keys":
+        lambda: p_det([[{(1,): 1}, {(0, 1): 1}], [{(0, 0, 1): 1}, {(1,): 1}]],
+                      1, 3),
+    "p-mul-negative-exponent-wide":
+        lambda: p_mul({(1, 0): 1}, {(2, -1): 1}, 300),
     # q_0..q_1 where t_0..t_3 need q_0..q_3
     "theta-polys-too-few-q":
         lambda: theta_polys(1, q_list(1, 2, 1), e_list(1, 2, 2, 1), 3),
@@ -309,6 +319,19 @@ def _calls_without_value_error():
 def test_bad_input_raises_value_error(name):
     with pytest.raises(ValueError):
         BAD_CALLS[name]()
+
+
+@pytest.mark.parametrize("bound", (3, 300))
+def test_polynomial_keys_are_checked_before_packing(bound):
+    # byte fields and wide ones alike name the key, whichever factor or
+    # matrix entry holds it
+    for a, b, bad in (({(1, 0): 1}, {(0, 0, 1): 1}, (0, 0, 1)),
+                      ({(1, 0): 1}, {(2, -1): 1}, (2, -1)),
+                      ({(-1, 2): 1}, {(0, 0): 1}, (-1, 2))):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            p_mul(a, b, bound)
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            p_det([[a, {}], [{}, b]], 2, bound)
 
 
 def test_bad_input_raises_value_error_under_O(child_env):
@@ -388,15 +411,64 @@ def test_giambelli_sweep():
 
 
 def test_giambelli_formula_reduces_monomial_by_monomial():
-    # multiply walks the prefix trie of the Giambelli formula from the
-    # unit, one sigma_p per edge: a route to the class of lam that shares
-    # no code with giambelli's own check through reduce_polynomial
+    # multiply walks the sorted Giambelli formula from the unit, one
+    # sigma_p per index after the prefix shared with the monomial before:
+    # a route to the class of lam that shares no code with giambelli's
+    # own check through reduce_polynomial
     for k in (0, 1, 2):
         for n in range(k, 6):
             for lam in rect_partitions(k, n):
                 for fam in ("C", "B"):
                     got = multiply({lam: 1}, {(): 1}, k, n, fam)
                     assert got == {lam: 1}, (lam, k, n, fam)
+
+
+def _plain_walk(sp, formula, v, scale):
+    # the formula on v one monomial at a time, each from v itself: no
+    # prefix shared, no empty vector skipped, no early stop. Indices run
+    # high to low, so a monomial holds an index above n + k, a zero
+    # sigma_p, when its first one is. Also counts the other monomials
+    # whose vector is empty before their last sigma_p.
+    top = sp.n + sp.k
+    acc: dict = {}
+    emptied = 0
+    for key, c in formula:
+        if key and key[0] > top:
+            continue
+        w = v
+        for p in key[:-1]:
+            w = sp.apply(w, p)
+        emptied += not w
+        combine(acc, sp.apply(w, key[-1]) if key else w, scale * c)
+    return acc, emptied
+
+
+def test_walk_matches_a_plain_monomial_sum():
+    # second factors of weight just below and at the room dim - |lam|
+    # left by lam, so that some prefixes empty the vector before the
+    # last sigma_p; coefficients and a scale other than one show that
+    # each last sigma_p carries both
+    emptied = 0
+    for family in ("C", "B"):
+        for k in (0, 1, 2):
+            for n in range(k, 6):
+                classes = list(rect_partitions(k, n))
+                sp = cohomology._space(k, n)
+                for lam in classes:
+                    formula = cohomology._formula(lam, k)
+                    room = sp.dim - weight(lam)
+                    near = [mu for mu in classes
+                            if room - 1 <= weight(mu) <= room]
+                    for b in ({(): 1}, {mu: (1, -2, 3)[j % 3]
+                                        for j, mu in enumerate(near)}):
+                        v = cohomology._enter(b, k, n, family)[1]
+                        acc: dict = {}
+                        cohomology._walk(sp, formula, v, 3, acc)
+                        want, e = _plain_walk(sp, formula, v, 3)
+                        assert {i: c for i, c in acc.items() if c} == want, \
+                            (family, k, n, lam, b)
+                        emptied += e
+    assert emptied
 
 
 def _monomial_sum(poly, k, n, family):
@@ -588,7 +660,7 @@ def test_rational_sums_multiply_exactly():
 def test_products_above_the_top_degree_vanish_unwalked():
     # the theta route multiplies without truncating by weight, so it is
     # the evidence that every pair past the top degree is zero; multiply
-    # must say so without building a trie or compiling a Pieri row
+    # must say so without building a formula or compiling a Pieri row
     for family in ("C", "B"):
         for k in (0, 1, 2):
             for n in range(k + 1, 5):
@@ -602,7 +674,7 @@ def test_products_above_the_top_degree_vanish_unwalked():
                     assert multiply({lam: 1}, {mu: 1}, k, n, family) == {}
                 space = cohomology._space(k, n)
                 assert space.dim == top
-                assert cohomology._trie.cache_info().currsize == 0
+                assert cohomology._formula.cache_info().currsize == 0
                 assert not any(row is not None
                                for rows in space.ops.values()
                                for row in rows)
