@@ -26,7 +26,7 @@ from .partitions import (count_bases, get, in_rect, is_k_strict,
                          k_strict_partitions, rect_partitions, strip,
                          subpartitions, weight)
 from .polyeval import (e_list, evaluate, p_det, p_mul, q_basis_poly,
-                       q_det_poly, q_list, schur_conj_poly, theta_polys)
+                       q_det_poly, q_list, schur_conj_poly)
 from .raising import c_set, expand, strict_pairs
 from .substitution import build_forest, modified_forest, verify_claim1, \
     verify_claim2
@@ -241,7 +241,7 @@ def _suite_theta_hat(mw):
     for k in (1, 2, 3):
         for r in range(1, 5):
             nv = r + k
-            ths = theta_polys(k, q_list(r, nv, r), e_list(r, nv, nv, r), r)
+            ths = [evaluate({(d,): 1}, k, r, r) for d in range(r + 1)]
             mat = [[ths[1 + j - i] if j + 1 >= i else {} for j in range(r)]
                    for i in range(r)]
             if evaluate(hat_theta(r, k), k, r, r) != p_det(mat, nv, r):
@@ -544,8 +544,21 @@ def _parser():
     return _build_parser(tuple(name for name, _ in SUITES))
 
 
+def _join_windows(argv):
+    # argparse reads a separate value that starts "-<digit>", such as the
+    # window -2,1, as an option, so it is joined to its flag: --perm=-2,1
+    out = []
+    for tok in argv:
+        if out[-1:] == ["--perm"] and tok[:1] == "-" and tok[1:2].isdigit():
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parser().parse_args(_join_windows(argv))
     _, handler, _, unechoed = COMMANDS[args.command]
     try:
         code, own, lines = handler(args)

@@ -484,8 +484,9 @@ def multiply(a: dict, b: dict, k: int, n: int, family: str) -> dict:
     the formula of lam has weight |lam|, and no class lies above the
     weight dim X, so the walk of lam takes only the classes of b of
     weight at most dim X - |lam|, and is not made when there are none.
-    Raises ValueError unless every key of a and b is a class of the
-    space.
+    The product commutes, so when lam is heavier than each of those
+    classes, their lighter formulas are walked on lam instead. Raises
+    ValueError unless every key of a and b is a class of the space.
     """
     sp, va, sa, da = _enter(a, k, n, family)
     _, vb, sb, db = _enter(b, k, n, family)
@@ -494,7 +495,12 @@ def multiply(a: dict, b: dict, k: int, n: int, family: str) -> dict:
     for i, ca in va.items():
         room = dim - wt[i]
         v = {j: c for j, c in vb.items() if wt[j] <= room}
-        if v:
+        if not v:
+            continue
+        if wt[i] > max(map(wt.__getitem__, v)):
+            for j, c in v.items():
+                _walk(sp, _formula(sp.classes[j], k), {i: ca}, c, acc)
+        else:
             _walk(sp, _formula(sp.classes[i], k), v, ca, acc)
     return _leave(acc, sp, family, sa + sb, da * db)
 

@@ -20,14 +20,11 @@ result once; matrix entries, minors, the q_r and the theta polynomials
 stay packed in between.
 """
 
+# add_into is unused but stays bound: bench/tracing.TARGETS expects it here
 from .formal import add_into, combine, norm_scalar
 from .partitions import check_k, get, strip
 from .raising import pfaffian_expand
 from .theta import theta
-
-
-def _one() -> dict:
-    return {0: {0: 1}}
 
 
 def _width(bound: int) -> int:
@@ -97,9 +94,7 @@ def _mul(a: dict, b: dict, bound: int) -> dict:
         for d2, tb in b.items():
             if d2 > room:
                 continue
-            acc = out.get(d1 + d2)
-            if acc is None:
-                acc = out[d1 + d2] = {}
+            acc = out.setdefault(d1 + d2, {})
             get = acc.get
             for k1, c1 in ta.items():
                 for k2, c2 in tb.items():
@@ -118,9 +113,7 @@ def _mul(a: dict, b: dict, bound: int) -> dict:
 def _add(acc: dict, p: dict, scale=1) -> dict:
     """acc += scale * p for packed values, in place; returns acc."""
     for d, terms in p.items():
-        got = acc.get(d)
-        if got is None:
-            got = acc[d] = {}
+        got = acc.setdefault(d, {})
         combine(got, terms, scale)
         if not got:
             del acc[d]
@@ -130,7 +123,7 @@ def _add(acc: dict, p: dict, scale=1) -> dict:
 def _monomial(key, factors: dict, bound: int) -> dict:
     """The packed product of factors[r] over the parts r of key; a part
     missing from factors makes the product 0."""
-    p = _one()
+    p = {0: {0: 1}}
     for r in key:
         f = factors.get(r)
         if not f:
@@ -151,14 +144,27 @@ def p_mul(a: dict, b: dict, bound: int) -> dict:
     return _unpack(prod, nv, width)
 
 
-def _e_list(lo: int, hi: int, top: int, width: int) -> list[dict]:
-    es: list[dict] = [{0: 1}] + [{} for _ in range(top)]
-    for v in range(lo, hi):
+def _series(q_vars, e_vars, top: int, width: int) -> list[dict]:
+    """The packed c_0..c_top, each {r: terms} or {} when 0, of the series
+    prod_{v in q_vars} (1 + x_v t)/(1 - x_v t) * prod_{v in e_vars}
+    (1 + x_v t) = sum_r c_r t^r. The q variables alone give the q_r, the
+    e variables alone the e_r, and x_1..x_m with y_1..y_k the theta
+    polynomials t_r = sum_{i <= min(k, r)} q_{r-i} e_i."""
+    cs: list[dict] = [{0: 1}] + [{} for _ in range(top)]
+    down, up = range(top, 0, -1), range(1, top + 1)
+    # c_d += x c_{d-1} for each degree d of a step: times (1 + x t) in
+    # place from the top degree down, so each c_{d-1} is still the old
+    # one; over (1 - x t) from degree 1 up, so it is already the new one
+    steps = [(v, ds) for v in q_vars for ds in (down, up)]
+    for v, degrees in steps + [(v, down) for v in e_vars]:
         unit = 1 << width * v
-        for r in range(top, 0, -1):
-            for key, c in es[r - 1].items():
-                add_into(es[r], key + unit, c)
-    return [{r: terms} if terms else {} for r, terms in enumerate(es)]
+        for d in degrees:
+            terms = cs[d]
+            get = terms.get
+            for key, c in cs[d - 1].items():
+                key += unit
+                terms[key] = get(key, 0) + c
+    return [{r: terms} if terms else {} for r, terms in enumerate(cs)]
 
 
 def e_list(lo: int, hi: int, nv: int, top: int) -> list[dict]:
@@ -166,26 +172,7 @@ def e_list(lo: int, hi: int, nv: int, top: int) -> list[dict]:
     Raises ValueError unless 0 <= lo <= hi <= nv."""
     _check_vars(lo, hi, nv)
     # no exponent exceeds 1, so byte fields hold every key
-    return [_unpack(e, nv, 8) for e in _e_list(lo, hi, top, 8)]
-
-
-def _q_list(m: int, top: int, width: int) -> list[dict]:
-    # one variable at a time: multiplying by (1 + x t)/(1 - x t) gives
-    # q'_d = q_d + x (q_{d-1} + q'_{d-1}), all coefficients positive
-    qs: list[dict] = [{0: 1}] + [{} for _ in range(top)]
-    for v in range(m):
-        unit = 1 << width * v
-        new = [qs[0]]
-        for d in range(1, top + 1):
-            terms = dict(qs[d])
-            get = terms.get
-            for src in (qs[d - 1], new[d - 1]):
-                for key, c in src.items():
-                    key += unit
-                    terms[key] = get(key, 0) + c
-            new.append(terms)
-        qs = new
-    return [{d: terms} if terms else {} for d, terms in enumerate(qs)]
+    return [_unpack(e, nv, 8) for e in _series((), range(lo, hi), top, 8)]
 
 
 def q_list(m: int, nv: int, top: int) -> list[dict]:
@@ -193,7 +180,13 @@ def q_list(m: int, nv: int, top: int) -> list[dict]:
     Raises ValueError unless 0 <= m <= nv."""
     _check_vars(0, m, nv)
     width = _width(top)
-    return [_unpack(q, nv, width) for q in _q_list(m, top, width)]
+    return [_unpack(q, nv, width) for q in _series(range(m), (), top, width)]
+
+
+def _check_qs(qs: list, need: int) -> None:
+    # an entry past the end of qs would count as zero
+    if len(qs) <= need:
+        raise ValueError("need q_0..q_%d, got %d q" % (need, len(qs)))
 
 
 def _det(mat: list[list[dict]], bound: int) -> dict:
@@ -203,7 +196,7 @@ def _det(mat: list[list[dict]], bound: int) -> dict:
 
     def minor(row, cols):
         if row == n:
-            return _one()
+            return {0: {0: 1}}
         got = memo.get(cols)
         if got is not None:
             return got
@@ -249,13 +242,15 @@ def q_basis_poly(mu, qs: list[dict], nv: int, bound: int) -> dict:
     through theta(mu, 0), which evaluate's mixed branch expands, so each
     checks the other. Raises ValueError unless mu is strict and every
     key of the q_r it uses is nv exponents, none of degree <= bound
-    negative."""
+    negative, and qs runs to the largest q_r of degree <= bound that
+    the Pfaffian uses."""
+    pf = pfaffian_expand(mu)
+    # a q_r above bound has no term left
+    need = min(max((r for key in pf for r in key), default=-1), bound)
+    _check_qs(qs, need)
     width = _width(bound)
-    # the Pfaffian has weight |mu|, so no part exceeds it
-    factors = {r: _pack(qs[r], nv, bound, width)
-               for r in range(min(sum(mu) + 1, len(qs)))}
-    out = _monomial_sum(pfaffian_expand(mu), factors, bound)
-    return _unpack(out, nv, width)
+    factors = {r: _pack(qs[r], nv, bound, width) for r in range(need + 1)}
+    return _unpack(_monomial_sum(pf, factors, bound), nv, width)
 
 
 def _jacobi_trudi(seq: list, lam, mu) -> list[list]:
@@ -276,9 +271,7 @@ def _schur_conj(nu, mu, lo: int, hi: int, bound: int, width: int) -> dict:
     mu = strip(mu)
     if len(mu) > len(nu):
         return {}
-    if not nu:
-        return _one()
-    es = _e_list(lo, hi, max(nu[0] + len(nu), 1), width)
+    es = _series((), range(lo, hi), get(nu, 1) + len(nu), width)
     return _det(_jacobi_trudi(es, nu, mu), bound)
 
 
@@ -294,31 +287,13 @@ def schur_conj_poly(nu, mu, lo: int, hi: int, nv: int, bound: int) -> dict:
 
 
 def q_det_poly(mu, qs: list[dict], nv: int, bound: int) -> dict:
-    """The determinant det(q_{mu_i + j - i}) in the x variables."""
-    return p_det(_jacobi_trudi(qs, strip(mu), ()), nv, bound)
-
-
-def _theta_polys(k: int, qs: list[dict], es: list[dict], bound: int) -> list:
-    ths = []
-    for r in range(bound + 1):
-        p: dict = {}
-        for i in range(0, min(k, r) + 1):
-            _add(p, _mul(qs[r - i], es[i], bound))
-        ths.append(p)
-    return ths
-
-
-def theta_polys(k: int, qs: list[dict], es: list[dict], bound: int) -> list[dict]:
-    """t_0..t_bound as polynomials: t_r = sum_{i<=min(k,r)} q_{r-i} e_i.
-    Raises ValueError unless qs runs to q_bound and es to e_min(k,bound)."""
-    if len(qs) <= bound or len(es) <= min(k, bound):
-        raise ValueError("need q_0..q_%d and e_0..e_%d, got %d q and %d e"
-                         % (bound, min(k, bound), len(qs), len(es)))
-    width = _width(bound)
-    nv = len(next(iter(qs[0])))  # q_0 = 1
-    pq = [_pack(q, nv, bound, width) for q in qs[:bound + 1]]
-    pe = [_pack(e, nv, bound, width) for e in es[:min(k, bound) + 1]]
-    return [_unpack(t, nv, width) for t in _theta_polys(k, pq, pe, bound)]
+    """The determinant det(q_{mu_i + j - i}) in the x variables. Raises
+    ValueError unless qs runs to q_r for r = min(mu_1 + l(mu) - 1,
+    bound), the largest index of an entry that truncation keeps."""
+    mu = strip(mu)
+    if mu:
+        _check_qs(qs, min(mu[0] + len(mu) - 1, bound))
+    return p_det(_jacobi_trudi(qs, mu, ()), nv, bound)
 
 
 def evaluate(e: dict, k: int, m: int, bound: int | None = None) -> dict:
@@ -344,11 +319,11 @@ def evaluate(e: dict, k: int, m: int, bound: int | None = None) -> dict:
         raise ValueError("truncation bound %d below element weight %d"
                          % (bound, top))
     width = _width(bound)
-    qs = _q_list(m, bound, width)
+    # no part of a monomial exceeds top, so the series can stop there
     if mixed:
         acc: dict = {}
         qcache: dict = {}
-        factors = dict(enumerate(qs))
+        factors = dict(enumerate(_series(range(m), (), top, width)))
         for (mu, nu), c in e.items():
             qp = qcache.get(mu)
             if qp is None:
@@ -357,6 +332,6 @@ def evaluate(e: dict, k: int, m: int, bound: int | None = None) -> dict:
             sp = _schur_conj(nu, (), m, m + k, bound, width)
             _add(acc, _mul(qp, sp, bound), c)
     else:
-        ths = _theta_polys(k, qs, _e_list(m, m + k, bound, width), bound)
+        ths = _series(range(m), range(m, m + k), top, width)
         acc = _monomial_sum(e, dict(enumerate(ths)), bound)
     return _unpack(acc, m + k, width)

@@ -263,9 +263,6 @@ def _word_tableaux(word, out):
             return
         for e in range(pos + prev + 1, ends[pos] + 1):
             size = e - pos
-            # L[e] - e never increases with e, so a short L stays short
-            if L[e] < size:
-                break
             if L[e] == size:
                 acc.append(word[pos:e])
                 rows(e, size)

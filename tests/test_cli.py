@@ -4,6 +4,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -98,6 +99,32 @@ def test_stanley_and_ktableaux(capsys):
                      ",".join(str(x) for x in biggest), "--format", "json"],
                     capsys)
     assert json.loads(out)["count"] == terms[biggest]
+
+
+def test_barred_window_after_perm_both_spellings(capsys):
+    # argparse reads a separate -2,1 as an option; main joins it to --perm
+    for perm in ("-2,1", "-1,-2", "-3,1,-2"):
+        for argv in (["stanley"], ["ktableaux"],
+                     ["ktableaux", "--shape", "1"]):
+            for fmt in ([], ["--format", "json"]):
+                spaced = run(argv + ["--perm", perm] + fmt, capsys)
+                joined = run(argv + ["--perm=" + perm] + fmt, capsys)
+                assert spaced == joined and spaced[0] == 0, (perm, argv)
+    # a window that is no signed permutation still exits 2 with its reason
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["stanley", "--perm", "-2,2"])
+    assert exc.value.code == 2
+    assert "expected one argument" not in capsys.readouterr().err
+
+
+def test_point_class_times_unit_is_fast(capsys):
+    # multiply walks the unit's formula, not the point class's, which
+    # takes seconds to expand
+    start = time.perf_counter()
+    code, out = run(["product", "--type", "C", "--n", "8", "--k", "1",
+                     "--lambda", "9,8,7,6,5,4,3", "--mu", "-"], capsys)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (0, "9,8,7,6,5,4,3 -> 1\n")
 
 
 def test_bh_pair_keys(capsys):
@@ -464,3 +491,8 @@ def test_console_entry_subprocess(child_env):
         capture_output=True, text=True, env=child_env)
     assert res.returncode == 2
     assert res.stderr.strip() != ""
+    # main reads sys.argv when it is given no argv
+    res = subprocess.run(
+        [sys.executable, "-m", "isoschub.cli", "stanley", "--perm", "-2,1"],
+        capture_output=True, text=True, env=child_env)
+    assert (res.returncode, res.stdout) == (0, "2 -> 1\n")

@@ -24,8 +24,8 @@ from isoschub.formal import (add_into, combine, norm_scalar, scaled,
 from isoschub.partitions import (count_bases, get, k_strict_partitions,
                                  length_gt_k, rect_partitions, split_columns,
                                  weight)
-from isoschub.polyeval import (e_list, evaluate, p_det, p_mul, q_det_poly,
-                               q_list, schur_conj_poly, theta_polys)
+from isoschub.polyeval import (e_list, evaluate, p_det, p_mul, q_basis_poly,
+                               q_det_poly, q_list, schur_conj_poly)
 from isoschub.raising import (c_set, diagonal_count, expand, pfaffian_expand,
                               strict_pairs)
 from isoschub.substitution import (apply_rule, build_forest, ev, iota,
@@ -246,9 +246,10 @@ BAD_CALLS = {
                       1, 3),
     "p-mul-negative-exponent-wide":
         lambda: p_mul({(1, 0): 1}, {(2, -1): 1}, 300),
-    # q_0..q_1 where t_0..t_3 need q_0..q_3
-    "theta-polys-too-few-q":
-        lambda: theta_polys(1, q_list(1, 2, 1), e_list(1, 2, 2, 1), 3),
+    # q_0..q_2 where Q_(3) and det(q_3) need q_3: a short list gave 0
+    "q-basis-poly-too-few-q":
+        lambda: q_basis_poly((3,), q_list(2, 2, 2), 2, 3),
+    "q-det-poly-too-few-q": lambda: q_det_poly((3,), q_list(2, 2, 2), 2, 3),
     # a float coefficient, neither an int nor a Fraction
     "reduce-polynomial-float":
         lambda: reduce_polynomial({(1,): 0.5}, 1, 3, "C"),
@@ -623,6 +624,35 @@ def test_multiply_matches_theta_route_on_seeded_sums():
                                                           family)), \
                         (family, k, n, a, b)
                     assert all(type(c) is int for c in got.values())
+
+
+def test_multiply_commutes_on_seeded_sums():
+    # multiply walks the formulas of the factor whose heaviest class is
+    # lighter, so swapping the factors may change the walk, never the sum
+    rng = random.Random(21)
+    coefficients = (1, -2, 3, Fraction(1, 2), Fraction(-5, 3))
+    for family in ("C", "B"):
+        for k in (0, 1, 2):
+            for n in (k + 2, k + 3, stable_n(8, k)):
+                pool = [lam for d in range(7) for lam in
+                        k_strict_partitions(d, k, n + k, n - k)]
+                for _ in range(3):
+                    a = _seeded_sum(rng, pool, k, coefficients)
+                    b = _seeded_sum(rng, pool, k, coefficients)
+                    got = multiply(a, b, k, n, family)
+                    assert exact(got, multiply(b, a, k, n, family)), \
+                        (family, k, n, a, b)
+
+
+def test_point_class_times_unit_walks_the_unit():
+    # the formula of the point class of IG(7, 16) takes seconds to
+    # expand; with the unit on either side only the unit's is walked
+    point = (9, 8, 7, 6, 5, 4, 3)
+    multiply({(): 1}, {(): 1}, 1, 8, "C")
+    size = cohomology._formula.cache_info().currsize
+    for a, b in (({point: 1}, {(): 1}), ({(): 1}, {point: 1})):
+        assert multiply(a, b, 1, 8, "C") == {point: 1}
+        assert cohomology._formula.cache_info().currsize == size
 
 
 def test_rational_sums_multiply_exactly():

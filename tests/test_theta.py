@@ -13,7 +13,7 @@ from isoschub.partitions import (contains, get, is_k_strict,
                                  k_strict_partitions, partitions_of,
                                  subpartitions, weight)
 from isoschub.polyeval import (e_list, evaluate, p_det, p_mul, q_basis_poly,
-                               q_list, schur_conj_poly)
+                               q_det_poly, q_list, schur_conj_poly)
 from isoschub.raising import c_set, expand, pfaffian_expand, strict_pairs
 from isoschub.theta import (hat_theta, horizontal_strips, mixed_expand,
                             multiply, skew_S, straighten, theta, theta_sum,
@@ -486,6 +486,48 @@ def test_q_basis_poly_matches_pfaffian():
             for key, c in theta(mu, 0).items():
                 combine(want, q_monomial(key, qs, m, d), c)
             assert q_basis_poly(mu, qs, m, d) == want, mu
+
+
+def test_q_lists_may_stop_at_the_largest_q_used():
+    # q_basis_poly needs q_r up to the largest part of its Pfaffian and
+    # q_det_poly up to the corner index mu_1 + l(mu) - 1, each capped at
+    # the bound; a shorter list raises instead of giving a silent zero
+    for d in range(1, 7):
+        qs = q_list(d, d, d)
+        for mu in k_strict_partitions(d, 0):
+            need = max(max(key) for key in pfaffian_expand(mu))
+            want = q_basis_poly(mu, qs, d, d)
+            assert q_basis_poly(mu, qs[:need + 1], d, d) == want, mu
+            with pytest.raises(ValueError):
+                q_basis_poly(mu, qs[:need], d, d)
+        for mu in partitions_of(d):
+            need = mu[0] + len(mu) - 1
+            want = q_det_poly(mu, qs, d, d)
+            assert q_det_poly(mu, qs[:need + 1], d, d) == want, mu
+            with pytest.raises(ValueError):
+                q_det_poly(mu, qs[:need], d, d)
+    # q_3 lies above bound 2, so q_0..q_2 are enough
+    qs = q_list(2, 2, 2)
+    assert q_basis_poly((2, 1), qs, 2, 2) == {}
+    assert q_det_poly((2, 1), qs, 2, 2) == {}
+
+
+def test_theta_polynomials_are_the_convolution_of_q_and_e():
+    # evaluate takes t_r from one series pass; the reference is the
+    # convolution t_r = sum_{i <= min(k, r)} q_{r-i} e_i by p_mul
+    for k in range(4):
+        for m in range(5):
+            nv = m + k
+            top = 6
+            qs = q_list(m, nv, top)
+            es = e_list(m, nv, nv, top)
+            for r in range(top + 1):
+                want = {}
+                for i in range(min(k, r) + 1):
+                    combine(want, p_mul(qs[r - i], es[i], top))
+                assert evaluate({(r,): 1}, k, m, top) == want, (k, m, r)
+                # a bound above the weight keeps every term
+                assert evaluate({(r,): 1}, k, m, top + 3) == want, (k, m, r)
 
 
 def test_thcor_fails_with_a_wrong_q_function(monkeypatch):
