@@ -241,10 +241,10 @@ def _suite_theta_hat(mw):
     for k in (1, 2, 3):
         for r in range(1, 5):
             nv = r + k
-            ths = [evaluate({(d,): 1}, k, r, r) for d in range(r + 1)]
+            ths = [evaluate({(d,): 1}, k, r) for d in range(r + 1)]
             mat = [[ths[1 + j - i] if j + 1 >= i else {} for j in range(r)]
                    for i in range(r)]
-            if evaluate(hat_theta(r, k), k, r, r) != p_det(mat, nv, r):
+            if evaluate(hat_theta(r, k), k, r) != p_det(mat, nv, r):
                 return False, "r=%d k=%d" % (r, k)
     return True, ""
 
@@ -356,7 +356,7 @@ def _closed_form_a_holds(lam, k):
         sp = schur_conj_poly(lam, mu, m, m + k, nv, bound)
         if sp:
             combine(rhs, p_mul(q_det_poly(mu, qs, nv, bound), sp, bound))
-    return evaluate(mixed_expand(lam, k), k, m, bound) == rhs
+    return evaluate(mixed_expand(lam, k), k, m) == rhs
 
 
 def _closed_form_b_holds(lam, k):
@@ -384,7 +384,7 @@ def _closed_form_b_holds(lam, k):
         det = p_det(mat, nv, bound)
         if det:
             combine(rhs, p_mul(q_basis_poly(mu, qs, nv, bound), det, bound))
-    return evaluate(mixed_expand(lam, k), k, m, bound) == rhs
+    return evaluate(mixed_expand(lam, k), k, m) == rhs
 
 
 _THCOR_A_POOL = [((1, 1), 1), ((2, 1), 1), ((1, 1, 1), 1), ((2, 1, 1), 1),

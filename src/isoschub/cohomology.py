@@ -23,6 +23,7 @@ denominators back out.
 
 from fractions import Fraction
 from functools import cache
+from itertools import chain
 from math import lcm
 
 # add_into and combine are unused but stay bound: bench/tracing.TARGETS
@@ -151,11 +152,11 @@ def pieri(lam, p: int, k: int, n: int, family: str) -> dict:
     Family "B" returns c_p * tau_lam = sum 2^N(lam,mu) tau_mu; family
     "C" returns sigma_p * sigma_lam, the same sum rescaled by
     2^(l_k(lam) - l_k(mu)). Coefficients are always positive integers.
-    Raises ValueError unless lam is a class of the space, 1 <= p <= n + k
-    and the family is "B" or "C".
+    Raises ValueError unless lam is a class of the space, p is an int in
+    1..n + k and the family is "B" or "C".
     """
-    if not 1 <= p <= n + k:
-        raise ValueError("p must lie in 1..n+k, got %d" % p)
+    if type(p) is not int or not 1 <= p <= n + k:
+        raise ValueError("p must be an int in 1..n+k, got %r" % (p,))
     sp, v, shift, den = _enter({lam: 1}, k, n, family)
     return _leave(sp.apply(v, p), sp, family, shift, den)
 
@@ -391,10 +392,17 @@ def reduce_polynomial(poly: dict, k: int, n: int, family: str) -> dict:
     negative index or one above n + k kills its monomial (the quotient
     bundle has no such Chern class). The memoized vectors of the
     monomials are summed into one sigma vector, which leaves the sigma
-    basis once. Raises ValueError unless (k, n) is a space.
+    basis once. Raises ValueError unless (k, n) is a space and every
+    index is an int.
     """
     sp = _enter({}, k, n, family)[0]
     den, coeffs = _cleared(poly)
+    # one pass in C over every index: a float one that equals an int
+    # would find that int's memoized vector
+    if not {int}.issuperset(map(type, chain.from_iterable(coeffs))):
+        raise ValueError("every index must be an int, got %r"
+                         % (next(b for beta in coeffs for b in beta
+                                 if type(b) is not int),))
     top = n + k
     acc: dict = {}
     get = acc.get

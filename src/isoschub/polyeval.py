@@ -296,12 +296,12 @@ def q_det_poly(mu, qs: list[dict], nv: int, bound: int) -> dict:
     return p_det(_jacobi_trudi(qs, mu, ()), nv, bound)
 
 
-def evaluate(e: dict, k: int, m: int, bound: int | None = None) -> dict:
+def evaluate(e: dict, k: int, m: int) -> dict:
     """Evaluate a monomial-basis element or a mixed (mu, nu) element.
 
     Variables are x_1..x_m then y_1..y_k; exponent tuples have length
-    m + k. Raises ValueError unless k >= 0, m >= 0 and the truncation
-    bound covers the element's weight.
+    m + k. The series, the field width and every truncation stop at the
+    element's weight. Raises ValueError unless k >= 0 and m >= 0.
     """
     check_k(k)
     if m < 0:
@@ -313,12 +313,7 @@ def evaluate(e: dict, k: int, m: int, bound: int | None = None) -> dict:
     weights = ([sum(mu) + sum(nu) for mu, nu in e] if mixed
                else [sum(key) for key in e])
     top = max(weights, default=0)
-    if bound is None:
-        bound = top
-    if bound < top:
-        raise ValueError("truncation bound %d below element weight %d"
-                         % (bound, top))
-    width = _width(bound)
+    width = _width(top)
     # no part of a monomial exceeds top, so the series can stop there
     if mixed:
         acc: dict = {}
@@ -328,10 +323,10 @@ def evaluate(e: dict, k: int, m: int, bound: int | None = None) -> dict:
             qp = qcache.get(mu)
             if qp is None:
                 # theta through the module globals: a patched one is used
-                qp = qcache[mu] = _monomial_sum(theta(mu, 0), factors, bound)
-            sp = _schur_conj(nu, (), m, m + k, bound, width)
-            _add(acc, _mul(qp, sp, bound), c)
+                qp = qcache[mu] = _monomial_sum(theta(mu, 0), factors, top)
+            sp = _schur_conj(nu, (), m, m + k, top, width)
+            _add(acc, _mul(qp, sp, top), c)
     else:
         ths = _series(range(m), range(m, m + k), top, width)
-        acc = _monomial_sum(e, dict(enumerate(ths)), bound)
+        acc = _monomial_sum(e, dict(enumerate(ths)), top)
     return _unpack(acc, m + k, width)

@@ -85,13 +85,18 @@ def outside_rim(D, jmax: int) -> list[tuple[int, int]]:
     return out
 
 
+def w_holds(mu, k: int, i: int, j: int) -> bool:
+    """The pair inequality mu_i + mu_j > 2k + j - i."""
+    return get(mu, i) + get(mu, j) > 2 * k + j - i
+
+
 def c_set(lam, k: int, t: int | None = None) -> frozenset[tuple[int, int]]:
-    """Pairs (i, j), i <= j <= t, with lam_i + lam_j > 2k + j - i."""
+    """Pairs (i, j), i <= j <= t, for which w_holds(lam, k, i, j)."""
     lam = strip(lam)
     if t is None:
         t = len(lam)
     return frozenset((i, j) for j in range(1, t + 1) for i in range(1, j + 1)
-                     if get(lam, i) + get(lam, j) > 2 * k + j - i)
+                     if w_holds(lam, k, i, j))
 
 
 def strict_pairs(D) -> frozenset[tuple[int, int]]:

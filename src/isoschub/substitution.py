@@ -24,7 +24,7 @@ from .formal import add_into, combine, scaled
 from .partitions import check_rect, get, is_k_strict, strip, weight
 from .raising import (c_set, diagonal_count, expand, is_valid_pairs,
                       middle_row, outer_corner_in_col, outer_corner_in_row,
-                      outside_rim, strict_pairs)
+                      outside_rim, strict_pairs, w_holds)
 
 
 def rank_r(y: int, lam, k: int) -> int:
@@ -86,11 +86,6 @@ def ef_values(lam, k: int, h: int, mu):
     return e, rank_r(h + e, lam, k)
 
 
-def w_holds(mu, k: int, i: int, j: int) -> bool:
-    """mu_i + mu_j > 2k + j - i."""
-    return get(mu, i) + get(mu, j) > 2 * k + j - i
-
-
 def x_holds(lam, k: int, psi) -> bool:
     """The diagonal stop test.
 
@@ -111,12 +106,18 @@ def x_holds(lam, k: int, psi) -> bool:
     return False
 
 
-def _shift(mu, i: int, j: int):
-    """One unit from slot j to slot i (1-based); i = j changes nothing."""
-    out = list(mu)
-    out[i - 1] += 1
-    out[j - 1] -= 1
-    return tuple(out)
+def _grow(psi, corner):
+    # the raising step R_ij: D gains corner = (i, j), and the plain child
+    # comes first, then the child that moves a unit of mu from slot j to
+    # slot i and records the corner in S. A diagonal corner moves nothing
+    D, mu, S, h = psi
+    i, j = corner
+    D2 = frozenset(D | {corner})
+    moved = list(mu)
+    moved[i - 1] += 1
+    moved[j - 1] -= 1
+    return [(D2, tuple(mu), S, h),
+            (D2, tuple(moved), frozenset(S | {corner}), h)]
 
 
 def apply_rule(lam, k: int, psi, m: int | None = None, modified: bool = False):
@@ -142,10 +143,7 @@ def apply_rule(lam, k: int, psi, m: int | None = None, modified: bool = False):
         corner = outer_corner_in_col(D, h)
         if corner is not None and corner[0] <= m \
                 and w_holds(mu, k, corner[0], h):
-            D2 = frozenset(D | {corner})
-            return "grow-col", [
-                (D2, tuple(mu), S, h),
-                (D2, _shift(mu, corner[0], h), frozenset(S | {corner}), h)]
+            return "grow-col", _grow(psi, corner)
         if corner is None and get(mu, h) > get(lam, h - 1):
             return "stop-col", None
         return "descend", [(D, tuple(mu), S, h - 1)]
@@ -153,20 +151,16 @@ def apply_rule(lam, k: int, psi, m: int | None = None, modified: bool = False):
     if corner is not None and corner[1] <= ell + 1 \
             and w_holds(mu, k, h, corner[1]):
         j = corner[1]
-        D2 = frozenset(D | {corner})
-        shifted = (D2, _shift(mu, h, j), frozenset(S | {corner}), h)
+        children = _grow(psi, corner)
         if get(mu, j) <= get(mu, j - 1):
-            return "grow-row", [(D2, tuple(mu), S, h), shifted]
-        return "grow-row", [shifted]
+            return "grow-row", children
+        return "grow-row", children[1:]
     x = x_holds(lam, k, psi)
     g = g_value(lam, k, h)
     if x or (not modified and w_holds(mu, k, h, g)):
         corner = outer_corner_in_col(D, g)
         if corner is not None and corner[0] <= h:
-            D2 = frozenset(D | {corner})
-            return "grow-rim", [
-                (D2, tuple(mu), S, h),
-                (D2, _shift(mu, corner[0], g), frozenset(S | {corner}), h)]
+            return "grow-rim", _grow(psi, corner)
     if x:
         return "stop-diag", None
     return "descend", [(D, tuple(mu), S, h - 1)]

@@ -29,10 +29,7 @@ def straighten(alpha, k: int) -> dict[tuple[int, ...], int]:
     zero indices drop out (t_0 = 1).  Raises ValueError for k < 0.
     """
     check_k(k)
-    if any(a < 0 for a in alpha):
-        return {}
-    key = tuple(sorted((a for a in alpha if a), reverse=True))
-    return dict(_straighten(key, k))
+    return _straightened({tuple(alpha): 1}, k)
 
 
 @cache
@@ -42,26 +39,29 @@ def _straighten(key, k):
         if key[i] == key[i + 1] and key[i] > k:
             m = key[i]
             rest = key[:i] + key[i + 2:]
-            res = {}
-            for j in range(1, m + 1):
-                sub = tuple(sorted((a for a in rest + (m + j, m - j) if a),
-                                   reverse=True))
-                combine(res, _straighten(sub, k), 2 if j % 2 else -2)
-            return res
+            return _straightened({rest + (m + j, m - j): 2 if j % 2 else -2
+                                  for j in range(1, m + 1)}, k)
     return {key: 1}
 
 
 def _straightened(poly: dict, k) -> dict:
-    # a polynomial {index tuple: c} in the t_p in the k-strict basis: its
-    # monomials are sorted high to low and merged, and each distinct one
-    # is straightened once
+    # a polynomial {index tuple: c} in the t_p in the k-strict basis, by
+    # the ring's monomial rule: t_0 = 1 drops out, a t_r with r < 0 kills
+    # its monomial. Each distinct monomial is straightened once
     monos: dict = {}
     for key, c in poly.items():
         key = tuple(sorted(key, reverse=True))
+        if key and key[-1] <= 0:
+            if key[-1] < 0:
+                continue
+            key = key[:key.index(0)]
         monos[key] = monos.get(key, 0) + c
     out: dict = {}
     for key, c in monos.items():
-        combine(out, _straighten(key, k), c)
+        if out or c != 1:
+            combine(out, _straighten(key, k), c)
+        else:  # the memoized terms copied in C, as straighten needs
+            out.update(_straighten(key, k))
     return out
 
 
@@ -69,8 +69,8 @@ def theta(lam, k: int) -> dict[tuple[int, ...], int]:
     """Canonical basis element for the k-strict partition lam.
 
     Built from the raising-operator expansion of lam with the inverted
-    factors taken over the off-diagonal pairs (i, j) having
-    lam_i + lam_j > 2k + j - i, then straightened. Unitriangular:
+    factors taken over the off-diagonal pairs of c_set(lam, k), then
+    straightened. Unitriangular:
     the key lam itself carries coefficient 1 and every other key
     strictly dominates lam. Raises ValueError unless lam is k-strict.
     """
@@ -126,8 +126,7 @@ def skew_S(lam, mu, k: int) -> dict[tuple[int, ...], int]:
             if r < 0:
                 dead = True
                 break
-            if r:
-                key.append(r)
+            key.append(r)
             inv += sum(1 for j in range(i) if perm[j] > perm[i])
         if dead:
             continue
@@ -155,7 +154,7 @@ def to_theta_basis(e: dict, k: int) -> dict:
 
     Within one weight the lex-least key is dominance-minimal, so its
     monomial coefficient is already its canonical coefficient; peel it
-    off and repeat.
+    off and repeat. Raises ValueError for a key with a trailing zero.
     """
     work = dict(e)
     out: dict = {}
@@ -165,6 +164,10 @@ def to_theta_basis(e: dict, k: int) -> dict:
         add_into(out, lam, c)
         combine(work, theta(lam, k), -c)
         if lam in work:
+            # theta(lam) leads with lam stripped, so a trailing zero
+            # lands here
+            if lam[-1:] == (0,):
+                raise ValueError("key %r has a trailing zero" % (lam,))
             raise RuntimeError("theta(%r, %d) does not lead with %r"
                                % (lam, k, lam))
     return out

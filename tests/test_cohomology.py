@@ -225,7 +225,6 @@ BAD_CALLS = {
     "multiply-family": lambda: multiply({(): 1}, {(1,): 1}, 1, 5, "D"),
     "reduce-monomial-family": lambda: reduce_monomial((), 1, 5, "D"),
     "giambelli-family": lambda: giambelli((), 1, 5, "D"),
-    "evaluate-bound-below-weight": lambda: evaluate({(3,): 1}, 1, 2, 1),
     "evaluate-negative-k": lambda: evaluate({(1,): 1}, -1, 2),
     "evaluate-negative-m": lambda: evaluate({(2,): 1}, 1, -1),
     # a variable outside the nv fields of a key, and a matrix that is
@@ -254,6 +253,10 @@ BAD_CALLS = {
     "reduce-polynomial-float":
         lambda: reduce_polynomial({(1,): 0.5}, 1, 3, "C"),
     "multiply-float": lambda: multiply({(1,): 0.5}, {(1,): 1}, 1, 3, "C"),
+    # a float p or index, which a warm space once answered as the int
+    "pieri-float-p": lambda: pieri((1,), 1.0, 1, 3, "C"),
+    "reduce-polynomial-float-index":
+        lambda: reduce_polynomial({(1.0, 1): 1}, 1, 3, "C"),
     "pieri-match-negative-k": lambda: pieri_match((1,), (2,), -1),
     "pieri-s-sets-negative-k": lambda: pieri_S_sets((1,), (2,), -1),
     "count-bases-negative-k": lambda: count_bases(5, -1),
@@ -320,6 +323,19 @@ def _calls_without_value_error():
 def test_bad_input_raises_value_error(name):
     with pytest.raises(ValueError):
         BAD_CALLS[name]()
+
+
+def test_float_indices_raise_cold_and_warm():
+    # first on an empty space, then after the integer calls have compiled
+    # the row and memoized the monomial that the float calls would hit
+    isoschub.clear_caches()
+    for _ in range(2):
+        for name in ("pieri-float-p", "reduce-polynomial-float-index"):
+            with pytest.raises(ValueError):
+                BAD_CALLS[name]()
+        want = {(1, 1): 1, (2,): 1}
+        assert pieri((1,), 1, 1, 3, "C") == want
+        assert reduce_polynomial({(1, 1): 1}, 1, 3, "C") == want
 
 
 @pytest.mark.parametrize("bound", (3, 300))
@@ -412,16 +428,20 @@ def test_giambelli_sweep():
 
 
 def test_giambelli_formula_reduces_monomial_by_monomial():
-    # multiply walks the sorted Giambelli formula from the unit, one
-    # sigma_p per index after the prefix shared with the monomial before:
-    # a route to the class of lam that shares no code with giambelli's
-    # own check through reduce_polynomial
+    # the sorted Giambelli formula that multiply walks, walked from the
+    # unit, one sigma_p per index after the prefix shared with the
+    # monomial before, must give exactly the sigma vector of lam: a route
+    # to the class of lam that does not go through reduce_polynomial's
+    # monomial memo, which giambelli's own check uses
     for k in (0, 1, 2):
         for n in range(k, 6):
+            sp = cohomology._space(k, n)
+            unit = cohomology._enter({(): 1}, k, n, "C")[1]
             for lam in rect_partitions(k, n):
-                for fam in ("C", "B"):
-                    got = multiply({lam: 1}, {(): 1}, k, n, fam)
-                    assert got == {lam: 1}, (lam, k, n, fam)
+                acc: dict = {}
+                cohomology._walk(sp, cohomology._formula(lam, k), unit, 1, acc)
+                got = {i: c for i, c in acc.items() if c}
+                assert got == {sp.intern(lam): 1}, (lam, k, n)
 
 
 def _plain_walk(sp, formula, v, scale):
@@ -952,8 +972,9 @@ def test_combine_zero_coefficients_and_zero_scale():
 
 
 # Edge inputs that the general step covers with no branch of its own: one
-# row, an empty determinant, a unit moved onto its own slot and a zero
-# scale. Each value and its coefficient types are pinned here.
+# row, an empty determinant, a grow step on a diagonal corner, which
+# moves a unit onto its own slot, and a zero scale. Each value and its
+# coefficient types are pinned here.
 EDGE_CASES = [
     ("expand-one-row", lambda: expand(frozenset(), (3,)), {(3,): 1}),
     ("pfaffian-one-row", lambda: pfaffian_expand((5,)), {(5,): 1}),
@@ -962,8 +983,11 @@ EDGE_CASES = [
      {(0, 0): 1}),
     ("hat-theta-0-k0", lambda: hat_theta(0, 0), {(): 1}),
     ("hat-theta-0-k2", lambda: hat_theta(0, 2), {(): 1}),
-    ("shift-same-slot", lambda: substitution._shift((3, 1, 0), 2, 2),
-     (3, 1, 0)),
+    ("grow-diagonal-corner",
+     lambda: substitution._grow((frozenset({(1, 1)}), (3, 1, 0), frozenset(),
+                                 2), (2, 2)),
+     [(frozenset({(1, 1), (2, 2)}), (3, 1, 0), frozenset(), 2),
+      (frozenset({(1, 1), (2, 2)}), (3, 1, 0), frozenset({(2, 2)}), 2)]),
     ("combine-zero-scale",
      lambda: combine({(1,): 3, (2,): Fraction(1, 2)}, {(1,): 5, (3,): 1}, 0),
      {(1,): 3, (2,): Fraction(1, 2)}),
