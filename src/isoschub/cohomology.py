@@ -29,8 +29,9 @@ from math import lcm
 # add_into and combine are unused but stay bound: bench/tracing.TARGETS
 # expects them here
 from .formal import add_into, combine, scaled
-from .partitions import (check_k, check_rect, get, in_rect, is_k_strict,
-                         k_related, length_gt_k, strip, weight)
+from .partitions import (check_ints, check_k, check_rect, fill_rows, get,
+                         in_rect, is_k_strict, k_related, length_gt_k, strip,
+                         weight)
 from .raising import c_set, expand, strict_pairs
 from . import theta as theta_ring
 
@@ -116,34 +117,10 @@ def pieri_match(lam, mu, k: int):
 
 def _candidates(lam, p, k, n):
     # mu with |mu| = |lam| + p, rowwise-compatible and k-strict, inside the
-    # rectangle. Row j takes a value in floor[j]..cap[j], no more than the
-    # row before it, and less when that row is above k. The weight left
-    # after it must lie between least[j + 1] and most[j + 1], the least
-    # and the most that the later rows can take, ignoring k-strictness.
+    # rectangle: lam_j - 1 <= mu_j <= lam_{j-1}, and lam_j <= mu_j if lam_j > k
     rows = min(len(lam) + 1, n - k)
-    floor = [lj if lj > k else max(lj - 1, 0)
-             for lj in (get(lam, j) for j in range(1, rows + 1))]
-    cap = [n + k] + [lam[j] for j in range(rows - 1)]
-    least, most = [0] * (rows + 1), [0] * (rows + 1)
-    for j in range(rows - 1, -1, -1):
-        least[j] = least[j + 1] + floor[j]
-        most[j] = most[j + 1] + cap[j]
-    mu = [0] * rows
-    out = []
-
-    def rec(j, prev, rem):
-        if j == rows:
-            if rem == 0:  # only when there are no rows at all can it fail
-                out.append(strip(mu))
-            return
-        lo = max(floor[j], rem - most[j + 1])
-        hi = min(prev - 1 if prev > k else prev, cap[j], rem - least[j + 1])
-        for v in range(lo, hi + 1):
-            mu[j] = v
-            rec(j + 1, v, rem - v)
-
-    rec(0, n + k + 1, weight(lam) + p)
-    return out
+    floor = [x if x > k else max(x - 1, 0) for x in (*lam, 0)[:rows]]
+    return fill_rows(floor, [n + k, *lam][:rows], weight(lam) + p, k)
 
 
 def pieri(lam, p: int, k: int, n: int, family: str) -> dict:
@@ -338,6 +315,8 @@ def _enter(elem: dict, k, n, family):
     # 2^(-l_k(lam)) sigma_lam.
     if family not in ("B", "C"):
         raise ValueError("family must be B or C, got %r" % (family,))
+    if type(k) is not int or type(n) is not int:  # 1.0 finds the space of 1
+        check_ints((k, n), "k and n")
     sp = _space(k, n)
     den, v = _cleared(sp.vector(elem))
     ell = sp.ell
@@ -397,12 +376,8 @@ def reduce_polynomial(poly: dict, k: int, n: int, family: str) -> dict:
     """
     sp = _enter({}, k, n, family)[0]
     den, coeffs = _cleared(poly)
-    # one pass in C over every index: a float one that equals an int
-    # would find that int's memoized vector
-    if not {int}.issuperset(map(type, chain.from_iterable(coeffs))):
-        raise ValueError("every index must be an int, got %r"
-                         % (next(b for beta in coeffs for b in beta
-                                 if type(b) is not int),))
+    # a float index equal to an int would find that int's memoized vector
+    check_ints(chain.from_iterable(coeffs), "the indices")
     top = n + k
     acc: dict = {}
     get = acc.get

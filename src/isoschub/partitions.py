@@ -47,11 +47,6 @@ def conjugate(lam) -> tuple[int, ...]:
     return tuple(sum(1 for x in lam if x >= c) for c in range(1, lam[0] + 1))
 
 
-def contains(lam, mu) -> bool:
-    """Diagram containment mu inside lam."""
-    return all(get(lam, j) >= m for j, m in enumerate(strip(mu), start=1))
-
-
 def length_gt_k(lam, k: int) -> int:
     """Number of parts strictly greater than k."""
     return sum(1 for x in lam if x > k)
@@ -89,18 +84,28 @@ def in_rect(lam, k: int, n: int) -> bool:
     return is_k_strict(lam, k) and len(lam) <= n - k and (not lam or lam[0] <= n + k)
 
 
+def check_ints(entries, what: str) -> None:
+    """Raise ValueError unless all entries are ints. A memo table takes a
+    float or a bool equal to an int for that int, so callers check first."""
+    if not {int}.issuperset(map(type, entries)):
+        raise ValueError("%s must be ints" % what)
+
+
 def check_k(k: int) -> None:
-    if k < 0:
-        raise ValueError("need k >= 0, got k=%d" % k)
+    if type(k) is not int or k < 0:
+        raise ValueError("need an int k >= 0, got k=%r" % (k,))
 
 
 def check_rect(lam, k: int, n: int | None = None) -> None:
-    """Raise ValueError unless k >= 0, lam is k-strict and, when n is
-    given, k <= n and lam fits the (n-k) x (n+k) rectangle."""
-    if k >= 0 and (is_k_strict(strip(lam), k) if n is None
-                   else in_rect(lam, k, n)):
+    """Raise ValueError unless k >= 0, lam is a k-strict partition and,
+    when n is given, k <= n and lam fits the (n-k) x (n+k) rectangle;
+    k, n and the parts must be ints."""
+    if type(k) is int and k >= 0 and {int}.issuperset(map(type, lam)) and (
+            is_k_strict(strip(lam), k) if n is None
+            else type(n) is int and in_rect(lam, k, n)):
         return
     check_k(k)
+    check_ints(lam if n is None else (n, *lam), "n and the parts")
     text = ",".join(str(x) for x in lam) or "-"
     if n is not None and n < k:
         raise ValueError("need k <= n, got k=%d n=%d" % (k, n))
@@ -131,45 +136,58 @@ def partitions_of(d: int, max_part: int | None = None, max_len: int | None = Non
     yield from rec(d, max_part, max_len)
 
 
+def fill_rows(floor, cap, total: int, k: int | None = None) -> list:
+    """Every weakly decreasing tuple of weight total whose row j lies in
+    floor[j]..cap[j], stripped, in lex-decreasing order; with k given, no
+    part above k repeats. Each row leaves what the later rows can take,
+    and takes at least its share of the rest, as no later row is larger.
+    """
+    rows = len(floor)
+    k = total if k is None else k  # no row exceeds the weight
+    out = []
+
+    def rec(j, prev, rem, least, most, acc):
+        # least and most: the sums of floor[j:] and of cap[j:]
+        if rem == 0 and least == 0:  # the later rows are all 0
+            out.append(acc)
+            return
+        lo, hi = floor[j], cap[j]
+        least -= lo
+        most -= hi
+        # compared by hand: min and max calls cost a fifth of the walk
+        lo = rem - most if lo < rem - most else lo
+        lo = -(-rem // (rows - j)) if lo * (rows - j) < rem else lo
+        hi = prev if hi > prev else hi
+        hi = rem - least if hi > rem - least else hi
+        for x in range(hi, lo - 1, -1):
+            rec(j + 1, x - 1 if x > k else x, rem - x, least, most, acc + (x,))
+
+    if rows or total == 0:
+        rec(0, total, total, sum(floor), sum(cap), ())
+    return out
+
+
 def k_strict_partitions(d: int, k: int, max_part: int | None = None,
                         max_len: int | None = None) -> list[tuple[int, ...]]:
     """All k-strict partitions of weight exactly d, in the lex-decreasing
-    order of partitions_of. A part above k is never followed by itself,
-    so no other partition is generated."""
-    out: list = []
-    acc: list = []
-
-    def rec(rem, biggest, rows):
-        if rem == 0:
-            out.append(tuple(acc))
-            return
-        if rem > biggest * rows:
-            return
-        for first in range(min(rem, biggest), 0, -1):
-            acc.append(first)
-            rec(rem - first, first if first <= k else first - 1, rows - 1)
-            acc.pop()
-
-    rec(d, d if max_part is None else max_part, d if max_len is None else max_len)
-    return out
+    order of partitions_of."""
+    rows = d if max_len is None else min(d, max_len)
+    return fill_rows([0] * rows, [d if max_part is None else max_part] * rows,
+                     d, k)
 
 
 def rect_partitions(k: int, n: int) -> list[tuple[int, ...]]:
-    """Every k-strict partition inside the (n-k) x (n+k) rectangle."""
-    out = []
-    for d in range((n - k) * (n + k) + 1):
-        out.extend(lam for lam in k_strict_partitions(d, k, max_part=n + k, max_len=n - k))
-    return out
+    """Every k-strict partition inside the (n-k) x (n+k) rectangle, by
+    weight up to that of the largest, dim X = (n-k)(n+3k+1)/2."""
+    return [lam for d in range((n - k) * (n + 3 * k + 1) // 2 + 1)
+            for lam in k_strict_partitions(d, k, n + k, n - k)]
 
 
 def subpartitions(lam) -> list[tuple[int, ...]]:
-    """Partitions contained in lam, in order of increasing weight."""
-    out = []
-    for d in range(weight(lam) + 1):
-        for nu in partitions_of(d, lam[0] if lam else 0, len(lam)):
-            if contains(lam, nu):
-                out.append(nu)
-    return out
+    """Partitions contained in lam, by increasing weight, each weight in
+    lex-decreasing order."""
+    return [nu for d in range(weight(lam) + 1)
+            for nu in fill_rows([0] * len(lam), lam, d)]
 
 
 def is_k_odd(lam, k: int) -> bool:

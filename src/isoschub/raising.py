@@ -21,7 +21,7 @@ from __future__ import annotations
 from functools import cache
 
 from .formal import add_into
-from .partitions import check_rect, get, strip
+from .partitions import check_ints, check_rect, get, strip
 
 
 def is_valid_pairs(D, diagonal: bool = True) -> bool:
@@ -111,11 +111,13 @@ def expand(D, lam) -> dict[tuple[int, ...], int]:
     """Monomial expansion of the operator series applied to the sequence lam.
 
     D is a strict-mode pair set; the pairs (i, j) with j <= len(lam) must
-    be downward closed and have i < j, or ValueError. Keys of the result
-    are weakly decreasing tuples of positive ints, the index multisets of
-    the surviving monomials; coefficients are ints.
+    be downward closed and have i < j, and lam's entries must be ints, or
+    ValueError. Keys of the result are weakly decreasing tuples of
+    positive ints, the index multisets of the surviving monomials;
+    coefficients are ints.
     """
     lam = strip(lam)
+    check_ints(lam, "the entries")
     Dr = frozenset(p for p in D if p[1] <= len(lam))
     if not is_valid_pairs(Dr, diagonal=False):
         raise ValueError("expand wants a downward-closed set of strict "

@@ -15,6 +15,7 @@ product terms; stopped leaves cancel in pairs under an involution.
 
 from fractions import Fraction
 from functools import cache
+from itertools import combinations
 
 # reduce_monomial is unused but stays bound: bench/tracing.TARGETS
 # expects it here
@@ -167,21 +168,14 @@ def apply_rule(lam, k: int, psi, m: int | None = None, modified: bool = False):
 
 
 def root_compositions(lam, p: int) -> list:
-    """Entrywise extensions of lam by a total of p over ell+1 slots."""
-    lam = strip(lam)
-    ell = len(lam)
-    base = tuple(get(lam, i) for i in range(1, ell + 2))
-    out = []
-
-    def go(i, rem, acc):
-        if i == ell:
-            out.append(tuple(x + y for x, y in zip(base, acc + (rem,))))
-            return
-        for a in range(rem + 1):
-            go(i + 1, rem - a, acc + (a,))
-
-    go(0, p, ())
-    return sorted(out)
+    """Entrywise extensions of lam by a total of p over ell+1 slots: by
+    stars and bars, ell bars among p + ell places cut the p stars into
+    the ell + 1 amounts."""
+    base = strip(lam) + (0,)
+    ell = len(base) - 1
+    return sorted(tuple(x + b - a - 1 for x, a, b in
+                        zip(base, (-1,) + bars, bars + (p + ell,)))
+                  for bars in combinations(range(p + ell), ell))
 
 
 def build_forest(lam, p: int, k: int, modified: bool = False,
@@ -191,16 +185,16 @@ def build_forest(lam, p: int, k: int, modified: bool = False,
     Returns a dict with the arguments it was built from (lam stripped,
     p, k, modified), the roots, the level-0 leaves (psi0), the stopped
     leaves (psi1), and, when asked, every (tuple, label, children) node
-    in discovery order.  Raises ValueError unless lam is k-strict and
-    p >= 1.  Every tuple must be new, D must stay inside the rim of C, S
-    inside D minus C with len(mu) = ell + 1, and every pair of D in rows
-    <= m and columns <= ell + 1; a tuple that breaks one of these raises
-    RuntimeError, with or without python -O.
+    in discovery order.  Raises ValueError unless lam is k-strict and p
+    is an int >= 1.  Every tuple must be new, D must stay inside the rim
+    of C, S inside D minus C with len(mu) = ell + 1, and every pair of D
+    in rows <= m and columns <= ell + 1; a tuple that breaks one of these
+    raises RuntimeError, with or without python -O.
     """
     lam = strip(lam)
     check_rect(lam, k)
-    if p < 1:
-        raise ValueError("p must be at least 1, got %d" % p)
+    if type(p) is not int or p < 1:
+        raise ValueError("p must be an int, at least 1, got %r" % (p,))
     ell = len(lam)
     C = c_set(lam, k)
     m = middle_row(C)

@@ -14,11 +14,11 @@ theta(lam, 0) are the Schur Q-functions.
 from collections import defaultdict
 from fractions import Fraction
 from functools import cache
-from itertools import permutations
+from itertools import chain, permutations
 
 from .formal import add_into, combine
-from .partitions import (check_k, check_rect, get, k_strict_partitions, strip,
-                         weight)
+from .partitions import (check_ints, check_k, check_rect, fill_rows, get,
+                         k_strict_partitions, strip, weight)
 from .raising import c_set, expand, strict_pairs
 
 
@@ -26,10 +26,13 @@ def straighten(alpha, k: int) -> dict[tuple[int, ...], int]:
     """Rewrite the monomial with index multiset alpha into the k-strict basis.
 
     Entries may be arbitrary integers: a negative index kills the term,
-    zero indices drop out (t_0 = 1).  Raises ValueError for k < 0.
+    zero indices drop out (t_0 = 1).  Raises ValueError for k < 0 or an
+    entry that is not an int.
     """
     check_k(k)
-    return _straightened({tuple(alpha): 1}, k)
+    alpha = tuple(alpha)
+    check_ints(alpha, "the indices")
+    return _straightened({alpha: 1}, k)
 
 
 @cache
@@ -103,13 +106,14 @@ MAX_SKEW_ROWS = 8
 def skew_S(lam, mu, k: int) -> dict[tuple[int, ...], int]:
     """Determinant det(t_{lam_i - mu_j + j - i}) in the k-strict basis.
 
-    Zero unless mu is contained in lam.  Raises ValueError for k < 0 and,
-    since the sum runs over all l(lam)! permutations, for more than
-    MAX_SKEW_ROWS rows.
+    Zero unless mu is contained in lam.  Raises ValueError for k < 0, for
+    an entry that is not an int and, since the sum runs over all l(lam)!
+    permutations, for more than MAX_SKEW_ROWS rows.
     """
     check_k(k)
     lam = strip(lam)
     mu = strip(mu)
+    check_ints(lam + mu, "the entries")
     if len(mu) > len(lam):
         return {}
     n = len(lam)
@@ -138,9 +142,10 @@ def skew_S(lam, mu, k: int) -> dict[tuple[int, ...], int]:
 def multiply(a: dict, b: dict, k: int) -> dict:
     """Product of two elements given in the k-strict monomial basis.
 
-    Raises ValueError for k < 0.
+    Raises ValueError for k < 0 or an index that is not an int.
     """
     check_k(k)
+    check_ints(chain.from_iterable(chain(a, b)), "the indices")
     poly: dict = {}
     for ka, ca in a.items():
         for kb, cb in b.items():
@@ -241,21 +246,7 @@ def horizontal_strips(nu, size: int, cap: int) -> list[tuple[int, ...]]:
     Interlacing: nu_i <= rho_i <= nu_{i-1}, with rho_1 <= cap. Used for
     the Pieri step e_size * s_{nu'} = sum s_{rho'}.
     """
-    res = []
-    nrows = len(nu) + 1
-
-    def go(i, rem, acc):
-        if i == nrows:
-            if rem == 0:
-                res.append(strip(acc))
-            return
-        lo = nu[i] if i < len(nu) else 0
-        hi = min(cap if i == 0 else nu[i - 1], lo + rem)
-        for v in range(lo, hi + 1):
-            go(i + 1, rem - (v - lo), acc + (v,))
-
-    go(0, size, ())
-    return res
+    return fill_rows(nu + (0,), (cap,) + nu, sum(nu) + size)
 
 
 def mixed_expand(lam, k: int) -> dict:

@@ -257,6 +257,20 @@ BAD_CALLS = {
     "pieri-float-p": lambda: pieri((1,), 1.0, 1, 3, "C"),
     "reduce-polynomial-float-index":
         lambda: reduce_polynomial({(1.0, 1): 1}, 1, 3, "C"),
+    # a float k, n or part, which once gave garbage, a TypeError from
+    # deep inside, or on a warm space the int's answer
+    "theta-float-part": lambda: theta((2.5, 1), 0),
+    "theta-float-k": lambda: theta((2, 1), 1.0),
+    "expand-float-entry": lambda: expand(frozenset(), (2.5, 1)),
+    "skew-S-float-entry": lambda: skew_S((2.5, 1), (), 0),
+    "forest-float-part": lambda: build_forest((2.5, 1), 1, 0),
+    "forest-float-p": lambda: build_forest((2, 1), 1.0, 0),
+    "straighten-float-index": lambda: straighten((1.5, 1), 0),
+    "theta-multiply-float-index":
+        lambda: theta_ring.multiply({(1.5, 1): 1}, {(1,): 1}, 0),
+    "pieri-float-k": lambda: pieri((2, 1), 1, 0.5, 3, "C"),
+    "pieri-integral-float-k": lambda: pieri((2, 1), 1, 1.0, 3, "C"),
+    "multiply-float-n": lambda: multiply({(1,): 1}, {(1,): 1}, 1, 3.0, "C"),
     "pieri-match-negative-k": lambda: pieri_match((1,), (2,), -1),
     "pieri-s-sets-negative-k": lambda: pieri_S_sets((1,), (2,), -1),
     "count-bases-negative-k": lambda: count_bases(5, -1),
@@ -336,6 +350,38 @@ def test_float_indices_raise_cold_and_warm():
         want = {(1, 1): 1, (2,): 1}
         assert pieri((1,), 1, 1, 3, "C") == want
         assert reduce_polynomial({(1, 1): 1}, 1, 3, "C") == want
+
+
+# a call with a float k, n or entry that equals an int, and the int call
+# whose memo entry it would find
+FLOAT_TWINS = [
+    (lambda: pieri((2, 1), 1, 1.0, 3, "C"),
+     lambda: pieri((2, 1), 1, 1, 3, "C")),
+    (lambda: multiply({(1,): 1}, {(1,): 1}, 1, 3.0, "C"),
+     lambda: multiply({(1,): 1}, {(1,): 1}, 1, 3, "C")),
+    (lambda: theta((2.0, 1), 0), lambda: theta((2, 1), 0)),
+    (lambda: theta((2, 1), 1.0), lambda: theta((2, 1), 1)),
+    (lambda: expand(frozenset(), (2.0, 1)),
+     lambda: expand(frozenset(), (2, 1))),
+    (lambda: straighten((2.0, 2), 1), lambda: straighten((2, 2), 1)),
+    (lambda: skew_S((2.0, 2), (), 1), lambda: skew_S((2, 2), (), 1)),
+    (lambda: theta_ring.multiply({(2.0,): 1}, {(2,): 1}, 1),
+     lambda: theta_ring.multiply({(2,): 1}, {(2,): 1}, 1)),
+    (lambda: build_forest((2.0, 1), 1, 1), lambda: build_forest((2, 1), 1, 1)),
+]
+
+
+def test_float_k_n_and_entries_raise_cold_and_warm():
+    # first with every memo empty, then after the int twins filled them
+    isoschub.clear_caches()
+    cold = None
+    for _ in range(2):
+        for bad, _good in FLOAT_TWINS:
+            with pytest.raises(ValueError):
+                bad()
+        got = [good() for _bad, good in FLOAT_TWINS]
+        assert cold is None or got == cold
+        cold = got
 
 
 @pytest.mark.parametrize("bound", (3, 300))

@@ -1,10 +1,13 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from isoschub.partitions import (
-    check_rect, conjugate, contains, count_bases, is_k_odd, is_k_strict,
-    k_related, k_strict_partitions, length_gt_k, partitions_of, split_columns,
-    strip,
+    check_rect, conjugate, count_bases, fill_rows, is_k_odd, is_k_strict,
+    k_related, k_strict_partitions, length_gt_k, partitions_of,
+    rect_partitions, split_columns, strip, subpartitions,
 )
 
 
@@ -104,7 +107,48 @@ def test_k_strict_partitions_match_filtered_partitions():
                     (d, k, max_part, max_len)
 
 
+def box_rows(floor, cap, total, k=None):
+    # brute force: every point of the box, filtered, lex-decreasing; a
+    # total of None takes every weight
+    out = []
+    for v in itertools.product(*(range(f, c + 1) for f, c in zip(floor, cap))):
+        if total not in (None, sum(v)) or any(a < b for a, b in zip(v, v[1:])):
+            continue
+        if k is not None and any(a == b > k for a, b in zip(v, v[1:])):
+            continue
+        out.append(strip(v))
+    return sorted(out, reverse=True)
+
+
+def test_fill_rows_match_box_filter():
+    rng = random.Random(7)
+    for rows in range(5):
+        for _ in range(60):
+            floor = [rng.randrange(3) for _ in range(rows)]
+            cap = [rng.randrange(5) for _ in range(rows)]
+            for total in range(-1, sum(cap) + 2):
+                for k in (None, 0, 1, 2):
+                    assert fill_rows(floor, cap, total, k) == \
+                        box_rows(floor, cap, total, k), (floor, cap, total, k)
+
+
+def test_subpartitions_match_box_filter():
+    for d in range(8):
+        for lam in partitions_of(d):
+            want = [nu for w in range(d + 1)
+                    for nu in box_rows([0] * len(lam), lam, w)]
+            assert subpartitions(lam) == want, lam
+
+
+def test_rect_partitions_are_the_filtered_box():
+    for k in range(4):
+        for n in range(k, 7):
+            box = box_rows([0] * (n - k), [n + k] * (n - k), None, k)
+            box.sort(key=lambda lam: (sum(lam), [-x for x in lam]))
+            assert rect_partitions(k, n) == box, (k, n)
+
+
 def test_contains_and_length():
-    assert contains((3, 2, 1), (2, 2))
-    assert not contains((3, 2), (2, 2, 1))
+    assert (2, 2) in subpartitions((3, 2, 1))
+    assert (2, 2, 1) not in subpartitions((3, 2))
     assert length_gt_k((5, 3, 2, 1), 2) == 2

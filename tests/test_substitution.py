@@ -1,3 +1,4 @@
+import itertools
 from math import comb
 
 import pytest
@@ -138,6 +139,19 @@ def test_root_compositions():
     assert len(roots) == comb(4 + 2, 2)
     assert all(weight(nu) == 8 for nu in roots)
     assert all(nu[0] >= 3 and nu[1] >= 1 and nu[2] >= 0 for nu in roots)
+
+
+def test_root_compositions_match_brute_force():
+    # every vector of ell + 1 amounts in 0..p that sum to p, added to lam
+    for ell in range(5):
+        for lam in [(ell + 2 - i for i in range(ell)), (1,) * ell]:
+            lam = tuple(lam)
+            for p in range(6):
+                want = sorted(tuple(x + a for x, a in zip(lam + (0,), amts))
+                              for amts in itertools.product(range(p + 1),
+                                                            repeat=ell + 1)
+                              if sum(amts) == p)
+                assert root_compositions(lam, p) == want, (lam, p)
 
 
 def test_forest_frozen():

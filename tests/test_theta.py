@@ -9,9 +9,8 @@ import pytest
 
 from isoschub import cli, polyeval
 from isoschub.formal import combine, scaled, sum_to_json
-from isoschub.partitions import (contains, get, is_k_strict,
-                                 k_strict_partitions, partitions_of,
-                                 subpartitions, weight)
+from isoschub.partitions import (get, is_k_strict, k_strict_partitions,
+                                 partitions_of, subpartitions, weight)
 from isoschub.polyeval import (e_list, evaluate, p_det, p_mul, q_basis_poly,
                                q_det_poly, q_list, schur_conj_poly)
 from isoschub.raising import c_set, expand, pfaffian_expand, strict_pairs
@@ -245,6 +244,21 @@ def test_horizontal_strips():
     assert set(horizontal_strips((2, 1), 2, 3)) == {(2, 2, 1), (3, 2), (3, 1, 1)}
 
 
+def test_horizontal_strips_match_filtered_partitions():
+    # every partition of the right weight that interlaces nu, each once
+    for d in range(7):
+        for nu in partitions_of(d):
+            for size in range(5):
+                for cap in range(6):
+                    got = horizontal_strips(nu, size, cap)
+                    want = {rho for rho in partitions_of(d + size, cap)
+                            if all(get(nu, i) <= get(rho, i) <= get(nu, i - 1)
+                                   for i in range(2, len(rho) + len(nu) + 1))
+                            and get(nu, 1) <= get(rho, 1)}
+                    assert len(got) == len(set(got)), (nu, size, cap)
+                    assert set(got) == want, (nu, size, cap)
+
+
 def test_mixed_expand_table():
     got = mixed_expand((3, 2, 1), 1)
     assert got == {
@@ -350,7 +364,7 @@ def test_skew_S_separates_variables():
                 lhs = evaluate(skew_S(lam, mu, k), k, m)
                 rhs = {}
                 for nu in subpartitions(lam):
-                    if not contains(nu, mu):
+                    if any(get(nu, j) < x for j, x in enumerate(mu, 1)):
                         continue
                     xpart = {}
                     for key, c in skew_S(lam, nu, 0).items():
