@@ -129,12 +129,13 @@ def pieri(lam, p: int, k: int, n: int, family: str) -> dict:
     Family "B" returns c_p * tau_lam = sum 2^N(lam,mu) tau_mu; family
     "C" returns sigma_p * sigma_lam, the same sum rescaled by
     2^(l_k(lam) - l_k(mu)). Coefficients are always positive integers.
-    Raises ValueError unless lam is a class of the space, p is an int in
-    1..n + k and the family is "B" or "C".
+    Raises ValueError unless the family is "B" or "C", k and n are ints
+    with 0 <= k <= n, lam is a class of the space and p is an int in
+    1..n + k.
     """
+    sp, v, shift, den = _enter({lam: 1}, k, n, family)
     if type(p) is not int or not 1 <= p <= n + k:
         raise ValueError("p must be an int in 1..n+k, got %r" % (p,))
-    sp, v, shift, den = _enter({lam: 1}, k, n, family)
     return _leave(sp.apply(v, p), sp, family, shift, den)
 
 

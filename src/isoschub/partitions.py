@@ -88,7 +88,7 @@ def check_ints(entries, what: str) -> None:
     """Raise ValueError unless all entries are ints. A memo table takes a
     float or a bool equal to an int for that int, so callers check first."""
     if not {int}.issuperset(map(type, entries)):
-        raise ValueError("%s must be ints" % what)
+        raise ValueError("%s must be of type int" % what)
 
 
 def check_k(k: int) -> None:
@@ -170,17 +170,24 @@ def fill_rows(floor, cap, total: int, k: int | None = None) -> list:
 def k_strict_partitions(d: int, k: int, max_part: int | None = None,
                         max_len: int | None = None) -> list[tuple[int, ...]]:
     """All k-strict partitions of weight exactly d, in the lex-decreasing
-    order of partitions_of."""
-    rows = d if max_len is None else min(d, max_len)
-    return fill_rows([0] * rows, [d if max_part is None else max_part] * rows,
-                     d, k)
+    order of partitions_of. Raises ValueError unless k >= 0 and d and the
+    bounds given are ints."""
+    cap = d if max_part is None else max_part
+    rows = d if max_len is None else max_len
+    check_k(k)
+    check_ints((d, cap, rows), "d, max_part and max_len")
+    rows = min(d, rows)
+    return fill_rows([0] * rows, [cap] * rows, d, k)
 
 
 def rect_partitions(k: int, n: int) -> list[tuple[int, ...]]:
     """Every k-strict partition inside the (n-k) x (n+k) rectangle, by
-    weight up to that of the largest, dim X = (n-k)(n+3k+1)/2."""
+    weight up to that of the largest, dim X = (n-k)(n+3k+1)/2. Raises
+    ValueError unless k and n are ints with 0 <= k <= n."""
+    check_rect((), k, n)
+    floor, cap = [0] * (n - k), [n + k] * (n - k)
     return [lam for d in range((n - k) * (n + 3 * k + 1) // 2 + 1)
-            for lam in k_strict_partitions(d, k, n + k, n - k)]
+            for lam in fill_rows(floor, cap, d, k)]
 
 
 def subpartitions(lam) -> list[tuple[int, ...]]:
@@ -203,9 +210,10 @@ def count_bases(d: int, k: int) -> tuple[int, int]:
     than here.  One pass over the partitions of d tests both properties.
     The enumeration time grows about sixfold for every 10 added to d
     (about 3 s at d = 50), so d above 50 raises ValueError, as do d < 0
-    and k < 0.
+    and k < 0, and so does a d or k that is no int.
     """
     check_k(k)
+    check_ints((d,), "d")
     if d < 0:
         raise ValueError("d must be nonnegative, got %d" % d)
     if d > 50:

@@ -22,7 +22,7 @@ stay packed in between.
 
 # add_into is unused but stays bound: bench/tracing.TARGETS expects it here
 from .formal import add_into, combine, norm_scalar
-from .partitions import check_k, get, strip
+from .partitions import check_ints, check_k, get, strip
 from .raising import pfaffian_expand
 from .theta import theta
 
@@ -301,9 +301,10 @@ def evaluate(e: dict, k: int, m: int) -> dict:
 
     Variables are x_1..x_m then y_1..y_k; exponent tuples have length
     m + k. The series, the field width and every truncation stop at the
-    element's weight. Raises ValueError unless k >= 0 and m >= 0.
+    element's weight. Raises ValueError unless k and m are ints >= 0.
     """
     check_k(k)
+    check_ints((m,), "m")
     if m < 0:
         raise ValueError("need m >= 0, got m=%d" % m)
     if not e:

@@ -91,9 +91,10 @@ def hat_theta(r: int, k: int) -> dict[tuple[int, ...], int]:
     """Dual one-column class: the r x r determinant det(t_{1+j-i}).
 
     Satisfies sum_{i=0..n} (-1)^i t_i hat_theta(n-i) = 0 for n >= 1.
-    Raises ValueError for k < 0.
+    Raises ValueError for k < 0 and for an r or k that is no int.
     """
     check_k(k)
+    check_ints((r,), "r")
     if r < 0:
         return {}
     return _straightened(expand(frozenset(), (1,) * r), k)

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import pathlib
 import re
@@ -377,6 +378,85 @@ def test_readme_examples_run(capsys):
         assert code == 0, line
         if "--format json" in line:
             json.loads(out)
+
+
+def _session_commands():
+    # the benchmark's seeded one-shot sessions; workloads.py imports
+    # nothing from the package
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / \
+        "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [argv for seed in (1, 2, 3) for argv in workloads.session(seed)]
+
+
+# argv the flag table reads that no session or README line has
+TABLE_ARGV = [
+    ["theta", "--lambda=", "--k=1"],
+    ["skews", "--k", "1", "--lambda", "2,1", "--mu", "-"],
+    ["pieri", "--p", "1", "--lambda", "2,1", "--k", "1", "--n", "5",
+     "--type", "B", "--n", "6"],
+    ["forest", "--k", "1", "--lambda", "2,1", "--p", "1", "--modified",
+     "--stats", "--modified"],
+    ["wlambda", "--k", "1", "--lambda", "2,1", "--n", "4", "--format=text"],
+    ["ktableaux", "--perm", "-2,1", "--shape=1,1"],
+    ["verify", "--suite", "claims", "--max-weight=2"],
+]
+
+
+def test_flag_table_reads_what_argparse_reads():
+    _, table = cli._build_parser(tuple(name for name, _ in cli.SUITES))
+    readme = [shlex.split(line)[1:] for line in _readme_commands()]
+    for argv in _session_commands() + readme + TABLE_ARGV:
+        argv = cli._join_windows(argv)
+        got = cli._read(argv, table)
+        assert got is not None, argv
+        assert got == cli._parser().parse_args(argv), argv
+
+
+# argv the flag table leaves to argparse, or reads as argparse does:
+# argparse accepts an abbreviation, a negative n and a repeated flag,
+# and prints help or a usage error for the rest
+ARGPARSE_ARGV = [
+    [], ["--help"], ["nosuchcommand"],
+    *([name, "--help"] for name in cli.COMMANDS),
+    ["pieri", "--n", "5", "--k", "1", "--lamb", "2,1", "--p", "1"],
+    ["forest", "--k", "1", "--lambda", "2,1", "--p", "1", "--stats=1"],
+    ["theta", "--k", "1", "--lambda"],
+    ["theta", "--k", "0", "--lambda", "2,1", "--k", "1"],
+    ["theta", "--k", "1", "--lambda", "2,1", "--bogus", "1"],
+    ["theta", "--k", "1", "--lambda", "2,1", "extra"],
+    ["theta", "--k", "1"],
+    ["theta", "--k", "-1", "--lambda", "1"],
+    ["pieri", "--n", "-1", "--k", "0", "--lambda", "1", "--p", "1"],
+    ["pieri", "--type", "X", "--n", "5", "--k", "1", "--lambda", "1",
+     "--p", "1"],
+    ["verify", "--suite", "bogus"],
+]
+
+
+def _outcome(argv, capsys):
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    except Exception as exc:  # a wrong Namespace can crash a handler
+        code = repr(exc)
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_main_prints_what_argparse_alone_prints(capsys, monkeypatch):
+    # the same main, once with the flag table and once with argparse
+    # reading every argv
+    monkeypatch.setenv("COLUMNS", "100")
+    for argv in ARGPARSE_ARGV:
+        got = _outcome(argv, capsys)
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_read", lambda argv, table: None)
+            want = _outcome(argv, capsys)
+        assert got == want, argv
 
 
 def test_theta_hat_suite_catches_a_dropped_term(capsys, monkeypatch):

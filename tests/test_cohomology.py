@@ -271,6 +271,23 @@ BAD_CALLS = {
     "pieri-float-k": lambda: pieri((2, 1), 1, 0.5, 3, "C"),
     "pieri-integral-float-k": lambda: pieri((2, 1), 1, 1.0, 3, "C"),
     "multiply-float-n": lambda: multiply({(1,): 1}, {(1,): 1}, 1, 3.0, "C"),
+    # an n that is no int once raised TypeError from n + k, before the
+    # space was checked
+    "pieri-str-n": lambda: pieri((1,), 1, 1, "3", "C"),
+    "pieri-none-n": lambda: pieri((1,), 1, 1, None, "C"),
+    # a float raised TypeError from deep inside; a bool, a negative k,
+    # a float k or k > n gave an answer
+    "hat-theta-float-r": lambda: hat_theta(2.0, 0),
+    "hat-theta-bool-r": lambda: hat_theta(True, 0),
+    "evaluate-float-m": lambda: evaluate({(1,): 1}, 1, 2.0),
+    "evaluate-bool-m": lambda: evaluate({(1,): 1}, 1, True),
+    "count-bases-float-d": lambda: count_bases(4.0, 1),
+    "k-strict-float-d": lambda: k_strict_partitions(4.0, 1),
+    "k-strict-float-max-part": lambda: k_strict_partitions(3, 1, 2.0),
+    "k-strict-negative-k": lambda: k_strict_partitions(3, -1),
+    "k-strict-float-k": lambda: k_strict_partitions(3, 1.5),
+    "rect-negative-k": lambda: rect_partitions(-1, 2),
+    "rect-k-above-n": lambda: rect_partitions(2, 1),
     "pieri-match-negative-k": lambda: pieri_match((1,), (2,), -1),
     "pieri-s-sets-negative-k": lambda: pieri_S_sets((1,), (2,), -1),
     "count-bases-negative-k": lambda: count_bases(5, -1),
@@ -337,6 +354,12 @@ def _calls_without_value_error():
 def test_bad_input_raises_value_error(name):
     with pytest.raises(ValueError):
         BAD_CALLS[name]()
+
+
+def test_pieri_checks_the_space_before_p():
+    # p = 1 lies in 1..n+k, but n = -1 has no space at k = 0
+    with pytest.raises(ValueError, match="need k <= n, got k=0 n=-1"):
+        pieri((1,), 1, 0, -1, "C")
 
 
 def test_float_indices_raise_cold_and_warm():
