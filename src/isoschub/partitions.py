@@ -96,6 +96,15 @@ def check_k(k: int) -> None:
         raise ValueError("need an int k >= 0, got k=%r" % (k,))
 
 
+def check_partition(lam) -> None:
+    """Raise ValueError unless lam is a weakly decreasing tuple of
+    nonnegative ints; trailing zeros are allowed."""
+    check_ints(lam, "the parts")
+    if any(a < b for a, b in zip(lam, lam[1:])) or lam and lam[-1] < 0:
+        raise ValueError("lambda must be weakly decreasing and nonnegative: "
+                         "%s" % (",".join(map(str, lam)) or "-"))
+
+
 def check_rect(lam, k: int, n: int | None = None) -> None:
     """Raise ValueError unless k >= 0, lam is a k-strict partition and,
     when n is given, k <= n and lam fits the (n-k) x (n+k) rectangle;
@@ -114,26 +123,6 @@ def check_rect(lam, k: int, n: int | None = None) -> None:
                          "%s" % (k, k, text))
     raise ValueError("lambda %s does not fit in the (%d x %d) rectangle for "
                      "n=%d, k=%d" % (text, n - k, n + k, n, k))
-
-
-def partitions_of(d: int, max_part: int | None = None, max_len: int | None = None):
-    """Yield partitions of d, largest part first, in lex-decreasing order."""
-    if max_part is None:
-        max_part = d
-    if max_len is None:
-        max_len = d
-
-    def rec(rem, biggest, rows):
-        if rem == 0:
-            yield ()
-            return
-        if rows == 0:
-            return
-        for first in range(min(rem, biggest), 0, -1):
-            for rest in rec(rem - first, first, rows - 1):
-                yield (first,) + rest
-
-    yield from rec(d, max_part, max_len)
 
 
 def fill_rows(floor, cap, total: int, k: int | None = None) -> list:
@@ -167,17 +156,12 @@ def fill_rows(floor, cap, total: int, k: int | None = None) -> list:
     return out
 
 
-def k_strict_partitions(d: int, k: int, max_part: int | None = None,
-                        max_len: int | None = None) -> list[tuple[int, ...]]:
-    """All k-strict partitions of weight exactly d, in the lex-decreasing
-    order of partitions_of. Raises ValueError unless k >= 0 and d and the
-    bounds given are ints."""
-    cap = d if max_part is None else max_part
-    rows = d if max_len is None else max_len
+def k_strict_partitions(d: int, k: int) -> list[tuple[int, ...]]:
+    """All k-strict partitions of weight exactly d, in lex-decreasing
+    order. Raises ValueError unless d is an int and k an int >= 0."""
     check_k(k)
-    check_ints((d, cap, rows), "d, max_part and max_len")
-    rows = min(d, rows)
-    return fill_rows([0] * rows, [cap] * rows, d, k)
+    check_ints((d,), "d")
+    return fill_rows([0] * d, [d] * d, d, k)
 
 
 def rect_partitions(k: int, n: int) -> list[tuple[int, ...]]:
@@ -192,25 +176,22 @@ def rect_partitions(k: int, n: int) -> list[tuple[int, ...]]:
 
 def subpartitions(lam) -> list[tuple[int, ...]]:
     """Partitions contained in lam, by increasing weight, each weight in
-    lex-decreasing order."""
+    lex-decreasing order. Raises ValueError unless lam is a partition."""
+    check_partition(lam)
     return [nu for d in range(weight(lam) + 1)
             for nu in fill_rows([0] * len(lam), lam, d)]
 
 
-def is_k_odd(lam, k: int) -> bool:
-    """Every part of lam greater than 2k is odd."""
-    return all(x % 2 for x in lam if x > 2 * k)
-
-
 def count_bases(d: int, k: int) -> tuple[int, int]:
-    """Count k-strict and k-odd partitions of weight d by enumeration.
+    """Count the k-strict and the k-odd (no even part above 2k)
+    partitions of weight d, as the coefficients of x^d in
+    prod_{i<=k} 1/(1-x^i) prod_{i>k} (1+x^i) and in
+    prod_{i<=2k or i odd} 1/(1-x^i).
 
     The two counts agree for every d; both sides index homogeneous bases
     of the same graded ring, and the equality is asserted by tests rather
-    than here.  One pass over the partitions of d tests both properties.
-    The enumeration time grows about sixfold for every 10 added to d
-    (about 3 s at d = 50), so d above 50 raises ValueError, as do d < 0
-    and k < 0, and so does a d or k that is no int.
+    than here. Raises ValueError unless d is an int in 0..50, the range
+    the count-bases command accepts, and k an int >= 0.
     """
     check_k(k)
     check_ints((d,), "d")
@@ -218,8 +199,13 @@ def count_bases(d: int, k: int) -> tuple[int, int]:
         raise ValueError("d must be nonnegative, got %d" % d)
     if d > 50:
         raise ValueError("d must be at most 50, got %d" % d)
-    strict = odd = 0
-    for lam in partitions_of(d):
-        strict += is_k_strict(lam, k)
-        odd += is_k_odd(lam, k)
-    return strict, odd
+    strict, odd = [1] + [0] * d, [1] + [0] * d
+    for i in range(1, d + 1):
+        # a part used at most once is added from the top down, so that
+        # no sum it feeds has used it already
+        for s in range(d, i - 1, -1) if i > k else range(i, d + 1):
+            strict[s] += strict[s - i]
+        if i <= 2 * k or i % 2:
+            for s in range(i, d + 1):
+                odd[s] += odd[s - i]
+    return strict[d], odd[d]

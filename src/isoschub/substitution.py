@@ -22,7 +22,8 @@ from itertools import combinations
 from .cohomology import (pieri, pieri_match, reduce_monomial,
                          reduce_polynomial, stable_n)
 from .formal import add_into, combine, scaled
-from .partitions import check_rect, get, is_k_strict, strip, weight
+from .partitions import (check_ints, check_partition, check_rect, get,
+                         is_k_strict, strip, weight)
 from .raising import (c_set, diagonal_count, expand, is_valid_pairs,
                       middle_row, outer_corner_in_col, outer_corner_in_row,
                       outside_rim, strict_pairs, w_holds)
@@ -170,7 +171,10 @@ def apply_rule(lam, k: int, psi, m: int | None = None, modified: bool = False):
 def root_compositions(lam, p: int) -> list:
     """Entrywise extensions of lam by a total of p over ell+1 slots: by
     stars and bars, ell bars among p + ell places cut the p stars into
-    the ell + 1 amounts."""
+    the ell + 1 amounts. Raises ValueError unless lam is a partition
+    and p an int."""
+    check_partition(lam)
+    check_ints((p,), "p")
     base = strip(lam) + (0,)
     ell = len(base) - 1
     return sorted(tuple(x + b - a - 1 for x, a, b in

@@ -5,10 +5,39 @@ import pytest
 from hypothesis import given, strategies as st
 
 from isoschub.partitions import (
-    check_rect, conjugate, count_bases, fill_rows, is_k_odd, is_k_strict,
-    k_related, k_strict_partitions, length_gt_k, partitions_of,
-    rect_partitions, split_columns, strip, subpartitions,
+    check_rect, conjugate, count_bases, fill_rows, is_k_strict, k_related,
+    k_strict_partitions, length_gt_k, rect_partitions, split_columns, strip,
+    subpartitions,
 )
+
+
+# Brute-force oracles, shared with the other test modules: a recursion
+# over every partition that shares no code with fill_rows, and the
+# k-odd test that count_bases' second count stands for.
+
+def partitions_of(d, max_part=None, max_len=None):
+    """Yield partitions of d, largest part first, in lex-decreasing order."""
+    if max_part is None:
+        max_part = d
+    if max_len is None:
+        max_len = d
+
+    def rec(rem, biggest, rows):
+        if rem == 0:
+            yield ()
+            return
+        if rows == 0:
+            return
+        for first in range(min(rem, biggest), 0, -1):
+            for rest in rec(rem - first, first, rows - 1):
+                yield (first,) + rest
+
+    yield from rec(d, max_part, max_len)
+
+
+def is_k_odd(lam, k):
+    """Every part of lam greater than 2k is odd."""
+    return all(x % 2 for x in lam if x > 2 * k)
 
 
 def test_strip():
@@ -89,6 +118,24 @@ def test_count_bases_agree():
             assert a == b, (d, k)
 
 
+def test_count_bases_match_enumeration():
+    # both generating-function counts against the filtered partitions
+    for d in range(31):
+        lams = list(partitions_of(d))
+        for k in range(6):
+            want = (sum(is_k_strict(lam, k) for lam in lams),
+                    sum(is_k_odd(lam, k) for lam in lams))
+            assert count_bases(d, k) == want, (d, k)
+
+
+def test_count_bases_at_fifty():
+    # Q(50) = 3658 strict partitions of 50 and p(50) = 204226 partitions
+    # of 50: published values, from outside both the enumeration and the
+    # generating functions
+    assert count_bases(50, 0) == (3658, 3658)
+    assert count_bases(50, 50) == (204226, 204226)
+
+
 def test_k_odd_definition():
     assert {lam for lam in partitions_of(4) if is_k_odd(lam, 1)} == {(3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)}
     assert set(k_strict_partitions(4, 1)) == {(4,), (3, 1), (2, 1, 1), (1, 1, 1, 1)}
@@ -99,12 +146,8 @@ def test_k_strict_partitions_match_filtered_partitions():
     # partition must give the same list in the same order
     for d in range(21):
         for k in range(4):
-            for max_part, max_len in ((None, None), (4, None), (None, 3),
-                                      (5, 4), (0, 2), (3, 0)):
-                want = [lam for lam in partitions_of(d, max_part, max_len)
-                        if is_k_strict(lam, k)]
-                assert k_strict_partitions(d, k, max_part, max_len) == want, \
-                    (d, k, max_part, max_len)
+            want = [lam for lam in partitions_of(d) if is_k_strict(lam, k)]
+            assert k_strict_partitions(d, k) == want, (d, k)
 
 
 def box_rows(floor, cap, total, k=None):

@@ -7,13 +7,14 @@ import isoschub
 from isoschub import cohomology, substitution
 from isoschub.cohomology import pieri, stable_n
 from isoschub.formal import combine
-from isoschub.partitions import get, is_k_strict, partitions_of, strip, weight
+from isoschub.partitions import get, is_k_strict, strip, weight
 from isoschub.raising import c_set, outside_rim
 from isoschub.substitution import (apply_rule, build_forest, ef_values, ev,
                                    g_value, iota, modified_forest,
                                    pieri_S_sets, r_boxes, rank_r,
                                    root_compositions, verify_claim1,
                                    verify_claim2, w_holds, x_holds)
+from test_partitions import partitions_of
 
 EX_LAM = (9, 7, 3, 2, 1, 1)
 EX_MU = (11, 12, 7, 2, 2)

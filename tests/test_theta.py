@@ -10,13 +10,14 @@ import pytest
 from isoschub import cli, polyeval
 from isoschub.formal import combine, scaled, sum_to_json
 from isoschub.partitions import (get, is_k_strict, k_strict_partitions,
-                                 partitions_of, subpartitions, weight)
+                                 subpartitions, weight)
 from isoschub.polyeval import (e_list, evaluate, p_det, p_mul, q_basis_poly,
                                q_det_poly, q_list, schur_conj_poly)
 from isoschub.raising import c_set, expand, pfaffian_expand, strict_pairs
 from isoschub.theta import (hat_theta, horizontal_strips, mixed_expand,
                             multiply, skew_S, straighten, theta, theta_sum,
                             to_hat_basis, to_theta_basis)
+from test_partitions import partitions_of
 
 UNIT = {(): 1}
 

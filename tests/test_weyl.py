@@ -4,8 +4,7 @@ import random
 import pytest
 
 from isoschub.formal import combine
-from isoschub.partitions import (conjugate, is_k_strict, partitions_of,
-                                 split_columns, weight)
+from isoschub.partitions import conjugate, is_k_strict, split_columns, weight
 from isoschub.theta import mixed_expand, straighten, to_theta_basis
 from isoschub.raising import c_set, expand, strict_pairs
 from isoschub import weyl
@@ -14,6 +13,7 @@ from isoschub.weyl import (MAX_LENGTH, MAX_REDUCED_WORDS, MAX_RIGHT_FACTORS,
                            grassmannian_element, inverse, ktableaux, length,
                            lus, mul, reduced_words, right_factors, stanley_F,
                            trim, unimodal, valid_ktableau, word_product)
+from test_partitions import partitions_of
 
 
 def all_elements(n):
