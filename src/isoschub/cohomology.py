@@ -220,7 +220,9 @@ class _Space:
     by check_rect once; index also maps a key with trailing zeros to its
     class, ell[i] is l_k of class i and wt[i] its weight. dim is the
     weight of the full class, (n-k)(n+3k+1)/2 = dim X: no class lies
-    above it, so a product whose weights sum past it is zero. ops[p][i]
+    above it, so a product whose weights sum past it is zero. rank[i] is
+    len(lam) (dim + 1) + |lam|, which orders classes by their number of
+    parts and then by weight. ops[p][i]
     is the row of sigma_p on class i, a tuple of (index, coefficient)
     pairs compiled from _pieri the first time a vector reaches it, and
     None until then. monos maps a monomial, an index tuple running high
@@ -235,6 +237,7 @@ class _Space:
         self.classes = []
         self.ell = []
         self.wt = []
+        self.rank = []
         self.dim = (n - k) * (n + 3 * k + 1) // 2
         self.ops = {}
         self.monos = {(): {self.intern(()): 1}}
@@ -250,6 +253,7 @@ class _Space:
                 self.classes.append(key)
                 self.ell.append(length_gt_k(key, self.k))
                 self.wt.append(weight(key))
+                self.rank.append(len(key) * (self.dim + 1) + weight(key))
                 for rows in self.ops.values():
                     rows.append(None)
             self.index[lam] = self.index[key] = i
@@ -309,22 +313,49 @@ def _space(k, n):
 
 
 def _enter(elem: dict, k, n, family):
-    # the one way in: check the family and the space, intern every key
-    # once, and carry den times the sum as 2^(-shift) times an integer
-    # sigma vector: den clears the denominators (_cleared), and in
-    # family B shift is the largest l_k of a key, as tau_lam =
-    # 2^(-l_k(lam)) sigma_lam.
+    # the one way in: check the family and the space, then one pass over
+    # elem interns every key, sums its coefficient into v and tracks the
+    # least and greatest l_k. The sum is carried as 2^(-shift) times an
+    # integer sigma vector over den: den clears the denominators
+    # (_cleared, only when a coefficient is not an int), and in family B
+    # shift is the greatest l_k of a key, as tau_lam = 2^(-l_k(lam))
+    # sigma_lam, so each coefficient is scaled by 2^(shift - l_k), which
+    # is 1 for all of them unless the keys' l_k differ.
     if family not in ("B", "C"):
         raise ValueError("family must be B or C, got %r" % (family,))
     if type(k) is not int or type(n) is not int:  # 1.0 finds the space of 1
         check_ints((k, n), "k and n")
     sp = _space(k, n)
-    den, v = _cleared(sp.vector(elem))
-    ell = sp.ell
-    shift = max(ell[i] for i in v) if family == "B" and v else 0
-    if shift:
-        v = {i: c << shift - ell[i] for i, c in v.items()}
-    return sp, v, shift, den
+    intern, ell = sp.intern, sp.ell
+    v: dict = {}
+    get = v.get
+    ints = True
+    lo, hi = n + 1, 0
+    for lam, c in elem.items():
+        i = intern(lam)
+        if type(c) is not int:
+            if not isinstance(c, (int, Fraction)):
+                raise _coefficient_error(c)
+            ints = False
+        v[i] = get(i, 0) + c
+        e = ell[i]
+        if e < lo:
+            lo = e
+        if e > hi:
+            hi = e
+    den = 1
+    if not ints:
+        den, v = _cleared(v)
+    if family == "C":
+        return sp, v, 0, den
+    if lo < hi:
+        v = {i: c << hi - ell[i] for i, c in v.items()}
+    return sp, v, hi, den
+
+
+def _coefficient_error(c):
+    return ValueError("coefficient %r is a %s, not an int or a Fraction"
+                      % (c, type(c).__name__))
 
 
 def _cleared(v: dict):
@@ -335,8 +366,7 @@ def _cleared(v: dict):
     for c in v.values():
         if type(c) is not int:
             if not isinstance(c, (int, Fraction)):
-                raise ValueError("coefficient %r is a %s, not an int or a "
-                                 "Fraction" % (c, type(c).__name__))
+                raise _coefficient_error(c)
             den, mixed = lcm(den, c.denominator), True
     if not mixed:
         return 1, v
@@ -468,20 +498,23 @@ def multiply(a: dict, b: dict, k: int, n: int, family: str) -> dict:
     the formula of lam has weight |lam|, and no class lies above the
     weight dim X, so the walk of lam takes only the classes of b of
     weight at most dim X - |lam|, and is not made when there are none.
-    The product commutes, so when lam is heavier than each of those
-    classes, their lighter formulas are walked on lam instead. Raises
-    ValueError unless every key of a and b is a class of the space.
+    A monomial of the formula of lam has at most len(lam) indices, the
+    depth of its walk. The product commutes, so when lam has more parts
+    than each of those classes, or as many and more weight, their
+    formulas are walked on lam instead. Raises ValueError unless every
+    key of a and b is a class of the space and every coefficient an
+    int or a Fraction.
     """
     sp, va, sa, da = _enter(a, k, n, family)
     _, vb, sb, db = _enter(b, k, n, family)
-    wt, dim = sp.wt, sp.dim
+    wt, rank, dim = sp.wt, sp.rank, sp.dim
     acc: dict = {}
     for i, ca in va.items():
         room = dim - wt[i]
         v = {j: c for j, c in vb.items() if wt[j] <= room}
         if not v:
             continue
-        if wt[i] > max(map(wt.__getitem__, v)):
+        if rank[i] > max(map(rank.__getitem__, v)):
             for j, c in v.items():
                 _walk(sp, _formula(sp.classes[j], k), {i: ca}, c, acc)
         else:

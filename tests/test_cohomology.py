@@ -254,6 +254,13 @@ BAD_CALLS = {
     "reduce-polynomial-float":
         lambda: reduce_polynomial({(1,): 0.5}, 1, 3, "C"),
     "multiply-float": lambda: multiply({(1,): 0.5}, {(1,): 1}, 1, 3, "C"),
+    # a coefficient that is no number once raised TypeError from the sum
+    "multiply-str-coefficient":
+        lambda: multiply({(1,): "x"}, {(1,): 1}, 1, 4, "C"),
+    "multiply-none-coefficient":
+        lambda: multiply({(1,): None}, {(1,): 1}, 1, 4, "C"),
+    "theta-route-str-coefficient":
+        lambda: theta_route_product({(1,): "x"}, {(1,): 1}, 1, 4, "C"),
     # a float p or index, which a warm space once answered as the int
     "pieri-float-p": lambda: pieri((1,), 1.0, 1, 3, "C"),
     "reduce-polynomial-float-index":
@@ -723,8 +730,9 @@ def test_multiply_matches_theta_route_on_seeded_sums():
 
 
 def test_multiply_commutes_on_seeded_sums():
-    # multiply walks the formulas of the factor whose heaviest class is
-    # lighter, so swapping the factors may change the walk, never the sum
+    # multiply walks the formulas of the factor whose classes have fewer
+    # parts, or as many and less weight, so swapping the factors may
+    # change the walk, never the sum
     rng = random.Random(21)
     coefficients = (1, -2, 3, Fraction(1, 2), Fraction(-5, 3))
     for family in ("C", "B"):
@@ -749,6 +757,68 @@ def test_point_class_times_unit_walks_the_unit():
     for a, b in (({point: 1}, {(): 1}), ({(): 1}, {point: 1})):
         assert multiply(a, b, 1, 8, "C") == {point: 1}
         assert cohomology._formula.cache_info().currsize == size
+
+
+def test_fewer_parts_factor_is_walked():
+    # (7,) is heavier than (1, 1, 1, 1) but has one part where it has
+    # four, and a walk is as deep as its monomials are long: only the
+    # one-part formula is built, in either order
+    isoschub.clear_caches()
+    want = theta_route_product({(7,): 1}, {(1, 1, 1, 1): 1}, 1, 6, "C")
+    for a, b in (({(7,): 1}, {(1, 1, 1, 1): 1}),
+                 ({(1, 1, 1, 1): 1}, {(7,): 1})):
+        assert multiply(a, b, 1, 6, "C") == want
+        assert cohomology._formula.cache_info().currsize == 1
+    cohomology._formula((7,), 1)
+    assert cohomology._formula.cache_info().currsize == 1
+
+
+def _four_pass_enter(elem, k, n, family):
+    # the way in as four passes, the oracle of the fused one: intern and
+    # sum, clear the denominators, and in family B take the greatest l_k
+    # as shift and rescale every coefficient by 2^(shift - l_k)
+    sp = cohomology._space(k, n)
+    v: dict = {}
+    for lam, c in elem.items():
+        i = sp.intern(lam)
+        v[i] = v.get(i, 0) + c
+    den = math.lcm(1, *(Fraction(c).denominator for c in v.values()))
+    v = {i: int(Fraction(c) * den) for i, c in v.items()}
+    if family == "C":
+        return v, 0, den
+    shift = max((sp.ell[i] for i in v), default=0)
+    return {i: c << shift - sp.ell[i] for i, c in v.items()}, shift, den
+
+
+def test_enter_matches_four_passes():
+    # the named cases at k = 1, n = 4, then seeded sums, in both families
+    cases = [
+        (1, 4, {}),
+        (1, 4, {(3, 1): 5}),                             # a single key
+        (1, 4, {(2,): 1, (3,): -2}),                     # equal l_k
+        (1, 4, {(1,): 1, (3, 2): 2}),                    # mixed l_k
+        (1, 4, {(2, 1): 3, (2, 1, 0): Fraction(1, 2)}),  # one class twice
+        (1, 4, {(1,): 0, (2,): 1}),                      # a zero
+        (1, 4, {(1,): True, (2, 1): Fraction(-5, 6)}),
+    ]
+    rng = random.Random(26)
+    coefficients = (0, 1, -3, True, Fraction(1, 2), Fraction(-5, 6),
+                    Fraction(4, 2))
+    for k in (0, 1, 2):
+        for n in (k + 2, k + 3):
+            pool = list(rect_partitions(k, n))
+            for _ in range(20):
+                keys = rng.sample(pool, rng.randint(1, 4))
+                elem = {lam: rng.choice(coefficients) for lam in keys}
+                if rng.random() < 0.3:
+                    elem[keys[0] + (0,)] = rng.choice(coefficients)
+                cases.append((k, n, elem))
+    for family in ("C", "B"):
+        for k, n, elem in cases:
+            got = cohomology._enter(elem, k, n, family)[1:]
+            assert got == _four_pass_enter(elem, k, n, family), \
+                (family, k, n, elem)
+            assert all(type(c) is int for c in got[0].values())
 
 
 def test_rational_sums_multiply_exactly():
