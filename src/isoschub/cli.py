@@ -162,53 +162,36 @@ def _cmd_count_bases(args):
 
 
 # ---------------------------------------------------------------- suites
+# A suite takes --max-weight and returns None when it holds, or one line
+# naming the failing case; _cmd_verify fails a suite that raises, too.
 
-def _suite_intro_giambelli(mw):
-    want = {(3, 2, 1): 1, (3, 3): -1, (4, 1, 1): -2, (4, 2): 1, (5, 1): 2}
-    try:
-        got = giambelli((3, 2, 1), 1, 5, "C")
-    except RuntimeError as exc:
-        return False, str(exc)
-    if got != want:
-        return False, "expansion of (3,2,1) at k=1 came out %r" % (got,)
-    return True, ""
+def _example(what, call, want):
+    # a worked example of the paper: one call against its printed value.
+    # call is a lambda, so the library function is looked up at call time
+    def suite(mw):
+        got = call()
+        return None if got == want else "%s = %r" % (what, got)
+    return suite
 
 
-def _suite_pieri_example(mw):
-    want = {(2, 1, 1, 1): 1, (3, 1, 1): 2, (5,): 1}
-    got = pieri((2, 1, 1), 1, 1, 7, "B")
-    if got != want:
-        return False, "pieri((2,1,1),1,k=1,n=7,B) = %r" % (got,)
-    return True, ""
+def _spaces(nmax):
+    # the (family, k, n) of every space with k <= 2 and n <= nmax
+    return [(family, k, n) for family in ("C", "B") for k in range(3)
+            for n in range(max(k, 1), nmax + 1)]
 
 
 def _suite_giambelli_sweep(mw):
-    nmax = min(6, max(2, mw))
-    for family in ("C", "B"):
-        for k in range(3):
-            for n in range(max(k, 1), nmax + 1):
-                for lam in rect_partitions(k, n):
-                    try:
-                        giambelli(lam, k, n, family)
-                    except RuntimeError as exc:
-                        return False, str(exc)
-    return True, ""
+    try:
+        for family, k, n in _spaces(min(6, max(2, mw))):
+            for lam in rect_partitions(k, n):
+                giambelli(lam, k, n, family)
+    except RuntimeError as exc:
+        return str(exc)
+    return None
 
 
-def _suite_forest_example(mw):
-    fz = frozenset
-    res = build_forest((2, 1, 1), 1, 1)
-    want0 = {
-        (fz({(1, 1)}), (2, 1, 1, 1), fz(), 0),
-        (fz({(1, 1), (1, 2)}), (3, 1, 1, 0), fz({(1, 2)}), 0),
-        (fz({(1, 1), (1, 2)}), (3, 1, 1, 0), fz(), 0),
-        (fz({(1, 1), (1, 2), (1, 3)}), (5, 0, 0, 0), fz({(1, 2), (1, 3)}), 0),
-    }
-    if set(res["psi0"]) != want0:
-        return False, "psi0 = %r" % (sorted(res["psi0"]),)
-    if len(res["psi1"]) != 3:
-        return False, "psi1 size = %d" % len(res["psi1"])
-    return True, ""
+def _leaves(forest):
+    return set(forest["psi0"]), len(forest["psi1"])
 
 
 def _suite_claims(mw):
@@ -221,23 +204,8 @@ def _suite_claims(mw):
                         verify_claim1(forest)
                         verify_claim2(forest)
                     except RuntimeError as exc:
-                        return False, "lam=%r p=%d k=%d: %s" % (lam, p, k, exc)
-    return True, ""
-
-
-def _suite_modified_remark(mw):
-    got = modified_forest((4, 3, 1, 1), 6, 1)
-    if got != (1119, 543):
-        return False, "modified_forest((4,3,1,1),6,1) = %r" % (got,)
-    return True, ""
-
-
-def _suite_theta_identity(mw):
-    got = to_hat_basis(scaled(theta.theta((3, 1), 1), 3), 1)
-    want = {(4,): 2, (3, 1): -5, (2, 1, 1): 4, (1, 1, 1, 1): -1}
-    if got != want:
-        return False, "3*theta((3,1)) in the hat basis = %r" % (got,)
-    return True, ""
+                        return "lam=%r p=%d k=%d: %s" % (lam, p, k, exc)
+    return None
 
 
 def _suite_theta_hat(mw):
@@ -251,21 +219,8 @@ def _suite_theta_hat(mw):
             mat = [[ths[1 + j - i] if j + 1 >= i else {} for j in range(r)]
                    for i in range(r)]
             if evaluate(hat_theta(r, k), k, r) != p_det(mat, nv, r):
-                return False, "r=%d k=%d" % (r, k)
-    return True, ""
-
-
-def _suite_bh_example(mw):
-    want = {((4, 2), ()): 1, ((3, 2, 1), ()): 1, ((4, 1), (1,)): 1,
-            ((3, 2), (1,)): 2, ((3, 1), (1, 1)): 2, ((2, 1), (1, 1, 1)): 1}
-    got = bh_expand((3, 2, 1), 1)
-    if got != want:
-        return False, "bh_expand((3,2,1),1) = %r" % (got,)
-    if mixed_expand((3, 2, 1), 1) != want:
-        return False, "mixed_expand((3,2,1),1) disagrees"
-    if sum(got.values()) != 8:
-        return False, "tableau count %d" % sum(got.values())
-    return True, ""
+                return "r=%d k=%d" % (r, k)
+    return None
 
 
 def _duality_fault(k, n, family):
@@ -295,13 +250,10 @@ def _duality_fault(k, n, family):
 
 
 def _suite_routes(mw):
-    for family in ("C", "B"):
-        for k in range(3):
-            for n in range(max(k, 1), 6):
-                fault = _duality_fault(k, n, family)
-                if fault:
-                    return False, "duality family %s k=%d n=%d: %s" % (
-                        family, k, n, fault)
+    for family, k, n in _spaces(5):
+        fault = _duality_fault(k, n, family)
+        if fault:
+            return "duality family %s k=%d n=%d: %s" % (family, k, n, fault)
     bound = min(10, mw + 4)
     for family in ("C", "B"):
         for k in range(3):
@@ -316,9 +268,9 @@ def _suite_routes(mw):
                             r2 = theta_route_product({lam: 1}, {mu: 1}, k, n,
                                                      family)
                             if r1 != r2:
-                                return False, "family %s k=%d %r*%r" % (
+                                return "family %s k=%d %r*%r" % (
                                     family, k, lam, mu)
-    return True, ""
+    return None
 
 
 def _suite_count_bases(mw):
@@ -326,8 +278,8 @@ def _suite_count_bases(mw):
         for d in range(21):
             a, b = count_bases(d, k)
             if a != b:
-                return False, "d=%d k=%d: %d vs %d" % (d, k, a, b)
-    return True, ""
+                return "d=%d k=%d: %d vs %d" % (d, k, a, b)
+    return None
 
 
 def _suite_stanley_corollary(mw):
@@ -339,14 +291,13 @@ def _suite_stanley_corollary(mw):
                 mixed = {mu: c for (mu, nu), c in mixed_expand(lam, k).items()
                          if nu == ()}
                 if top != mixed:
-                    return False, "lam=%r k=%d: F=%r mixed=%r" % (
-                        lam, k, top, mixed)
+                    return "lam=%r k=%d: F=%r mixed=%r" % (lam, k, top, mixed)
                 direct: dict = {}
                 for key, c in expand(strict_pairs(c_set(lam, k)), lam).items():
                     combine(direct, straighten(key, 0), c)
                 if to_theta_basis(direct, 0) != top:
-                    return False, "lam=%r k=%d: straightening leg" % (lam, k)
-    return True, ""
+                    return "lam=%r k=%d: straightening leg" % (lam, k)
+    return None
 
 
 def _closed_form_a_holds(lam, k):
@@ -404,34 +355,54 @@ _THCOR_B_POOL = [((1,), 0), ((2, 1), 0), ((3, 1), 0), ((3, 2), 0),
 def _suite_thcor(mw):
     for lam, k in _THCOR_A_POOL:
         if not _closed_form_a_holds(lam, k):
-            return False, "small-parts regime lam=%r k=%d" % (lam, k)
+            return "small-parts regime lam=%r k=%d" % (lam, k)
     for lam, k in _THCOR_B_POOL:
         if not _closed_form_b_holds(lam, k):
-            return False, "large-parts regime lam=%r k=%d" % (lam, k)
-    return True, ""
+            return "large-parts regime lam=%r k=%d" % (lam, k)
+    return None
 
 
 def _suite_presentation(mw):
-    for family in ("C", "B"):
-        for k in range(3):
-            for n in range(max(k, 1), 7):
-                for r in range(k + 1, n + k + 1):
-                    if not verify_presentation(k, n, r, family):
-                        return False, "family %s k=%d n=%d r=%d" % (
-                            family, k, n, r)
-    return True, ""
+    for family, k, n in _spaces(6):
+        for r in range(k + 1, n + k + 1):
+            if not verify_presentation(k, n, r, family):
+                return "family %s k=%d n=%d r=%d" % (family, k, n, r)
+    return None
 
+
+_BH_EXAMPLE = {((4, 2), ()): 1, ((3, 2, 1), ()): 1, ((4, 1), (1,)): 1,
+               ((3, 2), (1,)): 2, ((3, 1), (1, 1)): 2, ((2, 1), (1, 1, 1)): 1}
+_FZ = frozenset
 
 SUITES = [
-    ("intro-giambelli", _suite_intro_giambelli),
-    ("pieri-example", _suite_pieri_example),
+    ("intro-giambelli", _example(
+        "giambelli((3,2,1),1,5,C)", lambda: giambelli((3, 2, 1), 1, 5, "C"),
+        {(3, 2, 1): 1, (3, 3): -1, (4, 1, 1): -2, (4, 2): 1, (5, 1): 2})),
+    ("pieri-example", _example(
+        "pieri((2,1,1),1,k=1,n=7,B)", lambda: pieri((2, 1, 1), 1, 1, 7, "B"),
+        {(2, 1, 1, 1): 1, (3, 1, 1): 2, (5,): 1})),
     ("giambelli-sweep", _suite_giambelli_sweep),
-    ("forest-example", _suite_forest_example),
+    ("forest-example", _example(
+        "(psi0, size of psi1) of build_forest((2,1,1),1,1)",
+        lambda: _leaves(build_forest((2, 1, 1), 1, 1)),
+        ({(_FZ({(1, 1)}), (2, 1, 1, 1), _FZ(), 0),
+          (_FZ({(1, 1), (1, 2)}), (3, 1, 1, 0), _FZ({(1, 2)}), 0),
+          (_FZ({(1, 1), (1, 2)}), (3, 1, 1, 0), _FZ(), 0),
+          (_FZ({(1, 1), (1, 2), (1, 3)}), (5, 0, 0, 0),
+           _FZ({(1, 2), (1, 3)}), 0)}, 3))),
     ("claims", _suite_claims),
-    ("modified-remark", _suite_modified_remark),
-    ("theta-identity", _suite_theta_identity),
+    ("modified-remark", _example(
+        "modified_forest((4,3,1,1),6,1)",
+        lambda: modified_forest((4, 3, 1, 1), 6, 1), (1119, 543))),
+    ("theta-identity", _example(
+        "3*theta((3,1)) in the hat basis",
+        lambda: to_hat_basis(scaled(theta.theta((3, 1), 1), 3), 1),
+        {(4,): 2, (3, 1): -5, (2, 1, 1): 4, (1, 1, 1, 1): -1})),
     ("theta-hat", _suite_theta_hat),
-    ("bh-example", _suite_bh_example),
+    ("bh-example", _example(
+        "(bh_expand, mixed_expand) of (3,2,1) at k=1",
+        lambda: (bh_expand((3, 2, 1), 1), mixed_expand((3, 2, 1), 1)),
+        (_BH_EXAMPLE, _BH_EXAMPLE))),
     ("routes", _suite_routes),
     ("count-bases", _suite_count_bases),
     ("stanley-corollary", _suite_stanley_corollary),
@@ -454,23 +425,23 @@ def _cmd_verify(args):
         raise ValueError("--max-weight must be at least 1")
     rows = []
     lines = []
-    failed = False
     for name, fn in SUITES:
         if args.suite not in ("all", name):
             continue
         t0 = time.monotonic()
         try:
-            ok, detail = fn(args.max_weight)
+            detail = fn(args.max_weight)
         except Exception as exc:
             # a crash fails this suite only; the others still run
-            ok, detail = False, "%s in %s: %s" % (
-                type(exc).__name__, _raised_in(exc), exc)
+            detail = "%s in %s: %s" % (type(exc).__name__, _raised_in(exc),
+                                       exc)
         dt = time.monotonic() - t0
+        ok = detail is None
         rows.append({"name": name, "ok": ok, "seconds": round(dt, 3),
-                     "detail": detail})
+                     "detail": detail or ""})
         mark = "pass" if ok else "FAIL " + detail
         lines.append("suite %-18s %s (%.1fs)" % (name, mark, dt))
-        failed = failed or not ok
+    failed = not all(row["ok"] for row in rows)
     return (1 if failed else 0), {"suites": rows, "ok": not failed}, lines
 
 

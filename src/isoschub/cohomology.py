@@ -49,9 +49,10 @@ def pieri_match(lam, mu, k: int):
     "mentioned" by the column conditions, the matched (new, removed)
     row pairs, the free set A in columns > k, its components (boxes
     connect through edges or corners), and N = len(components). Raises
-    ValueError for k < 0.
+    ValueError for k < 0 or a part that is not an int.
     """
     check_k(k)
+    check_ints(chain(lam, mu), "the parts")
     lam = strip(lam)
     mu = strip(mu)
     if not (is_k_strict(lam, k) and is_k_strict(mu, k)):
@@ -258,19 +259,6 @@ class _Space:
                     rows.append(None)
             self.index[lam] = self.index[key] = i
         return i
-
-    def vector(self, elem: dict) -> dict:
-        """A formal sum over classes as a vector over their indices."""
-        v: dict = {}
-        for lam, c in elem.items():
-            i = self.intern(lam)
-            v[i] = v.get(i, 0) + c
-        return v
-
-    def sum(self, v: dict) -> dict:
-        """The formal sum of a vector, without its zeros."""
-        classes = self.classes
-        return {classes[i]: c for i, c in v.items() if c}
 
     def apply(self, v: dict, p: int, scale=1, out=None) -> dict:
         """scale times sigma_p times the vector v, for 1 <= p <= n + k,
@@ -528,10 +516,12 @@ def theta_route_product(a: dict, b: dict, k: int, n: int, family: str) -> dict:
     ValueError unless every key of a and b is a class of the space."""
     sp, va, sa, da = _enter(a, k, n, family)
     _, vb, sb, db = _enter(b, k, n, family)
-    ea = theta_ring.theta_sum(sp.sum(va), k)
-    eb = theta_ring.theta_sum(sp.sum(vb), k)
+    # both factors leave and the product enters as integer sigma sums
+    ea = theta_ring.theta_sum(_leave(va, sp, "C", 0, 1), k)
+    eb = theta_ring.theta_sum(_leave(vb, sp, "C", 0, 1), k)
     prod = theta_ring.to_theta_basis(theta_ring.multiply(ea, eb, k), k)
-    v = sp.vector({lam: c for lam, c in prod.items() if in_rect(lam, k, n)})
+    v = _enter({lam: c for lam, c in prod.items() if in_rect(lam, k, n)},
+               k, n, "C")[1]
     return _leave(v, sp, family, sa + sb, da * db)
 
 
@@ -540,8 +530,10 @@ def verify_presentation(k: int, n: int, r: int, family: str) -> bool:
 
     The combination sigma_r^2 + 2 sum_{i=1..n+k-r} (-1)^i
     sigma_{r+i} sigma_{r-i} (with the c_p classes in family B) must
-    reduce to zero for every r in (k, n+k]; any other r raises ValueError.
+    reduce to zero for every r in (k, n+k]; any other r, or a k, n or r
+    that is not an int, raises ValueError.
     """
+    check_ints((k, n, r), "k, n and r")
     if not k < r <= n + k:
         raise ValueError("r must lie in %d..%d, got %d" % (k + 1, n + k, r))
     rel = {(r, r): 1}

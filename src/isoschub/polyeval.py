@@ -17,7 +17,7 @@ compare per pair of degrees. Fields that would fit in a byte get a
 whole byte, so that int.from_bytes and int.to_bytes pack and unpack in
 C. Each public function packs its arguments once and unpacks its
 result once; matrix entries, minors, the q_r and the theta polynomials
-stay packed in between.
+stay packed in between. A bound that is not an int raises ValueError.
 """
 
 # add_into is unused but stays bound: bench/tracing.TARGETS expects it here
@@ -28,6 +28,8 @@ from .theta import theta
 
 
 def _width(bound: int) -> int:
+    # every public bound passes through here
+    check_ints((bound,), "the bound")
     return max(bound.bit_length(), 8)
 
 
@@ -136,10 +138,10 @@ def p_mul(a: dict, b: dict, bound: int) -> dict:
     """The product a * b with every term above total degree bound dropped.
     Raises ValueError unless every key of a and b has as many exponents
     as the first key of a, and none of degree <= bound is negative."""
+    width = _width(bound)
     if not a or not b:
         return {}
     nv = len(next(iter(a)))
-    width = _width(bound)
     prod = _mul(_pack(a, nv, bound, width), _pack(b, nv, bound, width), bound)
     return _unpack(prod, nv, width)
 
@@ -244,11 +246,11 @@ def q_basis_poly(mu, qs: list[dict], nv: int, bound: int) -> dict:
     key of the q_r it uses is nv exponents, none of degree <= bound
     negative, and qs runs to the largest q_r of degree <= bound that
     the Pfaffian uses."""
+    width = _width(bound)
     pf = pfaffian_expand(mu)
     # a q_r above bound has no term left
     need = min(max((r for key in pf for r in key), default=-1), bound)
     _check_qs(qs, need)
-    width = _width(bound)
     factors = {r: _pack(qs[r], nv, bound, width) for r in range(need + 1)}
     return _unpack(_monomial_sum(pf, factors, bound), nv, width)
 
@@ -290,6 +292,7 @@ def q_det_poly(mu, qs: list[dict], nv: int, bound: int) -> dict:
     """The determinant det(q_{mu_i + j - i}) in the x variables. Raises
     ValueError unless qs runs to q_r for r = min(mu_1 + l(mu) - 1,
     bound), the largest index of an entry that truncation keeps."""
+    _width(bound)  # checks the bound before min() compares it
     mu = strip(mu)
     if mu:
         _check_qs(qs, min(mu[0] + len(mu) - 1, bound))

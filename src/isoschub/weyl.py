@@ -178,53 +178,18 @@ def _reduced_words(w):
     return tuple(out)
 
 
-def word_product(word):
-    w = ()
-    for a in word:
-        w = apply_s(w, a)
-    return trim(w)
-
-
-def unimodal(seq):
-    """Strictly decreasing, then strictly increasing."""
-    i = 0
-    while i + 1 < len(seq) and seq[i] > seq[i + 1]:
-        i += 1
-    while i + 1 < len(seq) and seq[i] < seq[i + 1]:
-        i += 1
-    return i >= len(seq) - 1
-
-
-def lus(word):
-    """Length of the longest unimodal subsequence."""
-    m = len(word)
-    if m == 0:
-        return 0
-    dec = [1] * m
-    inc = [1] * m
-    for j in range(m):
-        for i in range(j):
-            if word[i] > word[j] and dec[i] + 1 > dec[j]:
-                dec[j] = dec[i] + 1
-    for j in range(m - 1, -1, -1):
-        for i in range(j + 1, m):
-            if word[i] > word[j] and inc[i] + 1 > inc[j]:
-                inc[j] = inc[i] + 1
-    return max(dec[j] + inc[j] - 1 for j in range(m))
-
-
 def _word_tableaux(word, out):
     """Append to out every tableau whose row word is the reduced word.
 
-    Two prefix tables make each cut a lookup.  L[j] = lus(word[:j]) is
-    the running maximum of up[t], the longest unimodal subsequence
-    ending at t, where up[t] extends either the longest strictly
-    decreasing one ending at t (down[t]) or an up[i] with i < t and
-    word[i] < word[t].  ends[p] is the largest e with word[p:e]
-    unimodal; one scan per start finds it, since unimodal segments are
-    closed under taking prefixes.  A row word[pos:e] can follow a row
-    of length prev exactly when pos + prev < e <= ends[pos] and
-    L[e] == e - pos.
+    Two prefix tables make each cut a lookup.  L[j], the length of the
+    longest unimodal subsequence of word[:j], is the running maximum of
+    up[t], the longest unimodal subsequence ending at t, where up[t]
+    extends either the longest strictly decreasing one ending at t
+    (down[t]) or an up[i] with i < t and word[i] < word[t].  ends[p] is
+    the largest e with word[p:e] unimodal; one scan per start finds it,
+    since unimodal segments are closed under taking prefixes.  A row
+    word[pos:e] can follow a row of length prev exactly when
+    pos + prev < e <= ends[pos] and L[e] == e - pos.
     """
     m = len(word)
     down = []
@@ -286,24 +251,6 @@ def ktableaux(w, shape=None):
         shape = tuple(shape)
         out = [t for t in out if tuple(len(r) for r in t) == shape]
     return sorted(out)
-
-
-def valid_ktableau(w, rows):
-    """Check the tableau conditions directly against the definition."""
-    shape = tuple(len(r) for r in rows)
-    if list(shape) != sorted(shape, reverse=True) or len(set(shape)) != len(shape):
-        return False
-    if any(n == 0 for n in shape):
-        return False
-    word = tuple(a for r in reversed(rows) for a in r)
-    if len(word) != length(w) or word_product(word) != trim(w):
-        return False
-    seen = ()
-    for row in reversed(rows):
-        seen = seen + row
-        if not unimodal(row) or lus(seen) != len(row):
-            return False
-    return True
 
 
 def stanley_F(w):

@@ -11,10 +11,12 @@ def child_env():
 
     pytest finds the package through pyproject's pythonpath, which a
     subprocess does not inherit, so the package's parent directory goes
-    first on the child's PYTHONPATH.
+    first on the child's PYTHONPATH, and then this directory, whose test
+    modules hold oracles (pieri_S_sets) that a child may import.
     """
     src = os.path.dirname(os.path.dirname(os.path.abspath(isoschub.__file__)))
+    path = src + os.pathsep + os.path.dirname(os.path.abspath(__file__))
     env = dict(os.environ)
     rest = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = src + os.pathsep + rest if rest else src
+    env["PYTHONPATH"] = path + os.pathsep + rest if rest else path
     return env

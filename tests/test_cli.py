@@ -273,8 +273,7 @@ def test_verify_scaled_sweeps(capsys):
 
 
 def test_verify_reports_failure(capsys, monkeypatch):
-    patched = cli.SUITES + [("always-fails",
-                             lambda mw: (False, "demo counterexample"))]
+    patched = cli.SUITES + [("always-fails", lambda mw: "demo counterexample")]
     monkeypatch.setattr(cli, "SUITES", patched)
     code, out = run(["verify", "--suite", "always-fails"], capsys)
     assert code == 1
@@ -285,6 +284,37 @@ def test_verify_reports_failure(capsys, monkeypatch):
     assert json.loads(out)["ok"] is False
 
 
+# each worked example, the library name its row calls in cli, a wrong
+# value for it, and the detail the row must then report
+WRONG_EXAMPLES = [
+    ("intro-giambelli", "giambelli", {}, "giambelli((3,2,1),1,5,C) = {}"),
+    ("pieri-example", "pieri", {(5,): 1},
+     "pieri((2,1,1),1,k=1,n=7,B) = {(5,): 1}"),
+    ("forest-example", "build_forest", {"psi0": [], "psi1": []},
+     "(psi0, size of psi1) of build_forest((2,1,1),1,1) = (set(), 0)"),
+    ("modified-remark", "modified_forest", (1119, 544),
+     "modified_forest((4,3,1,1),6,1) = (1119, 544)"),
+    ("theta-identity", "to_hat_basis", {(4,): 2},
+     "3*theta((3,1)) in the hat basis = {(4,): 2}"),
+    ("bh-example", "mixed_expand", {},
+     "(bh_expand, mixed_expand) of (3,2,1) at k=1 = (%r, {})"
+     % (bh_expand((3, 2, 1), 1),)),
+]
+
+
+@pytest.mark.parametrize("suite, name, wrong, detail", WRONG_EXAMPLES,
+                         ids=[row[0] for row in WRONG_EXAMPLES])
+def test_worked_example_reports_what_it_got(capsys, monkeypatch, suite, name,
+                                            wrong, detail):
+    # the row looks its library function up in cli at call time, and a
+    # wrong value fails it with "<what> = <got>"
+    monkeypatch.setattr(cli, name, lambda *args: wrong)
+    code, out = run(["verify", "--suite", suite, "--format", "json"], capsys)
+    assert code == 1
+    row = json.loads(out)["suites"][0]
+    assert (row["name"], row["ok"], row["detail"]) == (suite, False, detail)
+
+
 def test_verify_reports_a_raising_suite(capsys, monkeypatch):
     # an exception inside a suite fails that suite alone, names its type
     # and the function that raised it, and the other suites still run
@@ -292,7 +322,7 @@ def test_verify_reports_a_raising_suite(capsys, monkeypatch):
         return theta_ring._solve([[0]], [1])
 
     def bad_input(mw):
-        return theta_ring.theta((2, 2), 1), ""
+        return theta_ring.theta((2, 2), 1)
 
     monkeypatch.setattr(cli, "to_hat_basis", singular)
     keep = ("theta-identity", "pieri-example")
@@ -505,8 +535,7 @@ def test_routes_suite_catches_a_doubled_family_b_boundary(monkeypatch):
         return right(v, sp, family, shift - (family == "B"), den)
 
     monkeypatch.setattr(cohomology, "_leave", doubled)
-    ok, detail = dict(cli.SUITES)["routes"](1)
-    assert ok is False
+    detail = dict(cli.SUITES)["routes"](1)
     assert detail.startswith("duality family B"), detail
 
 
@@ -527,8 +556,7 @@ def test_routes_suite_counts_the_basis(monkeypatch):
         for k, n in ((1, 3), (2, 4)):
             assert cli._duality_fault(k, n, family) == \
                 "%d classes, not 2^(n-k) C(n,k)" % (len(full(k, n)) - 2)
-    ok, detail = dict(cli.SUITES)["routes"](1)
-    assert ok is False
+    detail = dict(cli.SUITES)["routes"](1)
     assert detail.startswith("duality family C k=0 n=1: 0 classes"), detail
 
 
@@ -554,8 +582,8 @@ print(json.dumps([sys.flags.optimize, suites["giambelli-sweep"](3),
     assert res.returncode == 0, res.stderr
     optimize, sweep, claims = json.loads(res.stdout)
     assert optimize == 1
-    assert sweep[0] is False and sweep[1], sweep
-    assert claims[0] is False and claims[1], claims
+    assert isinstance(sweep, str) and sweep, sweep
+    assert isinstance(claims, str) and claims, claims
 
 
 def test_console_entry_subprocess(child_env):

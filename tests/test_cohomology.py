@@ -29,12 +29,12 @@ from isoschub.polyeval import (e_list, evaluate, p_det, p_mul, q_basis_poly,
 from isoschub.raising import (c_set, diagonal_count, expand, pfaffian_expand,
                               strict_pairs)
 from isoschub.substitution import (apply_rule, build_forest, ev, iota,
-                                   pieri_S_sets, root_compositions,
-                                   verify_claim2)
+                                   root_compositions, verify_claim2)
 from isoschub.theta import (hat_theta, mixed_expand, skew_S, straighten, theta,
                             to_hat_basis)
 from isoschub.weyl import (grassmannian_element, ktableaux, reduced_words,
                            right_factors, stanley_F)
+from test_substitution import pieri_S_sets
 
 # Public functions over a private memo: each result must be a new dict,
 # straight from the memo or through a family conversion.
@@ -346,6 +346,19 @@ BAD_CALLS = {
     "right-factors-not-1-to-n": lambda: right_factors((3, 1)),
     "ktableaux-too-long": lambda: ktableaux(grassmannian_element((65,), 0)),
     "stanley-too-many-words": lambda: stanley_F((-1, -2, -3, -4, -5)),
+    # a k, n, r, part or bound that is no int raised TypeError from a
+    # comparison or range, or AttributeError from bit_length
+    "presentation-str-r": lambda: verify_presentation(1, 3, "2", "C"),
+    "presentation-none-r": lambda: verify_presentation(1, 3, None, "C"),
+    "presentation-float-r": lambda: verify_presentation(1, 3, 2.0, "C"),
+    "presentation-str-k": lambda: verify_presentation("1", 3, 2, "C"),
+    "pieri-match-float-lam-part": lambda: pieri_match((2.0, 1), (3, 1), 1),
+    "pieri-match-float-mu-part": lambda: pieri_match((2, 1), (3.0, 1), 1),
+    "p-mul-float-bound": lambda: p_mul({(1,): 1}, {(1,): 1}, 1.5),
+    "p-det-str-bound": lambda: p_det([[{(1,): 1}]], 1, "x"),
+    "q-basis-poly-str-bound":
+        lambda: q_basis_poly((2,), q_list(2, 2, 3), 2, "x"),
+    "q-det-poly-str-bound": lambda: q_det_poly((2,), q_list(2, 2, 3), 2, "x"),
     # nine rows; the limit raises before the 9! permutations are summed
     "skew-S-too-many-rows": lambda: skew_S(tuple(range(9, 0, -1)), (), 1),
     # w0 of B_7: the walk stops past 50,000 of its 645,120 elements
@@ -1009,12 +1022,13 @@ print(json.dumps(got))
 
 _BROKEN_HELPERS = """
 import json, sys
-from isoschub import substitution, weyl
+import test_substitution
+from isoschub import weyl
 got = [sys.flags.optimize]
-substitution.r_boxes = lambda lam, k, mu: {(1, 2)}
+test_substitution.r_boxes = lambda lam, k, mu: {(1, 2)}
 split = weyl.split_columns
 weyl.split_columns = lambda lam, k: split(lam, k)[:2] + (split(lam, k)[2] + 1,)
-for call in (lambda: substitution.pieri_S_sets((1,), (2,), 1),
+for call in (lambda: test_substitution.pieri_S_sets((1,), (2,), 1),
              lambda: weyl.grassmannian_element((3, 1), 1, 4)):
     try:
         got.append("returned %r" % (call(),))

@@ -5,16 +5,69 @@ import pytest
 
 import isoschub
 from isoschub import cohomology, substitution
-from isoschub.cohomology import pieri, stable_n
+from isoschub.cohomology import pieri, pieri_match, stable_n
 from isoschub.formal import combine
 from isoschub.partitions import get, is_k_strict, strip, weight
 from isoschub.raising import c_set, outside_rim
-from isoschub.substitution import (apply_rule, build_forest, ef_values, ev,
-                                   g_value, iota, modified_forest,
-                                   pieri_S_sets, r_boxes, rank_r,
-                                   root_compositions, verify_claim1,
+from isoschub.substitution import (_check, apply_rule, build_forest, ef_values,
+                                   ev, g_value, iota, modified_forest, r_boxes,
+                                   rank_r, root_compositions, verify_claim1,
                                    verify_claim2, w_holds, x_holds)
 from test_partitions import partitions_of
+
+
+# the level-0 S-sets read off one Pieri pair, with no forest: the oracle
+# that the forest's leaves are compared against
+
+def pieri_S_sets(lam, mu, k: int) -> dict:
+    """Reconstruct the level-0 S-sets for mu straight from the pair.
+
+    The free boxes group into components; in each, the boxes opening a
+    row run are distinguished and the rightmost of them is optional.
+    E holds the optional boxes' pairs (i, r(i+c)), F the forced ones,
+    G the pairs joining a grown row to a shrunk one through related
+    boxes.  The S-sets are E' union F union G over all E' inside E.
+    ValueError for k < 0 or unless mu is a Pieri term of lam; RuntimeError
+    on a failed check.
+    """
+    lam = strip(lam)
+    mu = strip(mu)
+    ell = len(lam)
+    info = pieri_match(lam, mu, k)
+    if info is None:
+        raise ValueError("mu is not a Pieri term of lam: %r, %r" % (mu, lam))
+    aset = set(info["A"])
+    over_k = {b for b in info["added"] if b[1] > k}
+    _check(aset == over_k - r_boxes(lam, k, mu), "free boxes", lam, mu)
+    distinguished = sorted(b for b in aset if (b[0], b[1] - 1) not in aset)
+    optional = set()
+    for comp in info["components"]:
+        dist = [b for b in comp if (b[0], b[1] - 1) not in aset]
+        _check(len({c for _, c in dist}) == len(dist), "columns", lam, mu)
+        optional.add(max(dist, key=lambda b: b[1]))
+    _check(len(optional) == info["N"], "optional boxes", lam, mu)
+    E, F = set(), set()
+    for i, c in distinguished:
+        pair = (i, rank_r(i + c, lam, k))
+        if (i, c) in optional:
+            E.add(pair)
+        else:
+            F.add(pair)
+            _check(pair[1] == ef_values(lam, k, i, mu)[1], "forced", lam, mu)
+    G = {(nb[0], rb[0]) for nb, rb in info["match_removed"]}
+    _check(not (E & F or E & G or F & G), "E, F, G overlap", E, F, G)
+    hull = c_set(mu, k, ell + 1) & frozenset(outside_rim(c_set(lam, k), ell + 1))
+    _check(E | F | G <= hull, "pairs outside the hull", lam, mu, E, F, G)
+    s_sets = set()
+    pool = sorted(E)
+    for mask in range(1 << len(pool)):
+        extra = {pool[i] for i in range(len(pool)) if mask >> i & 1}
+        s_sets.add(frozenset(extra | F | G))
+    _check(len(s_sets) == 1 << info["N"], "S-set count", lam, mu)
+    return {"A": info["A"], "components": info["components"],
+            "distinguished": distinguished, "optional": optional,
+            "E": E, "F": F, "G": G, "N": info["N"], "S_sets": s_sets}
+
 
 EX_LAM = (9, 7, 3, 2, 1, 1)
 EX_MU = (11, 12, 7, 2, 2)

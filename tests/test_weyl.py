@@ -11,9 +11,64 @@ from isoschub import weyl
 from isoschub.weyl import (MAX_LENGTH, MAX_REDUCED_WORDS, MAX_RIGHT_FACTORS,
                            apply_s, bh_expand, check_window, descents, extend,
                            grassmannian_element, inverse, ktableaux, length,
-                           lus, mul, reduced_words, right_factors, stanley_F,
-                           trim, unimodal, valid_ktableau, word_product)
+                           mul, reduced_words, right_factors, stanley_F, trim)
 from test_partitions import partitions_of
+
+
+# the tableau conditions read straight off the definition: the oracle of
+# ktableaux, which shares none of this code
+
+def word_product(word):
+    w = ()
+    for a in word:
+        w = apply_s(w, a)
+    return trim(w)
+
+
+def unimodal(seq):
+    """Strictly decreasing, then strictly increasing."""
+    i = 0
+    while i + 1 < len(seq) and seq[i] > seq[i + 1]:
+        i += 1
+    while i + 1 < len(seq) and seq[i] < seq[i + 1]:
+        i += 1
+    return i >= len(seq) - 1
+
+
+def lus(word):
+    """Length of the longest unimodal subsequence."""
+    m = len(word)
+    if m == 0:
+        return 0
+    dec = [1] * m
+    inc = [1] * m
+    for j in range(m):
+        for i in range(j):
+            if word[i] > word[j] and dec[i] + 1 > dec[j]:
+                dec[j] = dec[i] + 1
+    for j in range(m - 1, -1, -1):
+        for i in range(j + 1, m):
+            if word[i] > word[j] and inc[i] + 1 > inc[j]:
+                inc[j] = inc[i] + 1
+    return max(dec[j] + inc[j] - 1 for j in range(m))
+
+
+def valid_ktableau(w, rows):
+    """Check the tableau conditions directly against the definition."""
+    shape = tuple(len(r) for r in rows)
+    if list(shape) != sorted(shape, reverse=True) or len(set(shape)) != len(shape):
+        return False
+    if any(n == 0 for n in shape):
+        return False
+    word = tuple(a for r in reversed(rows) for a in r)
+    if len(word) != length(w) or word_product(word) != trim(w):
+        return False
+    seen = ()
+    for row in reversed(rows):
+        seen = seen + row
+        if not unimodal(row) or lus(seen) != len(row):
+            return False
+    return True
 
 
 def all_elements(n):
