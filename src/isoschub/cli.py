@@ -28,9 +28,9 @@ from .cohomology import (giambelli, multiply, pieri, stable_n,
                          theta_route_product, verify_presentation)
 from .formal import combine, scaled, sum_to_json
 # in_rect is unused but stays bound: bench/tracing.TARGETS expects it here
-from .partitions import (count_bases, get, in_rect, is_k_strict,
-                         k_strict_partitions, rect_partitions, strip,
-                         subpartitions, weight)
+from .partitions import (check_partition, check_range, count_bases, get,
+                         in_rect, is_k_strict, k_strict_partitions,
+                         rect_partitions, strip, subpartitions, weight)
 from .polyeval import (e_list, evaluate, p_det, p_mul, q_basis_poly,
                        q_det_poly, q_list, schur_conj_poly)
 from .raising import c_set, expand, strict_pairs
@@ -44,6 +44,15 @@ from .weyl import bh_expand, grassmannian_element, ktableaux, length, \
 
 # ---------------------------------------------------------------- literals
 
+def _checked(check, value, *what):
+    # the library's own rule, its ValueError shown as argparse's usage error
+    try:
+        check(value, *what)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
+
+
 def parse_partition(text: str) -> tuple:
     text = text.strip()
     if text in ("", "-", "0"):
@@ -53,18 +62,12 @@ def parse_partition(text: str) -> tuple:
     except ValueError:
         raise argparse.ArgumentTypeError(
             "partition literal must look like 3,2,1") from None
-    if any(x < 0 for x in parts) or any(
-            parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-        raise argparse.ArgumentTypeError(
-            "parts must be nonnegative and weakly decreasing: %s" % text)
-    return strip(parts)
+    return strip(_checked(check_partition, parts))
 
 
 def nonnegative(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be nonnegative, got %d" % value)
-    return value
+    # a named function: argparse names it for a value int() rejects
+    return _checked(check_range, int(text), "the value")
 
 
 def parse_perm(text: str) -> tuple:
@@ -73,11 +76,7 @@ def parse_perm(text: str) -> tuple:
     except ValueError:
         raise argparse.ArgumentTypeError(
             "signed permutation literal must look like 4,-2,-1,3") from None
-    try:
-        weyl.check_window(w)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return w
+    return _checked(weyl.check_window, w)
 
 
 # ---------------------------------------------------------------- rendering

@@ -26,12 +26,11 @@ from functools import cache
 from itertools import chain
 from math import lcm
 
-# add_into and combine are unused but stay bound: bench/tracing.TARGETS
-# expects them here
+# add_into is unused but stays bound: bench/tracing.TARGETS expects it here
 from .formal import add_into, combine, scaled
-from .partitions import (check_ints, check_k, check_rect, fill_rows, get,
-                         in_rect, is_k_strict, k_related, length_gt_k, strip,
-                         weight)
+from .partitions import (check_ints, check_k, check_range, check_rect,
+                         fill_rows, get, in_rect, is_k_strict, k_related,
+                         length_gt_k, strip, weight)
 from .raising import c_set, expand, strict_pairs
 from . import theta as theta_ring
 
@@ -135,8 +134,7 @@ def pieri(lam, p: int, k: int, n: int, family: str) -> dict:
     1..n + k.
     """
     sp, v, shift, den = _enter({lam: 1}, k, n, family)
-    if type(p) is not int or not 1 <= p <= n + k:
-        raise ValueError("p must be an int in 1..n+k, got %r" % (p,))
+    check_range(p, "p", 1, n + k)
     return _leave(sp.apply(v, p), sp, family, shift, den)
 
 
@@ -411,7 +409,8 @@ def reduce_polynomial(poly: dict, k: int, n: int, family: str) -> dict:
 
 def reduce_monomial(beta, k: int, n: int, family: str) -> dict:
     """Product of special classes with indices beta in the Schubert basis:
-    reduce_polynomial of the one monomial beta."""
+    reduce_polynomial of the one monomial beta, a sequence of ints."""
+    check_ints(beta, "the indices")  # before tuple() meets a non-iterable
     return reduce_polynomial({tuple(beta): 1}, k, n, family)
 
 
@@ -436,8 +435,7 @@ def _walk(sp, formula, v, scale, acc):
     stack, prev = [v], ()
     for key, c in formula:
         if not key:  # the unit's formula, ((), 1)
-            for i, x in v.items():
-                acc[i] = acc.get(i, 0) + scale * c * x
+            combine(acc, v, scale * c)
             continue
         if key[0] > top:
             break
@@ -533,9 +531,8 @@ def verify_presentation(k: int, n: int, r: int, family: str) -> bool:
     reduce to zero for every r in (k, n+k]; any other r, or a k, n or r
     that is not an int, raises ValueError.
     """
-    check_ints((k, n, r), "k, n and r")
-    if not k < r <= n + k:
-        raise ValueError("r must lie in %d..%d, got %d" % (k + 1, n + k, r))
+    check_ints((k, n), "k and n")
+    check_range(r, "r", k + 1, n + k)
     rel = {(r, r): 1}
     for i in range(1, n + k - r + 1):
         rel[(r + i, r - i)] = -2 if i % 2 else 2
@@ -543,5 +540,7 @@ def verify_presentation(k: int, n: int, r: int, family: str) -> bool:
 
 
 def stable_n(d: int, k: int) -> int:
-    """An n large enough that weight-d classes multiply stably."""
+    """An n at which weight-d classes multiply stably, for ints d, k >= 0."""
+    check_range(d, "d")
+    check_k(k)
     return d + k + 2

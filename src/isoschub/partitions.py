@@ -87,13 +87,21 @@ def in_rect(lam, k: int, n: int) -> bool:
 def check_ints(entries, what: str) -> None:
     """Raise ValueError unless all entries are ints. A memo table takes a
     float or a bool equal to an int for that int, so callers check first."""
-    if not {int}.issuperset(map(type, entries)):
+    iterable = hasattr(entries, "__iter__")
+    if not iterable or not {int}.issuperset(map(type, entries)):
         raise ValueError("%s must be of type int" % what)
 
 
+def check_range(x, what: str, lo: int = 0, hi: int | None = None) -> None:
+    """Raise ValueError unless x is an int in lo..hi, or at least lo when
+    hi is None; a bool or a float is no int here, as for check_ints."""
+    if type(x) is not int or x < lo or hi is not None and x > hi:
+        span = ">= %d" % lo if hi is None else "in %d..%d" % (lo, hi)
+        raise ValueError("%s must be an int %s, got %r" % (what, span, x))
+
+
 def check_k(k: int) -> None:
-    if type(k) is not int or k < 0:
-        raise ValueError("need an int k >= 0, got k=%r" % (k,))
+    check_range(k, "k")
 
 
 def check_partition(lam) -> None:
@@ -101,8 +109,8 @@ def check_partition(lam) -> None:
     nonnegative ints; trailing zeros are allowed."""
     check_ints(lam, "the parts")
     if any(a < b for a, b in zip(lam, lam[1:])) or lam and lam[-1] < 0:
-        raise ValueError("lambda must be weakly decreasing and nonnegative: "
-                         "%s" % (",".join(map(str, lam)) or "-"))
+        raise ValueError("the parts must be weakly decreasing and "
+                         "nonnegative: %s" % (",".join(map(str, lam)) or "-"))
 
 
 def check_rect(lam, k: int, n: int | None = None) -> None:
@@ -194,11 +202,7 @@ def count_bases(d: int, k: int) -> tuple[int, int]:
     the count-bases command accepts, and k an int >= 0.
     """
     check_k(k)
-    check_ints((d,), "d")
-    if d < 0:
-        raise ValueError("d must be nonnegative, got %d" % d)
-    if d > 50:
-        raise ValueError("d must be at most 50, got %d" % d)
+    check_range(d, "d", 0, 50)
     strict, odd = [1] + [0] * d, [1] + [0] * d
     for i in range(1, d + 1):
         # a part used at most once is added from the top down, so that

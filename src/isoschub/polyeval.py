@@ -22,7 +22,7 @@ stay packed in between. A bound that is not an int raises ValueError.
 
 # add_into is unused but stays bound: bench/tracing.TARGETS expects it here
 from .formal import add_into, combine, norm_scalar
-from .partitions import check_ints, check_k, get, strip
+from .partitions import check_ints, check_k, check_range, get, strip
 from .raising import pfaffian_expand
 from .theta import theta
 
@@ -36,9 +36,9 @@ def _width(bound: int) -> int:
 def _check_vars(lo: int, hi: int, nv: int) -> None:
     # an unpacked key has nv fields: a variable outside them would be
     # dropped silently by wide fields, and fail deep inside byte fields
-    if not 0 <= lo <= hi <= nv:
-        raise ValueError("need 0 <= lo <= hi <= nv for the variables "
-                         "lo..hi-1, got lo=%d hi=%d nv=%d" % (lo, hi, nv))
+    check_range(nv, "nv")
+    check_range(hi, "the end of the variables", 0, nv)
+    check_range(lo, "the start of the variables", 0, hi)
 
 
 def _key_error(e, nv: int) -> ValueError:
@@ -171,15 +171,16 @@ def _series(q_vars, e_vars, top: int, width: int) -> list[dict]:
 
 def e_list(lo: int, hi: int, nv: int, top: int) -> list[dict]:
     """Elementary symmetric polynomials e_0..e_top in variables lo..hi-1.
-    Raises ValueError unless 0 <= lo <= hi <= nv."""
+    Raises ValueError unless 0 <= lo <= hi <= nv and 0 <= top, all ints."""
     _check_vars(lo, hi, nv)
+    check_range(top, "top")
     # no exponent exceeds 1, so byte fields hold every key
     return [_unpack(e, nv, 8) for e in _series((), range(lo, hi), top, 8)]
 
 
 def q_list(m: int, nv: int, top: int) -> list[dict]:
     """q_0..q_top for x_1..x_m, from the product of (1+x_i t)/(1-x_i t).
-    Raises ValueError unless 0 <= m <= nv."""
+    Raises ValueError unless m, nv and top are ints and 0 <= m <= nv."""
     _check_vars(0, m, nv)
     width = _width(top)
     return [_unpack(q, nv, width) for q in _series(range(m), (), top, width)]
@@ -219,8 +220,9 @@ def _det(mat: list[list[dict]], bound: int) -> dict:
 
 def p_det(mat: list[list[dict]], nv: int, bound: int) -> dict:
     """Determinant of a square polynomial matrix, minors memoized.
-    Raises ValueError unless it is square and every key of every entry is
-    nv exponents, none of degree <= bound negative."""
+    Raises ValueError unless it is square, nv is an int >= 0 and every
+    key of every entry is nv exponents, none of degree <= bound negative."""
+    check_range(nv, "nv")
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise ValueError("need a square matrix, got rows of lengths %s"
@@ -245,7 +247,8 @@ def q_basis_poly(mu, qs: list[dict], nv: int, bound: int) -> dict:
     checks the other. Raises ValueError unless mu is strict and every
     key of the q_r it uses is nv exponents, none of degree <= bound
     negative, and qs runs to the largest q_r of degree <= bound that
-    the Pfaffian uses."""
+    the Pfaffian uses, and nv is an int >= 0."""
+    check_range(nv, "nv")
     width = _width(bound)
     pf = pfaffian_expand(mu)
     # a q_r above bound has no term left
@@ -281,9 +284,10 @@ def schur_conj_poly(nu, mu, lo: int, hi: int, nv: int, bound: int) -> dict:
     """Skew Schur class s_{nu'/mu'} in variables lo..hi-1.
 
     Dual Jacobi-Trudi on the unconjugated rows: det(e_{nu_i - mu_j + j - i}).
-    Raises ValueError unless 0 <= lo <= hi <= nv.
+    Raises ValueError unless 0 <= lo <= hi <= nv and the parts, all ints.
     """
     _check_vars(lo, hi, nv)
+    check_ints((*nu, *mu), "the parts")
     width = _width(bound)
     return _unpack(_schur_conj(nu, mu, lo, hi, bound, width), nv, width)
 
@@ -307,9 +311,7 @@ def evaluate(e: dict, k: int, m: int) -> dict:
     element's weight. Raises ValueError unless k and m are ints >= 0.
     """
     check_k(k)
-    check_ints((m,), "m")
-    if m < 0:
-        raise ValueError("need m >= 0, got m=%d" % m)
+    check_range(m, "m")
     if not e:
         return {}
     some = next(iter(e))

@@ -25,62 +25,57 @@ from .partitions import check_ints, check_rect, get, strip
 
 
 def is_valid_pairs(D, diagonal: bool = True) -> bool:
-    """Downward-closed subset of the (strict or full) triangle."""
-    S = set(D)
-    for i, j in S:
+    """Whether the set D is downward closed in the strict or full triangle."""
+    for i, j in D:
         if i < 1 or (i > j if diagonal else i >= j):
             return False
-        if i > 1 and (i - 1, j) not in S:
+        if i > 1 and (i - 1, j) not in D:
             return False
         lo = i if diagonal else i + 1
-        if j - 1 >= lo and (i, j - 1) not in S:
+        if j - 1 >= lo and (i, j - 1) not in D:
             return False
     return True
 
 
 def middle_row(D) -> int:
-    """Least i with (i, i) outside D."""
+    """Least i with (i, i) outside the set D."""
     i = 1
-    S = set(D)
-    while (i, i) in S:
+    while (i, i) in D:
         i += 1
     return i
 
 
 def outer_corner_in_col(D, col: int) -> tuple[int, int] | None:
-    """The unique addable pair in a given column of the full triangle."""
-    S = set(D)
+    """The unique pair of column col addable to the set D (full triangle)."""
     i = 1
-    while (i, col) in S:
+    while (i, col) in D:
         i += 1
     if i > col:
         return None
-    if col - 1 >= i and (i, col - 1) not in S:
+    if col - 1 >= i and (i, col - 1) not in D:
         return None
     return (i, col)
 
 
 def outer_corner_in_row(D, row: int) -> tuple[int, int] | None:
-    """The unique addable pair in a given row of the full triangle."""
-    S = set(D)
+    """The unique pair of row `row` addable to the set D (full triangle)."""
     j = row
-    while (row, j) in S:
+    while (row, j) in D:
         j += 1
-    if row > 1 and (row - 1, j) not in S:
+    if row > 1 and (row - 1, j) not in D:
         return None
     return (row, j)
 
 
 def outside_rim(D, jmax: int) -> list[tuple[int, int]]:
-    """Pairs of the full triangle just outside D: first row, or diagonal
-    neighbor of a member."""
-    S = set(D)
+    """Pairs of the full triangle just outside the set D: first row, or
+    diagonal neighbor of a member."""
     out = []
     for j in range(1, jmax + 1):
         for i in range(1, j + 1):
-            if (i, j) in S:
+            if (i, j) in D:
                 continue
-            if i == 1 or (i - 1, j - 1) in S:
+            if i == 1 or (i - 1, j - 1) in D:
                 out.append((i, j))
     return out
 

@@ -22,8 +22,8 @@ from itertools import combinations
 from .cohomology import (pieri, pieri_match, reduce_monomial,
                          reduce_polynomial, stable_n)
 from .formal import add_into, combine, scaled
-from .partitions import (check_ints, check_partition, check_rect, get,
-                         is_k_strict, strip, weight)
+from .partitions import (check_ints, check_partition, check_range,
+                         check_rect, get, is_k_strict, strip, weight)
 from .raising import (c_set, diagonal_count, expand, is_valid_pairs,
                       middle_row, outer_corner_in_col, outer_corner_in_row,
                       outside_rim, strict_pairs, w_holds)
@@ -197,8 +197,7 @@ def build_forest(lam, p: int, k: int, modified: bool = False,
     """
     lam = strip(lam)
     check_rect(lam, k)
-    if type(p) is not int or p < 1:
-        raise ValueError("p must be an int, at least 1, got %r" % (p,))
+    check_range(p, "p", 1)
     ell = len(lam)
     C = c_set(lam, k)
     m = middle_row(C)

@@ -11,14 +11,14 @@ from functools import cache
 
 from .formal import add_into
 # in_rect is unused but stays bound: bench/tracing.TARGETS expects it here
-from .partitions import (check_rect, conjugate, get, in_rect, split_columns,
-                         strip, subpartitions)
+from .partitions import (check_ints, check_rect, conjugate, get, in_rect,
+                         split_columns, strip, subpartitions)
 
 
 def check_window(w):
-    for a in w:
-        if not isinstance(a, int) or a == 0:
-            raise ValueError("window entries must be nonzero integers")
+    check_ints(w, "window entries")
+    if 0 in w:
+        raise ValueError("window entries must be nonzero integers")
     if sorted(abs(a) for a in w) != list(range(1, len(w) + 1)):
         raise ValueError("window must permute 1..n up to sign")
 
@@ -242,12 +242,13 @@ def ktableaux(w, shape=None):
     Each row must be a unimodal subsequence of maximum length in the
     word formed by it and the rows below it.  Rows are returned top
     row first, so lengths strictly decrease.  Raises ValueError for a
-    malformed window or one past the limits of reduced_words.
+    malformed window or shape, or one past the limits of reduced_words.
     """
     out = []
     for word in reduced_words(w):
         _word_tableaux(word, out)
     if shape is not None:
+        check_ints(shape, "the shape")
         shape = tuple(shape)
         out = [t for t in out if tuple(len(r) for r in t) == shape]
     return sorted(out)

@@ -463,6 +463,11 @@ ARGPARSE_ARGV = [
     ["pieri", "--type", "X", "--n", "5", "--k", "1", "--lambda", "1",
      "--p", "1"],
     ["verify", "--suite", "bogus"],
+    # literals the library's checks reject, through both readers
+    ["theta", "--k", "1", "--lambda", "1,2"],
+    ["skews", "--k", "1", "--lambda", "3,2", "--mu", "2,3"],
+    ["stanley", "--perm", "1,1"],
+    ["stanley", "--perm", "0,1"],
 ]
 
 

@@ -363,6 +363,25 @@ BAD_CALLS = {
     "skew-S-too-many-rows": lambda: skew_S(tuple(range(9, 0, -1)), (), 1),
     # w0 of B_7: the walk stops past 50,000 of its 645,120 elements
     "right-factors-too-large": lambda: right_factors(tuple(range(-1, -8, -1))),
+    # a variable range, nv, top or part that is no int raised TypeError
+    # from a range, a comparison or a %d; a bool lo gave an answer
+    "e-list-float-top": lambda: e_list(0, 1, 1, 1.5),
+    "e-list-float-lo": lambda: e_list(0.0, 1, 1, 2),
+    "e-list-bool-lo": lambda: e_list(True, 1, 1, 2),
+    "q-list-float-m": lambda: q_list(1.0, 1, 2),
+    "q-list-str-nv": lambda: q_list(1, "2", 2),
+    "schur-conj-float-lo": lambda: schur_conj_poly((1,), (), 0.0, 1, 2, 2),
+    "schur-conj-float-part": lambda: schur_conj_poly((1.5,), (), 0, 1, 2, 2),
+    "p-det-str-nv": lambda: p_det([[{(1,): 1}]], "1", 2),
+    "q-basis-poly-str-nv":
+        lambda: q_basis_poly((2,), q_list(2, 2, 3), "2", 3),
+    "q-det-poly-str-nv": lambda: q_det_poly((2,), q_list(2, 2, 3), "2", 3),
+    # an int where a sequence belongs raised "not iterable"
+    "ktableaux-int-shape": lambda: ktableaux((2, 1), shape=5),
+    "reduce-monomial-int-beta": lambda: reduce_monomial(5, 1, 3, "C"),
+    # a str d raised TypeError from d + k; a float d gave a float n
+    "stable-n-str-d": lambda: stable_n("3", 1),
+    "stable-n-float-d": lambda: stable_n(1.5, 1),
 }
 
 

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from isoschub.partitions import (
-    check_rect, conjugate, count_bases, fill_rows, is_k_strict, k_related,
-    k_strict_partitions, length_gt_k, rect_partitions, split_columns, strip,
-    subpartitions,
+    check_range, check_rect, conjugate, count_bases, fill_rows, is_k_strict,
+    k_related, k_strict_partitions, length_gt_k, rect_partitions,
+    split_columns, strip, subpartitions,
 )
 
 
@@ -67,6 +67,33 @@ def test_check_rect_messages():
         check_rect((9, 1), 1, 3)
     with pytest.raises(ValueError, match="need k <= n, got k=4 n=3"):
         check_rect((), 4, 3)
+
+
+# (x, lo, hi, whether check_range(x, "x", lo, hi) accepts x)
+CHECK_RANGE = [
+    (0, 0, None, True), (7, 0, None, True), (-1, 0, None, False),
+    (10**30, 1, None, True), (0, 1, None, False),
+    (1, 1, 3, True), (3, 1, 3, True), (0, 1, 3, False), (4, 1, 3, False),
+    (-2, -5, -1, True), (2, 3, 1, False),
+    (1.0, 0, None, False), (True, 0, None, False), (True, 0, 1, False),
+    ("1", 0, None, False), (None, 0, None, False), (1.5, 0, 2, False),
+]
+
+
+@pytest.mark.parametrize("x, lo, hi, ok", CHECK_RANGE)
+def test_check_range(x, lo, hi, ok):
+    if ok:
+        assert check_range(x, "x", lo, hi) is None
+    else:
+        with pytest.raises(ValueError, match=r"^x must be an int "):
+            check_range(x, "x", lo, hi)
+
+
+def test_check_range_message():
+    with pytest.raises(ValueError, match=r"^p must be an int in 1\.\.7, got 0$"):
+        check_range(0, "p", 1, 7)
+    with pytest.raises(ValueError, match=r"^k must be an int >= 0, got 1\.0$"):
+        check_range(1.0, "k")
 
 
 def test_split_columns():

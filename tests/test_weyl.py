@@ -82,12 +82,13 @@ def all_elements(n):
 def test_check_window():
     check_window((2, -1))
     check_window(())
-    with pytest.raises(ValueError):
-        check_window((2, 2))
-    with pytest.raises(ValueError):
-        check_window((0, 1))
-    with pytest.raises(ValueError):
-        check_window((3, 1))
+    # a bool entry once passed an isinstance test, and reduced_words
+    # answered ((),) for (True, 2)
+    for w in ((2, 2), (0, 1), (3, 1), (True, 2), (1.0, 2)):
+        with pytest.raises(ValueError):
+            check_window(w)
+        with pytest.raises(ValueError):
+            reduced_words(w)
 
 
 def test_trim_extend():
