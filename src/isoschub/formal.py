@@ -50,6 +50,35 @@ def scaled(f: dict, scale) -> dict:
     return {key: norm_scalar(scale * c) for key, c in f.items()}
 
 
+def det(mat: list, mul, add, one: dict) -> dict:
+    """Determinant of the square matrix mat expanded along the rows, each
+    minor (keyed by its set of columns) computed once. A falsy entry is
+    zero and prunes every term through it; mul(entry, minor) multiplies,
+    add(acc, x, sign) adds sign * x into the dict acc, one is 1."""
+    n = len(mat)
+    memo: dict = {}
+
+    def minor(row, cols):
+        if row == n:
+            return one
+        got = memo.get(cols)
+        if got is not None:
+            return got
+        acc: dict = {}
+        sign = 1
+        for j in range(n):
+            if cols >> j & 1:
+                if mat[row][j]:
+                    sub = minor(row + 1, cols & ~(1 << j))
+                    if sub:
+                        add(acc, mul(mat[row][j], sub), sign)
+                sign = -sign
+        memo[cols] = acc
+        return acc
+
+    return minor(0, (1 << n) - 1)
+
+
 def _key_json(key):
     return [_key_json(x) if isinstance(x, tuple) else x for x in key]
 

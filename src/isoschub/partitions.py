@@ -166,7 +166,8 @@ def fill_rows(floor, cap, total: int, k: int | None = None) -> list:
 
 def k_strict_partitions(d: int, k: int) -> list[tuple[int, ...]]:
     """All k-strict partitions of weight exactly d, in lex-decreasing
-    order. Raises ValueError unless d is an int and k an int >= 0."""
+    order; none when d < 0. Raises ValueError unless d is an int and k
+    an int >= 0."""
     check_k(k)
     check_ints((d,), "d")
     return fill_rows([0] * d, [d] * d, d, k)

@@ -20,8 +20,10 @@ result once; matrix entries, minors, the q_r and the theta polynomials
 stay packed in between. A bound that is not an int raises ValueError.
 """
 
+from functools import partial
+
 # add_into is unused but stays bound: bench/tracing.TARGETS expects it here
-from .formal import add_into, combine, norm_scalar
+from .formal import add_into, combine, det, norm_scalar
 from .partitions import check_ints, check_k, check_range, get, strip
 from .raising import pfaffian_expand
 from .theta import theta
@@ -180,8 +182,10 @@ def e_list(lo: int, hi: int, nv: int, top: int) -> list[dict]:
 
 def q_list(m: int, nv: int, top: int) -> list[dict]:
     """q_0..q_top for x_1..x_m, from the product of (1+x_i t)/(1-x_i t).
-    Raises ValueError unless m, nv and top are ints and 0 <= m <= nv."""
+    Raises ValueError unless m, nv and top are ints, 0 <= m <= nv and
+    0 <= top."""
     _check_vars(0, m, nv)
+    check_range(top, "top")
     width = _width(top)
     return [_unpack(q, nv, width) for q in _series(range(m), (), top, width)]
 
@@ -190,32 +194,6 @@ def _check_qs(qs: list, need: int) -> None:
     # an entry past the end of qs would count as zero
     if len(qs) <= need:
         raise ValueError("need q_0..q_%d, got %d q" % (need, len(qs)))
-
-
-def _det(mat: list[list[dict]], bound: int) -> dict:
-    # expansion along the rows, each minor (a set of columns) computed once
-    n = len(mat)
-    memo: dict = {}
-
-    def minor(row, cols):
-        if row == n:
-            return {0: {0: 1}}
-        got = memo.get(cols)
-        if got is not None:
-            return got
-        acc: dict = {}
-        sign = 1
-        for j in range(n):
-            if cols >> j & 1:
-                if mat[row][j]:
-                    sub = minor(row + 1, cols & ~(1 << j))
-                    if sub:
-                        _add(acc, _mul(mat[row][j], sub, bound), sign)
-                sign = -sign
-        memo[cols] = acc
-        return acc
-
-    return minor(0, (1 << n) - 1)
 
 
 def p_det(mat: list[list[dict]], nv: int, bound: int) -> dict:
@@ -229,7 +207,8 @@ def p_det(mat: list[list[dict]], nv: int, bound: int) -> dict:
                          % [len(row) for row in mat])
     width = _width(bound)
     rows = [[_pack(a, nv, bound, width) for a in row] for row in mat]
-    return _unpack(_det(rows, bound), nv, width)
+    return _unpack(det(rows, partial(_mul, bound=bound), _add, {0: {0: 1}}),
+                   nv, width)
 
 
 def _monomial_sum(e: dict, factors: dict, bound: int) -> dict:
@@ -277,7 +256,8 @@ def _schur_conj(nu, mu, lo: int, hi: int, bound: int, width: int) -> dict:
     if len(mu) > len(nu):
         return {}
     es = _series((), range(lo, hi), get(nu, 1) + len(nu), width)
-    return _det(_jacobi_trudi(es, nu, mu), bound)
+    return det(_jacobi_trudi(es, nu, mu), partial(_mul, bound=bound), _add,
+               {0: {0: 1}})
 
 
 def schur_conj_poly(nu, mu, lo: int, hi: int, nv: int, bound: int) -> dict:

@@ -189,14 +189,6 @@ def two_special(a: int, b: int) -> dict[tuple[int, ...], int]:
     return acc
 
 
-def _mul_monomial_sums(f: dict, g: dict, sign: int) -> dict:
-    acc: dict = {}
-    for k1, c1 in f.items():
-        for k2, c2 in g.items():
-            add_into(acc, tuple(sorted(k1 + k2, reverse=True)), sign * c1 * c2)
-    return acc
-
-
 def pfaffian_expand(lam) -> dict[tuple[int, ...], int]:
     """Pfaffian-recursion route for strict partitions.
 
@@ -206,22 +198,21 @@ def pfaffian_expand(lam) -> dict[tuple[int, ...], int]:
     """
     lam = strip(lam)
     check_rect(lam, 0)
-    if len(lam) == 0:
-        return {(): 1}
     seq = lam if len(lam) % 2 == 0 else lam + (0,)
     return dict(_pf(seq))
 
 
 @cache
 def _pf(seq):
-    if len(seq) == 2:
-        return two_special(*seq)
-    res = {}
+    # expansion along the first entry; the empty Pfaffian is 1
+    if not seq:
+        return {(): 1}
+    res: dict = {}
     rest = seq[1:]
     for idx, b in enumerate(rest):
-        blk = two_special(seq[0], b)
         sub = _pf(rest[:idx] + rest[idx + 1:])
-        part = _mul_monomial_sums(blk, sub, -1 if idx % 2 else 1)
-        for key, c in part.items():
-            add_into(res, key, c)
+        for k1, c1 in two_special(seq[0], b).items():
+            for k2, c2 in sub.items():
+                add_into(res, tuple(sorted(k1 + k2, reverse=True)),
+                         -c1 * c2 if idx % 2 else c1 * c2)
     return res

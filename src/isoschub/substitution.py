@@ -22,8 +22,8 @@ from itertools import combinations
 from .cohomology import (pieri, pieri_match, reduce_monomial,
                          reduce_polynomial, stable_n)
 from .formal import add_into, combine, scaled
-from .partitions import (check_ints, check_partition, check_range,
-                         check_rect, get, is_k_strict, strip, weight)
+from .partitions import (check_partition, check_range, check_rect, get,
+                         is_k_strict, strip, weight)
 from .raising import (c_set, diagonal_count, expand, is_valid_pairs,
                       middle_row, outer_corner_in_col, outer_corner_in_row,
                       outside_rim, strict_pairs, w_holds)
@@ -172,9 +172,9 @@ def root_compositions(lam, p: int) -> list:
     """Entrywise extensions of lam by a total of p over ell+1 slots: by
     stars and bars, ell bars among p + ell places cut the p stars into
     the ell + 1 amounts. Raises ValueError unless lam is a partition
-    and p an int."""
+    and p an int >= 0."""
     check_partition(lam)
-    check_ints((p,), "p")
+    check_range(p, "p")
     base = strip(lam) + (0,)
     ell = len(base) - 1
     return sorted(tuple(x + b - a - 1 for x, a, b in

@@ -197,7 +197,7 @@ def test_usage_errors(capsys):
                  # past weyl.MAX_REDUCED_WORDS, rejected before listing
                  ["stanley", "--perm=-1,-2,-3,-4,-5"],
                  ["ktableaux", "--perm=-1,-2,-3,-4,-5"],
-                 # past theta.MAX_SKEW_ROWS, rejected before summing 9!
+                 # past theta.MAX_SKEW_ROWS, rejected before expanding
                  ["skews", "--k", "1", "--lambda", "9,8,7,6,5,4,3,2,1",
                   "--mu", "1"]):
         assert cli.main(argv) == 2, argv

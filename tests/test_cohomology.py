@@ -359,7 +359,7 @@ BAD_CALLS = {
     "q-basis-poly-str-bound":
         lambda: q_basis_poly((2,), q_list(2, 2, 3), 2, "x"),
     "q-det-poly-str-bound": lambda: q_det_poly((2,), q_list(2, 2, 3), 2, "x"),
-    # nine rows; the limit raises before the 9! permutations are summed
+    # nine rows; the limit raises before any minor is expanded
     "skew-S-too-many-rows": lambda: skew_S(tuple(range(9, 0, -1)), (), 1),
     # w0 of B_7: the walk stops past 50,000 of its 645,120 elements
     "right-factors-too-large": lambda: right_factors(tuple(range(-1, -8, -1))),
@@ -382,6 +382,10 @@ BAD_CALLS = {
     # a str d raised TypeError from d + k; a float d gave a float n
     "stable-n-str-d": lambda: stable_n("3", 1),
     "stable-n-float-d": lambda: stable_n(1.5, 1),
+    # a negative top or p answered: q_0 for the empty list q_0..q_-1, and
+    # the one composition (-1,)
+    "q-list-negative-top": lambda: q_list(1, 1, -1),
+    "root-compositions-negative-p": lambda: root_compositions((), -1),
 }
 
 
@@ -1157,6 +1161,7 @@ def test_combine_zero_coefficients_and_zero_scale():
 EDGE_CASES = [
     ("expand-one-row", lambda: expand(frozenset(), (3,)), {(3,): 1}),
     ("pfaffian-one-row", lambda: pfaffian_expand((5,)), {(5,): 1}),
+    ("pfaffian-empty", lambda: pfaffian_expand(()), {(): 1}),
     ("p-det-empty", lambda: p_det([], 2, 3), {(0, 0): 1}),
     ("q-det-empty", lambda: q_det_poly((), q_list(2, 2, 3), 2, 3),
      {(0, 0): 1}),

@@ -175,6 +175,9 @@ def test_k_strict_partitions_match_filtered_partitions():
         for k in range(4):
             want = [lam for lam in partitions_of(d) if is_k_strict(lam, k)]
             assert k_strict_partitions(d, k) == want, (d, k)
+    # no partition has a negative weight
+    for d in (-1, -2, -7):
+        assert k_strict_partitions(d, 1) == [], d
 
 
 def box_rows(floor, cap, total, k=None):

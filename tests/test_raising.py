@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from isoschub.formal import add_into, sum_from_json, sum_to_json
-from isoschub.partitions import rect_partitions, strip
+from isoschub.partitions import k_strict_partitions, rect_partitions, strip
 from isoschub.raising import (
     c_set, diagonal_count, expand, is_valid_pairs, middle_row,
     outer_corner_in_col, outer_corner_in_row, outside_rim,
@@ -190,8 +190,8 @@ def test_splitting_identity(choices, lam):
         assert lhs == acc, (D, ij, lam)
 
 
-@pytest.mark.parametrize("lam", [(1,), (2, 1), (3, 1), (3, 2, 1), (4, 2, 1),
-                                 (5, 3, 2), (4, 3, 2, 1), (6, 4, 3, 1)])
+@pytest.mark.parametrize("lam", [lam for d in range(13)
+                                 for lam in k_strict_partitions(d, 0)])
 def test_pfaffian_route_matches_expand(lam):
     full = frozenset((i, j) for i in range(1, len(lam) + 1)
                      for j in range(i + 1, len(lam) + 1))

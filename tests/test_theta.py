@@ -170,6 +170,42 @@ def test_skew_S_examples():
     assert skew_S((2,), (), 3) == {(2,): 1}
 
 
+def leibniz_skew(lam, mu):
+    # det(t_{lam_i - mu_j + j - i}) as a signed sum over all l(lam)!
+    # permutations of index tuples, a term skipped at its first negative
+    # index; unstraightened
+    n = len(lam)
+    poly = {}
+    if len(mu) > n:
+        return poly
+    for perm in itertools.permutations(range(n)):
+        key = []
+        for i in range(n):
+            r = lam[i] - get(mu, perm[i] + 1) + perm[i] - i
+            if r < 0:
+                break
+            key.append(r)
+        else:
+            inv = sum(1 for i in range(n) for j in range(i)
+                      if perm[j] > perm[i])
+            combine(poly, {tuple(key): 1}, -1 if inv % 2 else 1)
+    return poly
+
+
+def test_skew_S_matches_leibniz():
+    # every lam with at most 6 rows and |lam| <= 10 against every mu of
+    # the same kind, contained in lam or not, straightened term by term
+    shapes = [lam for d in range(11) for lam in partitions_of(d, max_len=6)]
+    for lam in shapes:
+        for mu in shapes:
+            poly = leibniz_skew(lam, mu)
+            for k in range(3):
+                want = {}
+                for key, c in poly.items():
+                    combine(want, straighten(key, k), c)
+                assert skew_S(lam, mu, k) == want, (lam, mu, k)
+
+
 def test_skew_S_matches_theta_when_no_pairs():
     for k in range(4):
         for d in range(8):
