@@ -79,6 +79,16 @@ def det(mat: list, mul, add, one: dict) -> dict:
     return minor(0, (1 << n) - 1)
 
 
+def jacobi_trudi(seq: list, lam, mu) -> list[list]:
+    """The matrix (seq[lam_i - mu_j + j - i]) over the rows of lam, an
+    index outside seq giving the zero entry {}."""
+    n = len(lam)
+    mu = tuple(mu) + (0,) * (n - len(mu))
+    return [[seq[d] if 0 <= d < len(seq) else {}
+             for d in (lam[i] - mu[j] + j - i for j in range(n))]
+            for i in range(n)]
+
+
 def _key_json(key):
     return [_key_json(x) if isinstance(x, tuple) else x for x in key]
 

@@ -23,7 +23,7 @@ stay packed in between. A bound that is not an int raises ValueError.
 from functools import partial
 
 # add_into is unused but stays bound: bench/tracing.TARGETS expects it here
-from .formal import add_into, combine, det, norm_scalar
+from .formal import add_into, combine, det, jacobi_trudi, norm_scalar
 from .partitions import check_ints, check_k, check_range, get, strip
 from .raising import pfaffian_expand
 from .theta import theta
@@ -196,6 +196,11 @@ def _check_qs(qs: list, need: int) -> None:
         raise ValueError("need q_0..q_%d, got %d q" % (need, len(qs)))
 
 
+def _det(mat: list[list[dict]], bound: int) -> dict:
+    # formal.det over the packed ring truncated above bound
+    return det(mat, partial(_mul, bound=bound), _add, {0: {0: 1}})
+
+
 def p_det(mat: list[list[dict]], nv: int, bound: int) -> dict:
     """Determinant of a square polynomial matrix, minors memoized.
     Raises ValueError unless it is square, nv is an int >= 0 and every
@@ -207,8 +212,7 @@ def p_det(mat: list[list[dict]], nv: int, bound: int) -> dict:
                          % [len(row) for row in mat])
     width = _width(bound)
     rows = [[_pack(a, nv, bound, width) for a in row] for row in mat]
-    return _unpack(det(rows, partial(_mul, bound=bound), _add, {0: {0: 1}}),
-                   nv, width)
+    return _unpack(_det(rows, bound), nv, width)
 
 
 def _monomial_sum(e: dict, factors: dict, bound: int) -> dict:
@@ -237,27 +241,13 @@ def q_basis_poly(mu, qs: list[dict], nv: int, bound: int) -> dict:
     return _unpack(_monomial_sum(pf, factors, bound), nv, width)
 
 
-def _jacobi_trudi(seq: list, lam, mu) -> list[list]:
-    # the matrix (seq[lam_i - mu_j + j - i]), entries outside seq zero
-    n = len(lam)
-    mat = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            d = lam[i] - get(mu, j + 1) + j - i
-            row.append(seq[d] if 0 <= d < len(seq) else {})
-        mat.append(row)
-    return mat
-
-
 def _schur_conj(nu, mu, lo: int, hi: int, bound: int, width: int) -> dict:
     nu = strip(nu)
     mu = strip(mu)
     if len(mu) > len(nu):
         return {}
     es = _series((), range(lo, hi), get(nu, 1) + len(nu), width)
-    return det(_jacobi_trudi(es, nu, mu), partial(_mul, bound=bound), _add,
-               {0: {0: 1}})
+    return _det(jacobi_trudi(es, nu, mu), bound)
 
 
 def schur_conj_poly(nu, mu, lo: int, hi: int, nv: int, bound: int) -> dict:
@@ -280,7 +270,7 @@ def q_det_poly(mu, qs: list[dict], nv: int, bound: int) -> dict:
     mu = strip(mu)
     if mu:
         _check_qs(qs, min(mu[0] + len(mu) - 1, bound))
-    return p_det(_jacobi_trudi(qs, mu, ()), nv, bound)
+    return p_det(jacobi_trudi(qs, mu, ()), nv, bound)
 
 
 def evaluate(e: dict, k: int, m: int) -> dict:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import chain
 
-from .formal import add_into, combine, det
+from .formal import add_into, combine, det, jacobi_trudi
 from .partitions import (check_ints, check_k, check_rect, fill_rows, get,
                          k_strict_partitions, strip, weight)
 from .raising import c_set, expand, strict_pairs
@@ -129,9 +129,7 @@ def skew_S(lam, mu, k: int) -> dict[tuple[int, ...], int]:
     if n > MAX_SKEW_ROWS:
         raise ValueError("lambda has %d rows, more than the limit of %d for "
                          "a skew determinant" % (n, MAX_SKEW_ROWS))
-    mat = [[(r,) if r >= 0 else None
-            for r in (lam[i] - get(mu, j + 1) + j - i for j in range(n))]
-           for i in range(n)]
+    mat = jacobi_trudi([(r,) for r in range(get(lam, 1) + n)], lam, mu)
     return _straightened(det(mat, _prepend, combine, {(): 1}), k)
 
 

@@ -190,7 +190,7 @@ def test_splitting_identity(choices, lam):
         assert lhs == acc, (D, ij, lam)
 
 
-@pytest.mark.parametrize("lam", [lam for d in range(13)
+@pytest.mark.parametrize("lam", [lam for d in range(15)
                                  for lam in k_strict_partitions(d, 0)])
 def test_pfaffian_route_matches_expand(lam):
     full = frozenset((i, j) for i in range(1, len(lam) + 1)
