@@ -26,7 +26,7 @@ from math import comb
 from . import theta, weyl
 from .cohomology import (giambelli, multiply, pieri, stable_n,
                          theta_route_product, verify_presentation)
-from .formal import combine, scaled, sum_to_json
+from .formal import combine, jacobi_trudi, scaled, sum_to_json
 # in_rect is unused but stays bound: bench/tracing.TARGETS expects it here
 from .partitions import (check_partition, check_range, count_bases, get,
                          in_rect, is_k_strict, k_strict_partitions,
@@ -215,8 +215,7 @@ def _suite_theta_hat(mw):
         for r in range(1, 5):
             nv = r + k
             ths = [evaluate({(d,): 1}, k, r) for d in range(r + 1)]
-            mat = [[ths[1 + j - i] if j + 1 >= i else {} for j in range(r)]
-                   for i in range(r)]
+            mat = jacobi_trudi(ths, (1,) * r, ())
             if evaluate(hat_theta(r, k), k, r) != p_det(mat, nv, r):
                 return "r=%d k=%d" % (r, k)
     return None
@@ -330,13 +329,9 @@ def _closed_form_b_holds(lam, k):
     for mu in subpartitions(lam):
         if not is_k_strict(mu, 0) or len(mu) < ell - 1:
             continue
-        mat = []
-        for i in range(ell):
-            row = []
-            for j in range(ell):
-                d = lam[i] - get(mu, j + 1)
-                row.append(es[d] if 0 <= d <= top else {})
-            mat.append(row)
+        # shifting lam_i by i and mu_j by j leaves the entry e_{lam_i - mu_j}
+        mat = jacobi_trudi(es, [x + i for i, x in enumerate(lam)],
+                           [get(mu, j + 1) + j for j in range(ell)])
         det = p_det(mat, nv, bound)
         if det:
             combine(rhs, p_mul(q_basis_poly(mu, qs, nv, bound), det, bound))

@@ -14,9 +14,10 @@ theta(lam, 0) are the Schur Q-functions.
 from collections import defaultdict
 from fractions import Fraction
 from functools import cache
+from heapq import heappop, heappush
 from itertools import chain
 
-from .formal import add_into, combine, det, jacobi_trudi
+from .formal import add_into, combine, det, jacobi_trudi, norm_scalar
 from .partitions import (check_ints, check_k, check_rect, fill_rows, get,
                          k_strict_partitions, strip, weight)
 from .raising import c_set, expand, strict_pairs
@@ -35,36 +36,41 @@ def straighten(alpha, k: int) -> dict[tuple[int, ...], int]:
     return _straightened({alpha: 1}, k)
 
 
-@cache
-def _straighten(key, k):
-    for i in range(len(key) - 1):
-        # leftmost adjacent equal pair above the threshold
-        if key[i] == key[i + 1] and key[i] > k:
-            m = key[i]
-            rest = key[:i] + key[i + 2:]
-            return _straightened({rest + (m + j, m - j): 2 if j % 2 else -2
-                                  for j in range(1, m + 1)}, k)
-    return {key: 1}
-
-
 def _straightened(poly: dict, k) -> dict:
     # a polynomial {index tuple: c} in the t_p in the k-strict basis, by
     # the ring's monomial rule: t_0 = 1 drops out, a t_r with r < 0 kills
-    # its monomial. Each distinct monomial is straightened once
-    monos: dict = {}
+    # its monomial. Rewriting a key's leftmost square gives lex-larger keys
+    # only, so the lex-least key of work is final when it is popped
+    work: dict = {}
     for key, c in poly.items():
         key = tuple(sorted(key, reverse=True))
         if key and key[-1] <= 0:
             if key[-1] < 0:
                 continue
             key = key[:key.index(0)]
-        monos[key] = monos.get(key, 0) + c
+        work[key] = work.get(key, 0) + c
+    heap = sorted(work)
     out: dict = {}
-    for key, c in monos.items():
-        if out or c != 1:
-            combine(out, _straighten(key, k), c)
-        else:  # the memoized terms copied in C, as straighten needs
-            out.update(_straighten(key, k))
+    while heap:
+        key = heappop(heap)
+        c = work.pop(key)
+        if not c:
+            continue
+        for i in range(len(key) - 1):
+            # leftmost adjacent equal pair above the threshold
+            if key[i] == key[i + 1] and key[i] > k:
+                m = key[i]
+                rest = key[:i] + key[i + 2:]
+                for j in range(1, m + 1):
+                    child = tuple(sorted(rest + ((m + j, m - j) if j < m
+                                                 else (2 * m,)), reverse=True))
+                    if child not in work:
+                        heappush(heap, child)
+                        work[child] = 0
+                    work[child] += 2 * c if j % 2 else -2 * c
+                break
+        else:
+            out[key] = norm_scalar(c)
     return out
 
 
@@ -100,8 +106,7 @@ def hat_theta(r: int, k: int) -> dict[tuple[int, ...], int]:
     return _straightened(expand(frozenset(), (1,) * r), k)
 
 
-# caps the rows, not the work: the row expansion stays cheap at 8 rows,
-# but straightening its terms grows with the parts
+# caps the rows, not the work, which grows with the parts of lam
 MAX_SKEW_ROWS = 8
 
 
@@ -117,7 +122,7 @@ def skew_S(lam, mu, k: int) -> dict[tuple[int, ...], int]:
     Expanded along the rows, each minor once, so an entry t_r with r < 0
     prunes every term through it. Zero unless mu is contained in lam.
     Raises ValueError for k < 0, for an entry that is not an int and for
-    more than MAX_SKEW_ROWS rows, which does not bound the straightening.
+    more than MAX_SKEW_ROWS rows.
     """
     check_k(k)
     lam = strip(lam)

@@ -1156,8 +1156,11 @@ def test_combine_zero_coefficients_and_zero_scale():
 
 # Edge inputs that the general step covers with no branch of its own: one
 # row, an empty determinant, a grow step on a diagonal corner, which
-# moves a unit onto its own slot, and a zero scale. Each value and its
-# coefficient types are pinned here.
+# moves a unit onto its own slot, and a zero scale. Then three guards
+# that answer before the general step: mu longer than nu, whose 1 x 1
+# determinant would otherwise be e_0 = 1; a lam that is not k-strict;
+# and a zero scale in scaled. Each value and its coefficient types are
+# pinned here.
 EDGE_CASES = [
     ("expand-one-row", lambda: expand(frozenset(), (3,)), {(3,): 1}),
     ("pfaffian-one-row", lambda: pfaffian_expand((5,)), {(5,): 1}),
@@ -1175,6 +1178,11 @@ EDGE_CASES = [
     ("combine-zero-scale",
      lambda: combine({(1,): 3, (2,): Fraction(1, 2)}, {(1,): 5, (3,): 1}, 0),
      {(1,): 3, (2,): Fraction(1, 2)}),
+    ("schur-conj-mu-longer",
+     lambda: schur_conj_poly((1,), (1, 1), 0, 2, 2, 2), {}),
+    ("pieri-match-not-k-strict", lambda: pieri_match((2, 2), (3, 2), 1),
+     None),
+    ("scaled-zero-scale", lambda: scaled({(1,): 3}, 0), {}),
 ]
 
 

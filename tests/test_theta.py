@@ -97,6 +97,10 @@ def test_straighten_confluence():
                 want = straighten(alpha, k)
                 for _ in range(3):
                     assert straighten_rng(alpha, k, rng) == want
+    # long runs of one part, whose rewrites feed back into each other
+    for alpha, k in (((2,) * 8, 0), ((3,) * 6, 1), ((4, 4, 3, 3, 2, 2), 1),
+                     ((5,) * 4, 2)):
+        assert straighten_rng(alpha, k, rng) == straighten(alpha, k)
 
 
 def test_theta_examples():
@@ -160,6 +164,9 @@ def test_multiply_basics():
     # drops out, and a t_r with r < 0 kills its monomial
     assert multiply({(2, 0): 1}, gen(1), 0) == {(2, 1): 1}
     assert multiply({(2, -1): 1}, gen(1), 0) == {}
+    # an integral Fraction leaves straightening as an int
+    got = multiply({(1,): Fraction(1, 2)}, {(1,): 2}, 0)
+    assert got == {(2,): 2} and type(got[(2,)]) is int
 
 
 def test_skew_S_examples():
