@@ -32,7 +32,7 @@ from .partitions import (check_partition, check_range, count_bases, get,
                          in_rect, is_k_strict, k_strict_partitions,
                          rect_partitions, strip, subpartitions, weight)
 from .polyeval import (e_list, evaluate, p_det, p_mul, q_basis_poly,
-                       q_det_poly, q_list, schur_conj_poly)
+                       q_det_poly, q_list, schur_conj_poly, x_vars)
 from .raising import c_set, expand, strict_pairs
 from .substitution import build_forest, modified_forest, verify_claim1, \
     verify_claim2
@@ -209,14 +209,14 @@ def _suite_claims(mw):
 
 def _suite_theta_hat(mw):
     # hat_theta straightens det(t_{1+j-i}) in the theta ring; the other
-    # leg takes the same determinant over polynomials in r + k variables,
+    # leg takes the same determinant over polynomials in m + k variables,
     # where no straightening happens
     for k in (1, 2, 3):
         for r in range(1, 5):
-            nv = r + k
-            ths = [evaluate({(d,): 1}, k, r) for d in range(r + 1)]
+            m = x_vars(r)
+            ths = [evaluate({(d,): 1}, k, m) for d in range(r + 1)]
             mat = jacobi_trudi(ths, (1,) * r, ())
-            if evaluate(hat_theta(r, k), k, r) != p_det(mat, nv, r):
+            if evaluate(hat_theta(r, k), k, m) != p_det(mat, m + k, r):
                 return "r=%d k=%d" % (r, k)
     return None
 
@@ -303,7 +303,7 @@ def _closed_form_a_holds(lam, k):
     # Jacobi-Trudi style sum over subshapes
     lam = strip(lam)
     bound = weight(lam)
-    m = max(bound, 1)
+    m = x_vars(bound)
     nv = m + k
     qs = q_list(m, nv, bound)
     rhs: dict = {}
@@ -319,7 +319,7 @@ def _closed_form_b_holds(lam, k):
     # at most one row fewer
     lam = strip(lam)
     bound = weight(lam)
-    m = max(bound, 1)
+    m = x_vars(bound)
     nv = m + k
     ell = len(lam)
     qs = q_list(m, nv, bound)

@@ -1,10 +1,14 @@
 """Exact truncated polynomial oracle.
 
 Polynomials in x_1..x_m, y_1..y_k are truncated above a total-degree
-bound: a product drops every term of higher degree. Two homogeneous
-ring elements of weight d are equal iff their evaluations agree once
-m >= d, which makes evaluation a universal identity check for
-everything in this package.
+bound: a product drops every term of higher degree. The Schur
+Q-functions Q_lam(x_1..x_m) of the strict partitions with l(lam) <= m
+are linearly independent, and Q_lam(x_1..x_m) = 0 once l(lam) > m
+(Macdonald, III.8). So two elements of Gamma (x) Lambda(y_1..y_k) of
+weight <= d are equal iff their evaluations agree once m >= x_vars(d),
+the length of the longest strict partition of d (3 at d = 7, not 7).
+That makes evaluation a universal identity check for everything in
+this package.
 
 At the public boundary a polynomial is a sparse dict mapping exponent
 tuples of length m + k to integers (or Fractions). Inside the module it
@@ -21,6 +25,7 @@ stay packed in between. A bound that is not an int raises ValueError.
 """
 
 from functools import partial
+from math import isqrt
 
 # add_into is unused but stays bound: bench/tracing.TARGETS expects it here
 from .formal import add_into, combine, det, jacobi_trudi, norm_scalar
@@ -273,12 +278,24 @@ def q_det_poly(mu, qs: list[dict], nv: int, bound: int) -> dict:
     return p_det(jacobi_trudi(qs, mu, ()), nv, bound)
 
 
+def x_vars(weight: int) -> int:
+    """The least m >= 1 such that no strict partition of weight at most
+    weight has more than m parts. Raises ValueError unless weight is an
+    int >= 0."""
+    check_range(weight, "the weight")
+    # the longest strict partition of d is 1 + 2 + ... + l, l(l+1)/2 <= d
+    return max((isqrt(8 * weight + 1) - 1) // 2, 1)
+
+
 def evaluate(e: dict, k: int, m: int) -> dict:
     """Evaluate a monomial-basis element or a mixed (mu, nu) element.
 
     Variables are x_1..x_m then y_1..y_k; exponent tuples have length
     m + k. The series, the field width and every truncation stop at the
-    element's weight. Raises ValueError unless k and m are ints >= 0.
+    element's weight. By Macdonald III.8 the evaluation is injective on
+    elements of weight at most d once m >= x_vars(d); with fewer x
+    variables the Q-function of a longest strict partition of d is 0.
+    Raises ValueError unless k and m are ints >= 0.
     """
     check_k(k)
     check_range(m, "m")

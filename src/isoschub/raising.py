@@ -180,11 +180,12 @@ def _alpha_walk(mu, r, in_d, pairs, child, pos, used, mcount, by_s):
 
 
 def two_special(a: int, b: int) -> dict[tuple[int, ...], int]:
-    """Expansion of the length-two fully inverted series: index pair (a, b)."""
+    """Expansion of the length-two fully inverted series: index pair (a, b).
+    A negative index is t_r = 0 and kills its term; t_0 = 1 drops out."""
     acc: dict = {}
-    for i in range(0, b + 1):
+    for i in range(max(-a, 0), b + 1):
         c = 1 if i == 0 else (2 if i % 2 == 0 else -2)
-        key = tuple(sorted((x for x in (a + i, b - i) if x > 0), reverse=True))
+        key = tuple(sorted((x for x in (a + i, b - i) if x), reverse=True))
         add_into(acc, key, c)
     return acc
 

@@ -22,7 +22,7 @@ _BUDGETS = {
     "routes": 300,
     "count-bases": 1,
     "stanley-corollary": 120,
-    "thcor": 120,
+    "thcor": 10,
     "presentation": 60,
 }
 

@@ -25,9 +25,9 @@ from isoschub.partitions import (count_bases, get, k_strict_partitions,
                                  length_gt_k, rect_partitions, split_columns,
                                  subpartitions, weight)
 from isoschub.polyeval import (e_list, evaluate, p_det, p_mul, q_basis_poly,
-                               q_det_poly, q_list, schur_conj_poly)
+                               q_det_poly, q_list, schur_conj_poly, x_vars)
 from isoschub.raising import (c_set, diagonal_count, expand, pfaffian_expand,
-                              strict_pairs)
+                              strict_pairs, two_special)
 from isoschub.substitution import (apply_rule, build_forest, ev, iota,
                                    root_compositions, verify_claim2)
 from isoschub.theta import (hat_theta, mixed_expand, skew_S, straighten, theta,
@@ -289,6 +289,9 @@ BAD_CALLS = {
     "hat-theta-bool-r": lambda: hat_theta(True, 0),
     "evaluate-float-m": lambda: evaluate({(1,): 1}, 1, 2.0),
     "evaluate-bool-m": lambda: evaluate({(1,): 1}, 1, True),
+    "x-vars-negative-weight": lambda: x_vars(-1),
+    "x-vars-bool-weight": lambda: x_vars(True),
+    "x-vars-float-weight": lambda: x_vars(4.0),
     "count-bases-float-d": lambda: count_bases(4.0, 1),
     "k-strict-float-d": lambda: k_strict_partitions(4.0, 1),
     "k-strict-negative-k": lambda: k_strict_partitions(3, -1),
@@ -1165,6 +1168,10 @@ EDGE_CASES = [
     ("expand-one-row", lambda: expand(frozenset(), (3,)), {(3,): 1}),
     ("pfaffian-one-row", lambda: pfaffian_expand((5,)), {(5,): 1}),
     ("pfaffian-empty", lambda: pfaffian_expand(()), {(): 1}),
+    # a negative index is t_r = 0, as in expand({(1, 2)}, (a, b)); it once
+    # counted as t_0 = 1 and left {(2,): 1} and {(3,): 1, (2,): -2}
+    ("two-special-negative-first", lambda: two_special(-1, 2), {}),
+    ("two-special-negative-first-odd", lambda: two_special(-2, 3), {}),
     ("p-det-empty", lambda: p_det([], 2, 3), {(0, 0): 1}),
     ("q-det-empty", lambda: q_det_poly((), q_list(2, 2, 3), 2, 3),
      {(0, 0): 1}),

@@ -1,0 +1,73 @@
+"""Every known fault as one row, with the suites of `isoschub verify`
+that must catch it.
+
+A row names the bindings to patch, a function that takes the right
+implementation and returns the faulty one, and the suites that must
+fail under the fault. The test patches every binding, empties the
+package's memos before and after, runs only the named suites through
+the command line, and requires each of them to fail.
+"""
+
+import json
+
+import pytest
+
+import isoschub
+from isoschub import cli, formal, polyeval, raising
+
+
+def _two_special_flipped(right):
+    # every term of the two-entry series past the leading t_a t_b with
+    # its sign flipped: 1 + 2R - 2R^2 + ... in place of 1 - 2R + 2R^2 - ...
+    def wrong(a, b):
+        lead = tuple(sorted((x for x in (a, b) if x), reverse=True))
+        return {key: c if key == lead else -c
+                for key, c in right(a, b).items()}
+    return wrong
+
+
+def _det_flipped_at_3(right):
+    # every 3 x 3 determinant with the wrong sign
+    def wrong(mat, mul, add, one):
+        got = right(mat, mul, add, one)
+        if len(mat) != 3:
+            return got
+        out: dict = {}
+        add(out, got, -1)
+        return out
+    return wrong
+
+
+# (name, bindings to patch, fault, suites that must fail)
+MUTATIONS = [
+    # _pf builds Schur's Pfaffian for q_basis_poly from two_special, and
+    # nothing else does, so only thcor's large-parts form can see it
+    ("two-special-sign", [(raising, "two_special")], _two_special_flipped,
+     ("thcor",)),
+    # theta.skew_S keeps its own binding, so only the polynomial legs
+    # (p_det, q_det_poly, schur_conj_poly) move
+    ("det-3x3-sign", [(formal, "det"), (polyeval, "det")], _det_flipped_at_3,
+     ("theta-hat", "thcor")),
+]
+
+
+@pytest.mark.parametrize("targets, fault, suites",
+                         [row[1:] for row in MUTATIONS],
+                         ids=[row[0] for row in MUTATIONS])
+def test_verify_catches_the_fault(capsys, monkeypatch, targets, fault,
+                                  suites):
+    isoschub.clear_caches()
+    failed = {}
+    try:
+        with monkeypatch.context() as patch:
+            for mod, name in targets:
+                patch.setattr(mod, name, fault(getattr(mod, name)))
+            for suite in suites:
+                code = cli.main(["verify", "--suite", suite,
+                                 "--format", "json"])
+                row, = json.loads(capsys.readouterr().out)["suites"]
+                failed[suite] = code == 1 and not row["ok"]
+    finally:
+        # a memo filled under the fault must not outlive it
+        isoschub.clear_caches()
+    assert all(failed.values()), failed

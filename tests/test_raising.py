@@ -203,6 +203,15 @@ def test_two_special_degenerate():
     assert two_special(3, 1) == {(3, 1): 1, (4,): -2}
 
 
+def test_two_special_matches_expand():
+    # the one pair (1, 2) inverted; a negative index, first or second,
+    # kills its term, so (-1, 2) and (-2, 3) give {} on both routes
+    for a in range(-4, 6):
+        for b in range(-2, 6):
+            assert two_special(a, b) == expand(frozenset({(1, 2)}), (a, b)), \
+                (a, b)
+
+
 def test_commutation_without_pair():
     # swapping two adjacent entries (r, s) -> (s-1, r+1) negates the class,
     # provided (2, 3) is not in D and every row above pairs with columns 2

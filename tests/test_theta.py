@@ -12,7 +12,7 @@ from isoschub.formal import combine, scaled, sum_to_json
 from isoschub.partitions import (get, is_k_strict, k_strict_partitions,
                                  subpartitions, weight)
 from isoschub.polyeval import (e_list, evaluate, p_det, p_mul, q_basis_poly,
-                               q_det_poly, q_list, schur_conj_poly)
+                               q_det_poly, q_list, schur_conj_poly, x_vars)
 from isoschub.raising import c_set, expand, pfaffian_expand, strict_pairs
 from isoschub.theta import (hat_theta, horizontal_strips, mixed_expand,
                             multiply, skew_S, straighten, theta, theta_sum,
@@ -591,6 +591,48 @@ def test_theta_polynomials_are_the_convolution_of_q_and_e():
                 for i in range(min(k, r) + 1):
                     combine(want, p_mul(qs[r - i], es[i], top))
                 assert evaluate({(r,): 1}, k, m) == want, (k, m, r)
+
+
+def rank(rows):
+    # Gaussian elimination over Fraction on sparse rows {column: value}
+    pivots = {}
+    for row in rows:
+        row = {col: Fraction(c) for col, c in row.items() if c}
+        while row:
+            col = min(row)
+            if col not in pivots:
+                pivots[col] = row
+                break
+            piv = pivots[col]
+            f = row[col] / piv[col]
+            for c, v in piv.items():
+                row[c] = row.get(c, 0) - f * v
+                if not row[c]:
+                    del row[c]
+    return len(pivots)
+
+
+def test_x_vars_is_the_longest_strict_partition():
+    # the staircase 1 + 2 + ... + l is the longest strict partition
+    want = {0: 1, 1: 1, 2: 1, 3: 2, 5: 2, 6: 3, 9: 3, 10: 4, 14: 4, 15: 5}
+    assert {d: x_vars(d) for d in want} == want
+    for d in range(1, 16):
+        assert x_vars(d) == max(map(len, k_strict_partitions(d, 0))), d
+
+
+def test_x_vars_keeps_evaluate_injective_and_no_fewer_do():
+    # the mixed basis of weight d, strict mu and nu_1 <= k, evaluates to
+    # independent polynomials in x_vars(d) x variables, and to dependent
+    # ones in one fewer: Q_mu(x_1..x_m) = 0 once l(mu) > m
+    for k in range(4):
+        for d in range(1, 10):
+            basis = [(mu, nu) for e in range(d + 1)
+                     for mu in k_strict_partitions(e, 0)
+                     for nu in partitions_of(d - e, max_part=k)]
+            m = x_vars(d)
+            for vars_, full in ((m, True), (m - 1, False)):
+                images = [evaluate({b: 1}, k, vars_) for b in basis]
+                assert (rank(images) == len(basis)) is full, (k, d, vars_)
 
 
 def test_thcor_fails_with_a_wrong_q_function(monkeypatch):
