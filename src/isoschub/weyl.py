@@ -8,6 +8,7 @@ the first value) and s_i (swap values i, i+1) for i >= 1.
 """
 
 from functools import cache
+from itertools import accumulate
 
 from .formal import add_into
 # in_rect is unused but stays bound: bench/tracing.TARGETS expects it here
@@ -114,13 +115,13 @@ def grassmannian_element(lam, k, n=None):
     return w
 
 
-# Limits of reduced_words, and so of ktableaux and stanley_F.  The first
-# keeps every recursion over a reduced word far below Python's recursion
-# limit; the second bounds the listing itself (the longest element of B_4
-# has 24,024 reduced words, that of B_5 has 701,149,020).  The third
-# bounds the walk of right_factors over the lower weak interval of w,
-# which is the whole group for the longest element (46,080 elements in
-# B_6, 645,120 in B_7).
+# Limits of reduced_words, and of the walk of ktableaux and stanley_F
+# over the same words.  The first keeps every recursion over a reduced
+# word far below Python's recursion limit; the second bounds the listing
+# and the walk (the longest element of B_4 has 24,024 reduced words, that
+# of B_5 has 701,149,020).  The third bounds the walk of right_factors
+# over the lower weak interval of w, which is the whole group for the
+# longest element (46,080 elements in B_6, 645,120 in B_7).
 MAX_LENGTH = 64
 MAX_REDUCED_WORDS = 100_000
 MAX_RIGHT_FACTORS = 50_000
@@ -131,7 +132,7 @@ def _check_size(w):
     MAX_REDUCED_WORDS.
 
     The words are counted by a memoized descent recursion that stops
-    once the count is past the limit, so nothing is listed.
+    once the count is past the limit, so nothing is listed or walked.
     """
     lw = length(w)
     if lw > MAX_LENGTH:
@@ -178,62 +179,13 @@ def _reduced_words(w):
     return tuple(out)
 
 
-def _word_tableaux(word, out):
-    """Append to out every tableau whose row word is the reduced word.
-
-    Two prefix tables make each cut a lookup.  L[j], the length of the
-    longest unimodal subsequence of word[:j], is the running maximum of
-    up[t], the longest unimodal subsequence ending at t, where up[t]
-    extends either the longest strictly decreasing one ending at t
-    (down[t]) or an up[i] with i < t and word[i] < word[t].  ends[p] is
-    the largest e with word[p:e] unimodal; one scan per start finds it,
-    since unimodal segments are closed under taking prefixes.  A row
-    word[pos:e] can follow a row of length prev exactly when
-    pos + prev < e <= ends[pos] and L[e] == e - pos.
-    """
-    m = len(word)
-    down = []
-    up = []
-    L = [0]
-    best = 0
-    for a in word:
-        d = u = 1
-        # zip stops at the letters before a
-        for b, db, ub in zip(word, down, up):
-            if b > a:
-                if db >= d:
-                    d = db + 1
-            elif b < a and ub >= u:
-                u = ub + 1
-        if d > u:
-            u = d
-        down.append(d)
-        up.append(u)
-        if u > best:
-            best = u
-        L.append(best)
-    ends = []
-    for p in range(m):
-        e = p + 1
-        while e < m and word[e - 1] > word[e]:
-            e += 1
-        while e < m and word[e - 1] < word[e]:
-            e += 1
-        ends.append(e)
-    acc = []
-
-    def rows(pos, prev):
-        if pos == m:
-            out.append(tuple(reversed(acc)))
-            return
-        for e in range(pos + prev + 1, ends[pos] + 1):
-            size = e - pos
-            if L[e] == size:
-                acc.append(word[pos:e])
-                rows(e, size)
-                acc.pop()
-
-    rows(0, 0)
+@cache
+def _left_steps(v):
+    # the pairs (a, s_a v) over the left descents a of v, which are the
+    # right descents of v^-1
+    vi = inverse(v)
+    return tuple((a, trim(inverse(apply_s(vi, a))))
+                 for a in sorted(descents(vi)))
 
 
 def ktableaux(w, shape=None):
@@ -242,15 +194,93 @@ def ktableaux(w, shape=None):
     Each row must be a unimodal subsequence of maximum length in the
     word formed by it and the rows below it.  Rows are returned top
     row first, so lengths strictly decrease.  Raises ValueError for a
-    malformed window or shape, or one past the limits of reduced_words.
+    malformed window or shape, or for w past the limits of
+    reduced_words; a shape that is not strictly decreasing, or whose
+    size is not length(w), gives [] before any of that work.
+
+    The reduced words are walked as a prefix tree, never listed.  A
+    node is a prefix a_1..a_e with the rest v = s_ae..s_a1 w left to
+    spell; its children are the left descents a of v, with v -> s_a v.
+    Each node extends two tables by its letter in O(e): down[t] and
+    up[t], the longest strictly decreasing and the longest unimodal
+    subsequence ending at t, whose running maximum best is the longest
+    unimodal subsequence of the prefix.  It also carries its open row
+    cuts (last cut, previous row length, rising, cuts): the row that
+    starts at the last cut stays open while it falls strictly, then
+    rises strictly, and closes at e when it is longer than the row
+    before, best equals its length, and a longer row still fits in the
+    rest of the word.  A prefix with no open cut is dropped, since no
+    tableau starts with it, and a given shape fixes every cut up front.
+    The longest element of B_4 (24,024 reduced words) visits 3,781
+    prefixes with descents left; (2,-3,-5,-4,1) (99,144 words, one
+    tableau) takes 0.02 s and no listing of its words.
     """
-    out = []
-    for word in reduced_words(w):
-        _word_tableaux(word, out)
+    check_window(w)
+    w = trim(w)
+    m = length(w)
+    fixed = None
     if shape is not None:
+        if hasattr(shape, "__iter__"):
+            # before the check, which would spend an iterator
+            shape = tuple(shape)
         check_ints(shape, "the shape")
-        shape = tuple(shape)
-        out = [t for t in out if tuple(len(r) for r in t) == shape]
+        if sum(shape) != m or not all(a > b for a, b in
+                                      zip(shape, shape[1:] + (0,))):
+            return []
+        fixed = set(accumulate(reversed(shape)))
+    _check_size(w)
+    word, down, up, out = [], [], [], []
+
+    def visit(v, best, open_cuts):
+        t = len(word)
+        if not v:
+            # the rows of every cut set that closed at the last letter
+            for last, _, _, cuts in open_cuts:
+                if last == t:
+                    rows = (tuple(word[i:j]) for i, j in
+                            zip((0,) + cuts, cuts))
+                    out.append(tuple(rows)[::-1])
+            return
+        e = t + 1
+        # a given shape closes a row exactly at its cuts
+        close = fixed is None or e in fixed
+        stay = fixed is None or not close
+        for a, rest in _left_steps(v):
+            d = u = 1
+            # zip stops at the letters before a
+            for b, db, ub in zip(word, down, up):
+                if b > a:
+                    if db >= d:
+                        d = db + 1
+                elif b < a and ub >= u:
+                    u = ub + 1
+            if d > u:
+                u = d
+            top = u if u > best else best
+            rises = t and word[-1] < a
+            nxt = []
+            for last, prev, rising, cuts in open_cuts:
+                size = e - last
+                if size > 1:
+                    if rises:
+                        rising = True
+                    elif rising:
+                        continue
+                if (close and size > prev and top == size
+                        and (e == m or m - e > size)):
+                    nxt.append((e, size, False, cuts + (e,)))
+                if stay:
+                    nxt.append((last, prev, rising, cuts))
+            if nxt:
+                word.append(a)
+                down.append(d)
+                up.append(u)
+                visit(rest, top, nxt)
+                word.pop()
+                down.pop()
+                up.pop()
+
+    visit(w, 0, [(0, 0, False, ())])
     return sorted(out)
 
 

@@ -87,6 +87,8 @@ def test_clear_caches_empties_every_memo():
                      ["verify", "--suite", "all", "--max-weight", "1"]):
             assert cli.main(argv) == 0
     pfaffian_expand((4, 2, 1))
+    # no command lists reduced words: ktableaux walks them
+    reduced_words((2, -1))
     memos = _package_memos()
     cold = [name for name, memo in memos.items()
             if not memo.cache_info().currsize]

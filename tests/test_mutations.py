@@ -13,7 +13,7 @@ import json
 import pytest
 
 import isoschub
-from isoschub import cli, formal, polyeval, raising
+from isoschub import cli, formal, polyeval, raising, weyl
 
 
 def _two_special_flipped(right):
@@ -38,6 +38,14 @@ def _det_flipped_at_3(right):
     return wrong
 
 
+def _drops_last_tableau(right):
+    # every list of two or more tableaux without its last one
+    def wrong(w, shape=None):
+        got = right(w, shape)
+        return got[:-1] if len(got) >= 2 else got
+    return wrong
+
+
 # (name, bindings to patch, fault, suites that must fail)
 MUTATIONS = [
     # _pf builds Schur's Pfaffian for q_basis_poly from two_special, and
@@ -48,6 +56,10 @@ MUTATIONS = [
     # (p_det, q_det_poly, schur_conj_poly) move
     ("det-3x3-sign", [(formal, "det"), (polyeval, "det")], _det_flipped_at_3,
      ("theta-hat", "thcor")),
+    # stanley_F and bh_expand call weyl's binding, the ktableaux command
+    # cli's; only the two suites that count tableaux can see it
+    ("ktableaux-drops-last", [(weyl, "ktableaux"), (cli, "ktableaux")],
+     _drops_last_tableau, ("stanley-corollary", "bh-example")),
 ]
 
 

@@ -276,11 +276,131 @@ def test_ktableaux_validator_agreement():
         assert tabs == brute_ktableaux(w), w
 
 
+def word_tableaux(word, out):
+    """Append to out every tableau whose row word is the reduced word.
+
+    The per-word oracle of the prefix-tree walk in ktableaux, which
+    shares no code with it.  Two prefix tables make each cut a lookup.
+    L[j], the length of the longest unimodal subsequence of word[:j], is
+    the running maximum of up[t], the longest unimodal subsequence
+    ending at t, where up[t] extends either the longest strictly
+    decreasing one ending at t (down[t]) or an up[i] with i < t and
+    word[i] < word[t].  ends[p] is the largest e with word[p:e]
+    unimodal; one scan per start finds it, since unimodal segments are
+    closed under taking prefixes.  A row word[pos:e] can follow a row of
+    length prev exactly when pos + prev < e <= ends[pos] and
+    L[e] == e - pos.
+    """
+    m = len(word)
+    down = []
+    up = []
+    L = [0]
+    best = 0
+    for a in word:
+        d = u = 1
+        # zip stops at the letters before a
+        for b, db, ub in zip(word, down, up):
+            if b > a:
+                if db >= d:
+                    d = db + 1
+            elif b < a and ub >= u:
+                u = ub + 1
+        if d > u:
+            u = d
+        down.append(d)
+        up.append(u)
+        if u > best:
+            best = u
+        L.append(best)
+    ends = []
+    for p in range(m):
+        e = p + 1
+        while e < m and word[e - 1] > word[e]:
+            e += 1
+        while e < m and word[e - 1] < word[e]:
+            e += 1
+        ends.append(e)
+    acc = []
+
+    def rows(pos, prev):
+        if pos == m:
+            out.append(tuple(reversed(acc)))
+            return
+        for e in range(pos + prev + 1, ends[pos] + 1):
+            size = e - pos
+            if L[e] == size:
+                acc.append(word[pos:e])
+                rows(e, size)
+                acc.pop()
+
+    rows(0, 0)
+
+
+def per_word_ktableaux(w):
+    out = []
+    for word in reduced_words(w):
+        word_tableaux(word, out)
+    return sorted(out)
+
+
+def test_ktableaux_walk_matches_per_word_oracle():
+    # all of B_4 and a seeded B_5 sample, each with every shape that
+    # occurs and with a strict shape of the right size that does not
+    rng = random.Random(5)
+    sample = [trim(w) for w in rng.sample(all_elements(5), 60)]
+    elems = [trim(w) for w in all_elements(4)]
+    elems += [w for w in sample if weyl._word_count(w) <= 5000]
+    assert len(elems) == 384 + 43
+    for w in elems:
+        want = per_word_ktableaux(w)
+        assert ktableaux(w) == want, w
+        by_shape = {}
+        for t in want:
+            by_shape.setdefault(tuple(len(r) for r in t), []).append(t)
+        # a strict shape of size length(w) that no tableau has, or one
+        # of the wrong size where every strict shape occurs
+        absent = next((lam for lam in partitions_of(length(w))
+                       if is_k_strict(lam, 0) and lam not in by_shape),
+                      (length(w) + 1,))
+        assert ktableaux(w, shape=absent) == [], (w, absent)
+        for lam, tabs in by_shape.items():
+            assert ktableaux(w, shape=lam) == tabs, (w, lam)
+
+
 def test_ktableaux_shape_filter():
     w = trim(grassmannian_element((3, 1), 1))
     tabs = ktableaux(w, shape=(3, 1))
     assert all(tuple(len(r) for r in t) == (3, 1) for t in tabs)
     assert ktableaux(w, shape=(9, 1)) == []
+    # an iterator once came back empty from the int check, giving []
+    assert tabs and ktableaux(w, shape=iter((3, 1))) == tabs
+
+
+def test_bad_shape_rejected_before_any_work():
+    weyl._word_count.cache_clear()
+    weyl._left_steps.cache_clear()
+    # no int sequence: ValueError; not strictly decreasing, a part below
+    # 1, or a size other than length(w) = 16 or 18: no tableau
+    for w, shape in [((-1, -2, -3, -4), 5), ((2, -3, -5, -4, 1), (1.5,))]:
+        with pytest.raises(ValueError, match="the shape must be"):
+            ktableaux(w, shape=shape)
+    for w, shape in [((-1, -2, -3, -4), (8, 8)),
+                     ((-1, -2, -3, -4), (16, 0)),
+                     ((-1, -2, -3, -4), (17, -1)),
+                     ((-1, -2, -3, -4), (7, 5, 3)),
+                     ((2, -3, -5, -4, 1), (18, 1))]:
+        assert ktableaux(w, shape=shape) == [], shape
+    assert weyl._word_count.cache_info().currsize == 0
+    assert weyl._left_steps.cache_info().currsize == 0
+
+
+def test_stanley_walks_without_listing_words():
+    # 99,144 reduced words, just under MAX_REDUCED_WORDS, and one tableau
+    weyl._reduced_words.cache_clear()
+    w = (2, -3, -5, -4, 1)
+    assert weyl._word_count(w) == 99144 <= MAX_REDUCED_WORDS
+    assert stanley_F(w) == {(7, 6, 4, 1): 1}
+    assert weyl._reduced_words.cache_info().currsize == 0
 
 
 def test_stanley_identity():
@@ -335,16 +455,19 @@ def test_right_factors_whole_group():
 def test_size_limits_raise_before_listing():
     weyl._reduced_words.cache_clear()
     weyl._word_count.cache_clear()
+    weyl._left_steps.cache_clear()
     # a single reduced word, but far longer than MAX_LENGTH
     with pytest.raises(ValueError, match="length 2000 exceeds"):
         ktableaux(grassmannian_element((2000,), 0))
     assert weyl._word_count.cache_info().currsize == 0
+    assert weyl._left_steps.cache_info().currsize == 0
     # the longest element of B_5: length 25, 701,149,020 reduced words
     w0 = (-1, -2, -3, -4, -5)
     assert length(w0) <= MAX_LENGTH
     for call in (reduced_words, ktableaux, stanley_F):
         with pytest.raises(ValueError, match="more than 100000 reduced"):
             call(w0)
+        assert weyl._left_steps.cache_info().currsize == 0
     assert weyl._reduced_words.cache_info().currsize == 0
     # the count stops once it is past the limit, short of all 3,840
     # elements below w0
