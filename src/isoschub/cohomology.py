@@ -51,7 +51,9 @@ def pieri_match(lam, mu, k: int):
     ValueError for k < 0 or a part that is not an int.
     """
     check_k(k)
-    check_ints(chain(lam, mu), "the parts")
+    # tuples first: the check would spend an iterator
+    lam, mu = tuple(lam), tuple(mu)
+    check_ints(lam + mu, "the parts")
     lam = strip(lam)
     mu = strip(mu)
     if not (is_k_strict(lam, k) and is_k_strict(mu, k)):
@@ -410,8 +412,11 @@ def reduce_polynomial(poly: dict, k: int, n: int, family: str) -> dict:
 def reduce_monomial(beta, k: int, n: int, family: str) -> dict:
     """Product of special classes with indices beta in the Schubert basis:
     reduce_polynomial of the one monomial beta, a sequence of ints."""
-    check_ints(beta, "the indices")  # before tuple() meets a non-iterable
-    return reduce_polynomial({tuple(beta): 1}, k, n, family)
+    if hasattr(beta, "__iter__"):
+        # before the check, which would spend an iterator
+        beta = tuple(beta)
+    check_ints(beta, "the indices")
+    return reduce_polynomial({beta: 1}, k, n, family)
 
 
 @cache

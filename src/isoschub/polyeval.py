@@ -262,7 +262,9 @@ def schur_conj_poly(nu, mu, lo: int, hi: int, nv: int, bound: int) -> dict:
     Raises ValueError unless 0 <= lo <= hi <= nv and the parts, all ints.
     """
     _check_vars(lo, hi, nv)
-    check_ints((*nu, *mu), "the parts")
+    # tuples first: the check would spend an iterator
+    nu, mu = tuple(nu), tuple(mu)
+    check_ints(nu + mu, "the parts")
     width = _width(bound)
     return _unpack(_schur_conj(nu, mu, lo, hi, bound, width), nv, width)
 

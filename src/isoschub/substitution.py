@@ -202,6 +202,7 @@ def build_forest(lam, p: int, k: int, modified: bool = False,
     C = c_set(lam, k)
     m = middle_row(C)
     allowed = frozenset(C) | frozenset(outside_rim(C, ell + 1))
+    inside = frozenset((i, j) for i, j in allowed if i <= m)
     roots = [(C, nu, frozenset(), ell + 1)
              for nu in root_compositions(lam, p)]
     seen = set()
@@ -216,10 +217,12 @@ def build_forest(lam, p: int, k: int, modified: bool = False,
         D, mu, S, h = psi
         if not D <= allowed:
             raise RuntimeError("D leaves the rim of C: %r" % (psi,))
-        if not (S <= D - C and len(mu) == ell + 1):
+        if not (S <= D and S.isdisjoint(C) and len(mu) == ell + 1):
             raise RuntimeError("S outside D minus C or mu of the wrong "
                                "length: %r" % (psi,))
-        if not all(i <= m and j <= ell + 1 for i, j in D):
+        # every pair of allowed lies in a column <= ell + 1, so past
+        # inside means past row m or column ell + 1
+        if not D <= inside:
             raise RuntimeError("pair of D past row m or column ell+1: %r"
                                % (psi,))
         if h == 0:
@@ -259,7 +262,13 @@ def ev(psi, k: int, n: int) -> dict:
 
 @cache
 def _ev(D, mu, k, n):
-    out = reduce_polynomial(expand(strict_pairs(D), mu), k, n, "B")
+    return _reduced(expand(strict_pairs(D), mu), D, k, n)
+
+
+def _reduced(poly, D, k, n):
+    # a polynomial in the c_p of family B over the pair set D, reduced to
+    # the tau basis and divided by 2^(#diagonal pairs of D)
+    out = reduce_polynomial(poly, k, n, "B")
     return scaled(out, Fraction(1, 1 << diagonal_count(D)))
 
 
@@ -336,8 +345,13 @@ def verify_claim2(forest: dict):
 
     The pairing must stay inside the stopped set, square to the identity
     and sum to zero evaluation on each orbit; fixed points must evaluate
-    to zero.  Returns (leaf count, fixed point count); a failed check
-    raises RuntimeError, and a modified forest raises ValueError.
+    to zero. Each orbit is checked once, from whichever of its leaves
+    comes first. A leaf and its partner share D, so their evaluations
+    carry the same factor 2^(-#diagonal pairs of D), and the reduction
+    to the tau basis is linear: the orbit's two expansions are added
+    first, and the sum is reduced only when it is nonzero. Returns (leaf
+    count, fixed point count); a failed check raises RuntimeError, and a
+    modified forest raises ValueError.
     """
     if forest["modified"]:
         raise ValueError("claim 2 holds for the unmodified forest only")
@@ -346,17 +360,26 @@ def verify_claim2(forest: dict):
     leaves = set(forest["psi1"])
     _check(len(leaves) == len(forest["psi1"]), "stopped leaves repeat")
     fixed = 0
+    done = set()
     for psi in leaves:
+        if psi in done:
+            continue
         other = iota(lam, k, psi)
         _check(other in leaves, "partner is no stopped leaf", psi, other)
         _check(iota(lam, k, other) == psi, "pairing is no involution", psi,
                other)
+        done.add(other)
+        D = psi[0]
+        pairs = strict_pairs(D)
+        total = expand(pairs, psi[1])
+        if other != psi:
+            combine(total, expand(pairs, other[1]))
+        if total:
+            total = _reduced(total, D, k, n)
         if other == psi:
             fixed += 1
-            _check(not ev(psi, k, n), "fixed point evaluates nonzero", psi)
+            _check(not total, "fixed point evaluates nonzero", psi)
         else:
-            total = ev(psi, k, n)
-            combine(total, ev(other, k, n))
             _check(not total, "pair does not cancel", psi, other, total)
     return len(leaves), fixed
 

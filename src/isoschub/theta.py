@@ -248,16 +248,24 @@ def horizontal_strips(nu, size: int, cap: int) -> list[tuple[int, ...]]:
     return fill_rows(nu + (0,), (cap,) + nu, sum(nu) + size)
 
 
+@cache
+def _strips(nu, size, cap):
+    # horizontal_strips once per argument; looked up through the module,
+    # so a rebound horizontal_strips takes effect after clear_caches()
+    return tuple(horizontal_strips(nu, size, cap))
+
+
 def mixed_expand(lam, k: int) -> dict:
     """Expansion into pairs (mu, nu): a strict-key x-part Q_mu times the
     Schur class of the conjugate of nu in the k extra variables.
 
     Each one-row class splits as t_a = sum_{i=0..min(k,a)} q_{a-i} e_i;
     the e-part is folded into Schur classes by horizontal-strip Pieri
-    steps, pruning nu_1 > k, and the q-parts of each Schur class nu add
-    up to one polynomial, straightened at threshold 0 and converted to
-    the canonical (Schur Q) basis once. Raises ValueError unless lam is
-    k-strict.
+    steps, pruning nu_1 > k, each step's strips computed once per
+    (nu, size, k) and memoized, and the q-parts of each Schur class nu
+    add up to one polynomial, straightened at threshold 0 and converted
+    to the canonical (Schur Q) basis once. Raises ValueError unless lam
+    is k-strict.
     """
     lam = strip(lam)
     check_rect(lam, k)
@@ -272,7 +280,7 @@ def mixed_expand(lam, k: int) -> dict:
                     q = a - i
                     qk2 = qk if q == 0 else tuple(
                         sorted(qk + (q,), reverse=True))
-                    for rho in horizontal_strips(nu, i, k):
+                    for rho in _strips(nu, i, k):
                         add_into(nxt, (qk2, rho), c)
             states = nxt
         for (qk, nu), c in states.items():

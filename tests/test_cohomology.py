@@ -1192,6 +1192,16 @@ EDGE_CASES = [
     ("pieri-match-not-k-strict", lambda: pieri_match((2, 2), (3, 2), 1),
      None),
     ("scaled-zero-scale", lambda: scaled({(1,): 3}, 0), {}),
+    # an iterator argument is read once, as a tuple; the int check once
+    # spent it, which left {(): 1}, () -> () and the empty skew
+    ("reduce-monomial-iterator",
+     lambda: reduce_monomial(iter((1,)), 1, 3, "C"), {(1,): 1}),
+    ("pieri-match-iterators", lambda: pieri_match(iter((1,)), iter((2,)), 0),
+     {"added": [(1, 2)], "removed": [], "mentioned": set(),
+      "match_removed": [], "A": [(1, 2)], "components": [[(1, 2)]], "N": 1}),
+    ("schur-conj-iterators",
+     lambda: schur_conj_poly(iter((1,)), iter(()), 0, 2, 2, 2),
+     {(1, 0): 1, (0, 1): 1}),
 ]
 
 

@@ -2,8 +2,9 @@
 that must catch it.
 
 A row names the bindings to patch, a function that takes the right
-implementation and returns the faulty one, and the suites that must
-fail under the fault. The test patches every binding, empties the
+implementation and returns the faulty one, the suites that must fail
+under the fault, and a text that each of their failure details must
+contain ("" for any). The test patches every binding, empties the
 package's memos before and after, runs only the named suites through
 the command line, and requires each of them to fail.
 """
@@ -13,7 +14,8 @@ import json
 import pytest
 
 import isoschub
-from isoschub import cli, formal, polyeval, raising, weyl
+from isoschub import (cli, cohomology, formal, polyeval, raising,
+                      substitution, theta, weyl)
 
 
 def _two_special_flipped(right):
@@ -46,28 +48,81 @@ def _drops_last_tableau(right):
     return wrong
 
 
-# (name, bindings to patch, fault, suites that must fail)
+def _iota_keeps_s(right):
+    # the partner with the S of the leaf it came from
+    def wrong(lam, k, psi):
+        D, mu, S, h = right(lam, k, psi)
+        return D, mu, psi[2], h
+    return wrong
+
+
+def _drops_largest_monomial(right):
+    # every polynomial of two or more monomials without its lex-largest
+    def wrong(poly, k, n, family):
+        if len(poly) >= 2:
+            poly = dict(poly)
+            del poly[max(poly)]
+        return right(poly, k, n, family)
+    return wrong
+
+
+def _drops_last_term(right):
+    # every Pieri row of two or more classes without its lex-largest
+    def wrong(lam, p, k, n):
+        got = right(lam, p, k, n)
+        if len(got) >= 2:
+            got = dict(got)
+            del got[max(got)]
+        return got
+    return wrong
+
+
+def _drops_last_strip(right):
+    # every list of two or more horizontal strips without its last one
+    def wrong(nu, size, cap):
+        got = right(nu, size, cap)
+        return got[:-1] if len(got) >= 2 else got
+    return wrong
+
+
+# (name, bindings to patch, fault, suites that must fail, text the
+# detail of each failing suite must contain)
 MUTATIONS = [
     # _pf builds Schur's Pfaffian for q_basis_poly from two_special, and
     # nothing else does, so only thcor's large-parts form can see it
     ("two-special-sign", [(raising, "two_special")], _two_special_flipped,
-     ("thcor",)),
+     ("thcor",), ""),
     # theta.skew_S keeps its own binding, so only the polynomial legs
     # (p_det, q_det_poly, schur_conj_poly) move
     ("det-3x3-sign", [(formal, "det"), (polyeval, "det")], _det_flipped_at_3,
-     ("theta-hat", "thcor")),
+     ("theta-hat", "thcor"), ""),
     # stanley_F and bh_expand call weyl's binding, the ktableaux command
     # cli's; only the two suites that count tableaux can see it
     ("ktableaux-drops-last", [(weyl, "ktableaux"), (cli, "ktableaux")],
-     _drops_last_tableau, ("stanley-corollary", "bh-example")),
+     _drops_last_tableau, ("stanley-corollary", "bh-example"), ""),
+    # verify_claim2 looks iota up in substitution's globals
+    ("iota-keeps-s", [(substitution, "iota")], _iota_keeps_s, ("claims",),
+     ""),
+    # only the forest's evaluation reduces through substitution's binding;
+    # a pair's two expansions mostly cancel before any reduction, but a
+    # fixed point's reaches it alone
+    ("reduce-polynomial-drops-largest", [(substitution, "reduce_polynomial")],
+     _drops_largest_monomial, ("claims",), "fixed point evaluates nonzero"),
+    # every product and Pieri call compiles its rows from _pieri
+    ("pieri-drops-term", [(cohomology, "_pieri")], _drops_last_term,
+     ("claims", "routes"), ""),
+    # mixed_expand's strip memo calls theta's binding; the memos are
+    # emptied before the patch, so every expansion meets the fault
+    ("horizontal-strips-drops-last", [(theta, "horizontal_strips")],
+     _drops_last_strip, ("thcor",), ""),
 ]
 
 
-@pytest.mark.parametrize("targets, fault, suites",
+@pytest.mark.parametrize("targets, fault, suites, detail",
                          [row[1:] for row in MUTATIONS],
                          ids=[row[0] for row in MUTATIONS])
 def test_verify_catches_the_fault(capsys, monkeypatch, targets, fault,
-                                  suites):
+                                  suites, detail):
     isoschub.clear_caches()
     failed = {}
     try:
@@ -78,7 +133,8 @@ def test_verify_catches_the_fault(capsys, monkeypatch, targets, fault,
                 code = cli.main(["verify", "--suite", suite,
                                  "--format", "json"])
                 row, = json.loads(capsys.readouterr().out)["suites"]
-                failed[suite] = code == 1 and not row["ok"]
+                failed[suite] = (code == 1 and not row["ok"]
+                                 and detail in row["detail"])
     finally:
         # a memo filled under the fault must not outlive it
         isoschub.clear_caches()

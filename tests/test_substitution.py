@@ -7,7 +7,8 @@ import isoschub
 from isoschub import cohomology, substitution
 from isoschub.cohomology import pieri, pieri_match, stable_n
 from isoschub.formal import combine
-from isoschub.partitions import get, is_k_strict, strip, weight
+from isoschub.partitions import (get, is_k_strict, k_strict_partitions,
+                                 strip, weight)
 from isoschub.raising import c_set, outside_rim
 from isoschub.substitution import (_check, apply_rule, build_forest, ef_values,
                                    ev, g_value, iota, modified_forest, r_boxes,
@@ -264,6 +265,69 @@ def test_claim2_frozen_iota():
     assert iota((3, 1), 1, psi) == (D, (4, 3, 1), frozenset({(1, 3)}), 2)
     assert iota((3, 1), 1, iota((3, 1), 1, psi)) == psi
     assert verify_claim2(build_forest((3, 1), 4, 1)) == (51, 13)
+
+
+def per_leaf_claim2(forest: dict):
+    """Claim 2 one stopped leaf at a time: the oracle for verify_claim2.
+
+    Visits every leaf, so each orbit of iota twice, and evaluates each
+    leaf on its own through ev. Returns (leaf count, fixed point count);
+    a failed check raises RuntimeError with verify_claim2's message.
+    """
+    lam, k = forest["lam"], forest["k"]
+    n = stable_n(weight(lam) + forest["p"], k)
+    leaves = set(forest["psi1"])
+    _check(len(leaves) == len(forest["psi1"]), "stopped leaves repeat")
+    fixed = 0
+    for psi in leaves:
+        other = substitution.iota(lam, k, psi)
+        _check(other in leaves, "partner is no stopped leaf", psi, other)
+        _check(substitution.iota(lam, k, other) == psi,
+               "pairing is no involution", psi, other)
+        if other == psi:
+            fixed += 1
+            _check(not ev(psi, k, n), "fixed point evaluates nonzero", psi)
+        else:
+            total = ev(psi, k, n)
+            combine(total, ev(other, k, n))
+            _check(not total, "pair does not cancel", psi, other, total)
+    return len(leaves), fixed
+
+
+def claims_sweep():
+    # the forests of the claims suite of isoschub verify: k <= 2,
+    # |lam| <= 6, p <= 4
+    return [(lam, p, k) for k in range(3) for d in range(1, 7)
+            for lam in k_strict_partitions(d, k) for p in range(1, 5)]
+
+
+def test_claim2_matches_per_leaf_oracle():
+    fixed = 0
+    for lam, p, k in claims_sweep():
+        forest = build_forest(lam, p, k)
+        got = verify_claim2(forest)
+        assert got == per_leaf_claim2(forest), (lam, p, k)
+        fixed += got[1]
+    # the sweep reaches both kinds of orbit
+    assert 0 < fixed
+
+
+def _iota_keeps_s(lam, k, psi):
+    D, mu, S, h = iota(lam, k, psi)
+    return D, mu, psi[2], h
+
+
+def test_claim2_fails_where_the_oracle_fails(monkeypatch):
+    # with a wrong pairing, both stop at the same first leaf, with the
+    # same message
+    monkeypatch.setattr(substitution, "iota", _iota_keeps_s)
+    forest = build_forest((3, 1), 4, 1)
+    with pytest.raises(RuntimeError) as want:
+        per_leaf_claim2(forest)
+    with pytest.raises(RuntimeError) as got:
+        verify_claim2(forest)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("partner is no stopped leaf")
 
 
 def test_claims_sweep_small():

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from isoschub import cli, polyeval
+from isoschub import theta as theta_ring
 from isoschub.formal import combine, scaled, sum_to_json
 from isoschub.partitions import (get, is_k_strict, k_strict_partitions,
                                  subpartitions, weight)
@@ -316,6 +317,25 @@ def test_mixed_expand_table():
     rows = sum_to_json(got)
     assert {"key": [[3, 2], [1]], "num": "2", "den": "1"} in rows
     assert len(rows) == 6
+
+
+def test_mixed_expand_matches_uncached_strips(monkeypatch):
+    # the inputs of the stanley-corollary suite of isoschub verify, with
+    # the memoized strips and with horizontal_strips called afresh
+    cases = [(lam, k) for k in range(3) for d in range(1, 9)
+             for lam in k_strict_partitions(d, k)]
+    want = {case: mixed_expand(*case) for case in cases}
+    assert theta_ring._strips.cache_info().hits > 0
+    calls = []
+
+    def uncached(nu, size, cap):
+        calls.append((nu, size, cap))
+        return horizontal_strips(nu, size, cap)
+
+    monkeypatch.setattr(theta_ring, "_strips", uncached)
+    assert {case: mixed_expand(*case) for case in cases} == want
+    # many repeated arguments, which the memo saves
+    assert len(calls) > 2 * len(set(calls))
 
 
 def test_mixed_expand_k0():
