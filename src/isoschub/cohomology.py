@@ -30,7 +30,7 @@ from math import lcm
 from .formal import add_into, combine, scaled
 from .partitions import (check_ints, check_k, check_range, check_rect,
                          fill_rows, get, in_rect, is_k_strict, k_related,
-                         length_gt_k, strip, weight)
+                         length_gt_k, strip, tupled, weight)
 from .raising import c_set, expand, strict_pairs
 from . import theta as theta_ring
 
@@ -412,9 +412,7 @@ def reduce_polynomial(poly: dict, k: int, n: int, family: str) -> dict:
 def reduce_monomial(beta, k: int, n: int, family: str) -> dict:
     """Product of special classes with indices beta in the Schubert basis:
     reduce_polynomial of the one monomial beta, a sequence of ints."""
-    if hasattr(beta, "__iter__"):
-        # before the check, which would spend an iterator
-        beta = tuple(beta)
+    beta = tupled(beta)
     check_ints(beta, "the indices")
     return reduce_polynomial({beta: 1}, k, n, family)
 
@@ -513,16 +511,32 @@ def multiply(a: dict, b: dict, k: int, n: int, family: str) -> dict:
     return _leave(acc, sp, family, sa + sb, da * db)
 
 
+@cache
+def _theta_product(lam, mu, k):
+    # theta(lam) * theta(mu) in the canonical basis, lam <= mu. The theta
+    # ring's functions are looked up through its module at each miss, so
+    # a patched one takes effect after clear_caches()
+    return theta_ring.to_theta_basis(theta_ring.multiply(
+        theta_ring.theta(lam, k), theta_ring.theta(mu, k), k), k)
+
+
 def theta_route_product(a: dict, b: dict, k: int, n: int, family: str) -> dict:
-    """Product through the theta ring: multiply upstairs, convert to the
-    canonical basis, and drop keys that fall outside the rectangle. Raises
-    ValueError unless every key of a and b is a class of the space."""
+    """Product through the theta ring: each pair of classes lam, mu of a
+    and b is multiplied upstairs as theta(lam) * theta(mu) and converted
+    to the canonical basis once per (lam, mu, k), in either order and in
+    both families; the sum over the pairs drops the keys that fall
+    outside the rectangle. Raises ValueError unless every key of a and b
+    is a class of the space."""
     sp, va, sa, da = _enter(a, k, n, family)
     _, vb, sb, db = _enter(b, k, n, family)
-    # both factors leave and the product enters as integer sigma sums
-    ea = theta_ring.theta_sum(_leave(va, sp, "C", 0, 1), k)
-    eb = theta_ring.theta_sum(_leave(vb, sp, "C", 0, 1), k)
-    prod = theta_ring.to_theta_basis(theta_ring.multiply(ea, eb, k), k)
+    # both factors are integer sigma vectors, and so is the product
+    classes = sp.classes
+    prod: dict = {}
+    for i, ca in va.items():
+        for j, cb in vb.items():
+            if ca and cb:
+                lam, mu = classes[i], classes[j]
+                combine(prod, _theta_product(*sorted((lam, mu)), k), ca * cb)
     v = _enter({lam: c for lam, c in prod.items() if in_rect(lam, k, n)},
                k, n, "C")[1]
     return _leave(v, sp, family, sa + sb, da * db)

@@ -79,6 +79,38 @@ def det(mat: list, mul, add, one: dict) -> dict:
     return minor(0, (1 << n) - 1)
 
 
+def pf(seq, pair, mul, add, one: dict) -> dict:
+    """Pfaffian of the skew matrix with entries pair(seq[i], seq[j]) above
+    the diagonal, expanded along the first row, each sub-Pfaffian (keyed
+    by its set of rows) computed once; 0 when seq has odd length. Entries,
+    mul, add and one are as in det."""
+    n = len(seq)
+    ent = {(i, j): pair(seq[i], seq[j]) for j in range(n) for i in range(j)}
+    memo: dict = {}
+
+    def sub(rows):
+        if not rows:
+            return one
+        got = memo.get(rows)
+        if got is not None:
+            return got
+        i = (rows & -rows).bit_length() - 1
+        rest = rows & (rows - 1)
+        acc: dict = {}
+        sign = 1
+        for j in range(i + 1, n):
+            if rest >> j & 1:
+                if ent[i, j]:
+                    minor = sub(rest & ~(1 << j))
+                    if minor:
+                        add(acc, mul(ent[i, j], minor), sign)
+                sign = -sign
+        memo[rows] = acc
+        return acc
+
+    return sub((1 << n) - 1)
+
+
 def jacobi_trudi(seq: list, lam, mu) -> list[list]:
     """The matrix (seq[lam_i - mu_j + j - i]) over the rows of lam, an
     index outside seq giving the zero entry {}."""

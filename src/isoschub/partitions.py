@@ -84,6 +84,12 @@ def in_rect(lam, k: int, n: int) -> bool:
     return is_k_strict(lam, k) and len(lam) <= n - k and (not lam or lam[0] <= n + k)
 
 
+def tupled(seq):
+    """seq read once, as a tuple, so that a check does not spend an
+    iterator; anything that is not iterable is left for the check."""
+    return tuple(seq) if hasattr(seq, "__iter__") else seq
+
+
 def check_ints(entries, what: str) -> None:
     """Raise ValueError unless all entries are ints. A memo table takes a
     float or a bool equal to an int for that int, so callers check first."""
@@ -186,6 +192,7 @@ def rect_partitions(k: int, n: int) -> list[tuple[int, ...]]:
 def subpartitions(lam) -> list[tuple[int, ...]]:
     """Partitions contained in lam, by increasing weight, each weight in
     lex-decreasing order. Raises ValueError unless lam is a partition."""
+    lam = tupled(lam)
     check_partition(lam)
     return [nu for d in range(weight(lam) + 1)
             for nu in fill_rows([0] * len(lam), lam, d)]

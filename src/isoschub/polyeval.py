@@ -28,9 +28,9 @@ from functools import partial
 from math import isqrt
 
 # add_into is unused but stays bound: bench/tracing.TARGETS expects it here
-from .formal import add_into, combine, det, jacobi_trudi, norm_scalar
-from .partitions import check_ints, check_k, check_range, get, strip
-from .raising import pfaffian_expand
+from .formal import add_into, combine, det, jacobi_trudi, norm_scalar, pf
+from .partitions import (check_ints, check_k, check_range, check_rect, get,
+                         strip)
 from .theta import theta
 
 
@@ -228,22 +228,42 @@ def _monomial_sum(e: dict, factors: dict, bound: int) -> dict:
     return out
 
 
+def _q_pair(a: int, b: int, factors: dict, bound: int) -> dict:
+    """The packed Q_(a,b) = q_a q_b + 2 sum_{i=1..b} (-1)^i q_{a+i} q_{b-i}
+    for a > b >= 0; a q_r missing from factors lies above bound."""
+    acc: dict = {}
+    if a + b <= bound:
+        for i in range(b + 1):
+            qa, qb = factors.get(a + i), factors.get(b - i)
+            if qa and qb:
+                _add(acc, _mul(qa, qb, bound),
+                     1 if i == 0 else (-2 if i % 2 else 2))
+    return acc
+
+
 def q_basis_poly(mu, qs: list[dict], nv: int, bound: int) -> dict:
-    """Schur Q-function of the strict partition mu in the x variables,
-    from Schur's Pfaffian (raising.pfaffian_expand). It does not go
-    through theta(mu, 0), which evaluate's mixed branch expands, so each
-    checks the other. Raises ValueError unless mu is strict and every
-    key of the q_r it uses is nv exponents, none of degree <= bound
-    negative, and qs runs to the largest q_r of degree <= bound that
-    the Pfaffian uses, and nv is an int >= 0."""
+    """Schur Q-function of the strict partition mu in the x variables, as
+    Schur's Pfaffian Pf(Q_(mu_i, mu_j)) over the packed ring, mu padded
+    with a 0 to even length. Its entries come from their own two-entry
+    rule (_q_pair), not from raising.two_special, which feeds theta(mu,
+    0) and so evaluate's mixed branch: each checks the other. Raises
+    ValueError unless mu is strict and every key of the q_r it uses is
+    nv exponents, none of degree <= bound negative, and qs runs to the
+    largest q_r of degree <= bound that the Pfaffian uses, and nv is an
+    int >= 0."""
     check_range(nv, "nv")
     width = _width(bound)
-    pf = pfaffian_expand(mu)
-    # a q_r above bound has no term left
-    need = min(max((r for key in pf for r in key), default=-1), bound)
+    mu = strip(mu)
+    check_rect(mu, 0)
+    seq = mu + (0,) if len(mu) % 2 else mu
+    # the largest q_r is q_{mu_1 + mu_2}, in the entry Q_(mu_1, mu_2); a
+    # q_r above bound has no term left
+    need = min(seq[0] + seq[1], bound) if seq else -1
     _check_qs(qs, need)
     factors = {r: _pack(qs[r], nv, bound, width) for r in range(need + 1)}
-    return _unpack(_monomial_sum(pf, factors, bound), nv, width)
+    q = pf(seq, partial(_q_pair, factors=factors, bound=bound),
+           partial(_mul, bound=bound), _add, {0: {0: 1}})
+    return _unpack(q, nv, width)
 
 
 def _schur_conj(nu, mu, lo: int, hi: int, bound: int, width: int) -> dict:

@@ -9,11 +9,25 @@ the inverted factors of a raising-operator series.
 
     prod_{i<j} (1 - R_ij) * prod_{(i,j) in D} (1 + R_ij)^{-1}
 
-as a finite integer combination of commuting-variable monomials, using
-the recursion that eliminates the last entry of the sequence: summing
-over vectors alpha supported on positions 1..l-1 that are 0/1 outside
-the columns of D and unbounded inside them, with coefficient
-(-1)^|alpha| 2^{#nonzero alpha_i with (i,l) in D}.
+as a finite integer combination of commuting-variable monomials, in
+one of two ways.
+
+Schur's Pfaffian: prod_{i<j} (1 - R_ij)/(1 + R_ij) on an integer
+vector is the Pfaffian of the two-entry series two_special(lam_i,
+lam_j), lam padded with a 0 to even length (Macdonald III.8), and the
+operator above is that product times prod_{(i,j) not in D} (1 + R_ij).
+So the expansion is a sum of Pfaffians, one for each vector that the
+second product makes of lam, and one Pfaffian when D holds every pair
+i < j <= l. The sum is taken when l >= 2 and at most half as many
+pairs lie outside D as in it, each outside pair doubling the vectors;
+on a sparser D the walk is faster.
+
+The alpha walk, for every other D: the recursion that eliminates the
+last entry of the sequence, summing over vectors alpha supported on
+positions 1..l-1 that are 0/1 outside the columns of D and unbounded
+inside them, with coefficient
+(-1)^|alpha| 2^{#nonzero alpha_i with (i,l) in D}, and expanding each
+child sequence the same way.
 """
 
 from __future__ import annotations
@@ -109,7 +123,10 @@ def expand(D, lam) -> dict[tuple[int, ...], int]:
     be downward closed and have i < j, and lam's entries must be ints, or
     ValueError. Keys of the result are weakly decreasing tuples of
     positive ints, the index multisets of the surviving monomials;
-    coefficients are ints.
+    coefficients are ints. A D with at most half as many pairs i < j <=
+    len(lam) outside it as in it is expanded as a sum of Schur
+    Pfaffians, a single one when it holds them all; any other D by the
+    alpha walk, whose children take the same rule on their restricted D.
     """
     lam = strip(lam)
     check_ints(lam, "the entries")
@@ -125,17 +142,57 @@ def _expand(D, lam):
     ell = len(lam)
     if ell == 0:
         return {(): 1}
-    mu, r = lam[:-1], lam[-1]
     # a negative last entry leaves an empty alpha budget: the term vanishes
-    if r < 0:
+    if lam[-1] < 0:
         return {}
+    outside = [(i, j) for j in range(2, ell + 1) for i in range(1, j)
+               if (i, j) not in D]
+    if ell == 1 or 2 * len(outside) > len(D):
+        return _walk(D, lam, _expand)
+    seq = lam + (0,) if ell % 2 else lam
+    if not outside:
+        # one Pfaffian, shared with _pf's memo; _pf is looked up through
+        # the module globals, as the walk's children look up _expand
+        return _pf(seq)
+    return _pf_sum(outside, seq, ell)
+
+
+def _pf_sum(outside, seq, ell):
+    # R^D = prod_{i<j} (1 - R_ij)/(1 + R_ij) * prod_{(i,j) outside D}
+    # (1 + R_ij): the second product makes each vector v of seq + sum_S
+    # (e_i - e_j), S a set of outside pairs, m_v times; the sum of m_v
+    # times the Pfaffian of v. Entry ell is only ever lowered, so a v
+    # with 0 there has no term below it
+    vs = {seq: 1}
+    for i, j in outside:
+        nxt = dict(vs)
+        get = nxt.get
+        for v, m in vs.items():
+            if j < ell or v[j - 1]:
+                w = (v[:i - 1] + (v[i - 1] + 1,) + v[i:j - 1]
+                     + (v[j - 1] - 1,) + v[j:])
+                nxt[w] = get(w, 0) + m
+        vs = nxt
+    res: dict = {}
+    get = res.get
+    for v, m in vs.items():
+        for key, c in _pf(v).items():
+            res[key] = get(key, 0) + m * c
+    return {key: c for key, c in res.items() if c}
+
+
+def _walk(D, lam, sub):
+    # one step of the alpha walk on lam, ending in r >= 0, each child
+    # expanded by sub(D', nu)
+    ell = len(lam)
+    mu, r = lam[:-1], lam[-1]
     in_d = tuple((i, ell) in D for i in range(1, ell))
     # the pairs of D that a child of each length keeps
     pairs = [frozenset(p for p in D if p[1] <= m) for m in range(ell)]
     # by_s[s]: the children's expansions, each scaled by 2^mcount, whose
     # alpha leaves s = r - |alpha| for the last entry; s joins the keys once
     by_s: dict = {}
-    _alpha_walk(mu, r, in_d, pairs, list(mu), 0, 0, 0, by_s)
+    _alpha_walk(mu, r, in_d, pairs, list(mu), 0, 0, 0, by_s, sub)
     res: dict = {}
     get = res.get
     for s, acc in by_s.items():
@@ -151,31 +208,32 @@ def _expand(D, lam):
     return {key: c for key, c in res.items() if c}
 
 
-def _alpha_walk(mu, r, in_d, pairs, child, pos, used, mcount, by_s):
+def _alpha_walk(mu, r, in_d, pairs, child, pos, used, mcount, by_s, sub):
     # child holds mu + alpha, alpha fixed on the positions before pos
     if pos == len(mu):
         nu = strip(child)
-        sub = _expand(pairs[len(nu)], nu)
-        if sub:
+        got = sub(pairs[len(nu)], nu)
+        if got:
             acc = by_s.get(r - used)
             if acc is None:
                 acc = by_s[r - used] = {}
             get = acc.get
             scale = 1 << mcount
-            for key, c in sub.items():
+            for key, c in got.items():
                 acc[key] = get(key, 0) + scale * c
         return
     m = mu[pos]
-    _alpha_walk(mu, r, in_d, pairs, child, pos + 1, used, mcount, by_s)
+    _alpha_walk(mu, r, in_d, pairs, child, pos + 1, used, mcount, by_s, sub)
     if in_d[pos]:
         for a in range(1, r - used + 1):
             child[pos] = m + a
             _alpha_walk(mu, r, in_d, pairs, child, pos + 1, used + a,
-                        mcount + 1, by_s)
+                        mcount + 1, by_s, sub)
         child[pos] = m
     elif used < r:
         child[pos] = m + 1
-        _alpha_walk(mu, r, in_d, pairs, child, pos + 1, used + 1, mcount, by_s)
+        _alpha_walk(mu, r, in_d, pairs, child, pos + 1, used + 1, mcount,
+                    by_s, sub)
         child[pos] = m
 
 
@@ -191,11 +249,9 @@ def two_special(a: int, b: int) -> dict[tuple[int, ...], int]:
 
 
 def pfaffian_expand(lam) -> dict[tuple[int, ...], int]:
-    """Pfaffian-recursion route for strict partitions.
-
-    Agrees with ``expand`` over the full strict triangle; kept separate as
-    an independently derived cross-check. Raises ValueError unless lam
-    is a strict partition.
+    """Schur's Pfaffian of the strict partition lam: the expansion that
+    ``expand`` gives over the full strict triangle, from the same memo.
+    Raises ValueError unless lam is a strict partition.
     """
     lam = strip(lam)
     check_rect(lam, 0)
@@ -205,15 +261,21 @@ def pfaffian_expand(lam) -> dict[tuple[int, ...], int]:
 
 @cache
 def _pf(seq):
-    # expansion along the first entry; the empty Pfaffian is 1
+    # expansion along the first entry of an even-length integer vector,
+    # each entry pair through two_special; the empty Pfaffian is 1
     if not seq:
         return {(): 1}
     res: dict = {}
-    rest = seq[1:]
+    get = res.get
+    a, rest = seq[0], seq[1:]
     for idx, b in enumerate(rest):
         sub = _pf(rest[:idx] + rest[idx + 1:])
-        for k1, c1 in two_special(seq[0], b).items():
+        if not sub:
+            continue
+        sign = -1 if idx % 2 else 1
+        for k1, c1 in two_special(a, b).items():
+            c1 *= sign
             for k2, c2 in sub.items():
-                add_into(res, tuple(sorted(k1 + k2, reverse=True)),
-                         -c1 * c2 if idx % 2 else c1 * c2)
-    return res
+                key = tuple(sorted(k1 + k2, reverse=True))
+                res[key] = get(key, 0) + c1 * c2
+    return {key: c for key, c in res.items() if c}

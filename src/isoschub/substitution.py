@@ -23,7 +23,7 @@ from .cohomology import (pieri, pieri_match, reduce_monomial,
                          reduce_polynomial, stable_n)
 from .formal import add_into, combine, scaled
 from .partitions import (check_partition, check_range, check_rect, get,
-                         is_k_strict, strip, weight)
+                         is_k_strict, strip, tupled, weight)
 from .raising import (c_set, diagonal_count, expand, is_valid_pairs,
                       middle_row, outer_corner_in_col, outer_corner_in_row,
                       outside_rim, strict_pairs, w_holds)
@@ -173,6 +173,7 @@ def root_compositions(lam, p: int) -> list:
     stars and bars, ell bars among p + ell places cut the p stars into
     the ell + 1 amounts. Raises ValueError unless lam is a partition
     and p an int >= 0."""
+    lam = tupled(lam)
     check_partition(lam)
     check_range(p, "p")
     base = strip(lam) + (0,)

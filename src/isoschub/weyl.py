@@ -13,7 +13,7 @@ from itertools import accumulate
 from .formal import add_into
 # in_rect is unused but stays bound: bench/tracing.TARGETS expects it here
 from .partitions import (check_ints, check_rect, conjugate, get, in_rect,
-                         split_columns, strip, subpartitions)
+                         split_columns, strip, subpartitions, tupled)
 
 
 def check_window(w):
@@ -162,6 +162,7 @@ def reduced_words(w):
     ValueError for a malformed window, or before listing anything when
     length(w) > MAX_LENGTH or w has more than MAX_REDUCED_WORDS words.
     """
+    w = tupled(w)
     check_window(w)
     w = trim(w)
     _check_size(w)
@@ -215,14 +216,13 @@ def ktableaux(w, shape=None):
     prefixes with descents left; (2,-3,-5,-4,1) (99,144 words, one
     tableau) takes 0.02 s and no listing of its words.
     """
+    w = tupled(w)
     check_window(w)
     w = trim(w)
     m = length(w)
     fixed = None
     if shape is not None:
-        if hasattr(shape, "__iter__"):
-            # before the check, which would spend an iterator
-            shape = tuple(shape)
+        shape = tupled(shape)
         check_ints(shape, "the shape")
         if sum(shape) != m or not all(a > b for a, b in
                                       zip(shape, shape[1:] + (0,))):
@@ -299,6 +299,7 @@ def right_factors(w):
     descents one at a time.  Raises ValueError for a malformed window,
     and once the walk has seen more than MAX_RIGHT_FACTORS elements.
     """
+    w = tupled(w)
     check_window(w)
     w = trim(w)
     seen = {w}

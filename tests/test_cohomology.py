@@ -21,8 +21,9 @@ from isoschub.cohomology import (giambelli, multiply, pieri, pieri_match,
                                  theta_route_product, verify_presentation)
 from isoschub.formal import (add_into, combine, norm_scalar, scaled,
                              sum_from_json)
-from isoschub.partitions import (count_bases, get, k_strict_partitions,
-                                 length_gt_k, rect_partitions, split_columns,
+from isoschub.partitions import (count_bases, get, in_rect,
+                                 k_strict_partitions, length_gt_k,
+                                 rect_partitions, split_columns,
                                  subpartitions, weight)
 from isoschub.polyeval import (e_list, evaluate, p_det, p_mul, q_basis_poly,
                                q_det_poly, q_list, schur_conj_poly, x_vars)
@@ -89,11 +90,13 @@ def test_clear_caches_empties_every_memo():
     pfaffian_expand((4, 2, 1))
     # no command lists reduced words: ktableaux walks them
     reduced_words((2, -1))
+    theta_route_product({(2, 1): 1}, {(1,): 1}, 1, 4, "C")
     memos = _package_memos()
     cold = [name for name, memo in memos.items()
             if not memo.cache_info().currsize]
     # every memo holds something, so one left out below would show
-    assert {"cohomology._space", "cohomology._formula"} <= set(memos)
+    assert {"cohomology._space", "cohomology._formula",
+            "cohomology._theta_product", "raising._pf"} <= set(memos)
     assert cold == []
     isoschub.clear_caches()
     left = {name: memo.cache_info().currsize for name, memo in memos.items()
@@ -749,9 +752,47 @@ def _seeded_sum(rng, pool, k, coefficients):
             return {lam: rng.choice(coefficients) for lam in keys}
 
 
+def multiply_then_convert(a, b, k, n, family):
+    # the theta route with no memo, the oracle of the memoized one:
+    # expand both sums in the monomial basis, multiply them there,
+    # convert the product once, and drop the keys outside the rectangle
+    sp, va, sa, da = cohomology._enter(a, k, n, family)
+    _, vb, sb, db = cohomology._enter(b, k, n, family)
+    ea = theta_ring.theta_sum(cohomology._leave(va, sp, "C", 0, 1), k)
+    eb = theta_ring.theta_sum(cohomology._leave(vb, sp, "C", 0, 1), k)
+    prod = theta_ring.to_theta_basis(theta_ring.multiply(ea, eb, k), k)
+    v = cohomology._enter({lam: c for lam, c in prod.items()
+                           if in_rect(lam, k, n)}, k, n, "C")[1]
+    return cohomology._leave(v, sp, family, sa + sb, da * db)
+
+
+def test_theta_route_matches_multiply_then_convert_on_routes_pairs():
+    # every pair of the routes suite at its default weight, in the order
+    # the suite takes it and swapped
+    count = 0
+    for family in ("C", "B"):
+        for k in range(3):
+            for dtot in range(2, 11):
+                n = stable_n(dtot, k)
+                for da in range(1, dtot):
+                    for lam in k_strict_partitions(da, k):
+                        for mu in k_strict_partitions(dtot - da, k):
+                            if mu < lam:
+                                continue
+                            a, b = {lam: 1}, {mu: 1}
+                            want = multiply_then_convert(a, b, k, n, family)
+                            assert exact(theta_route_product(
+                                a, b, k, n, family), want), (family, k, a, b)
+                            assert exact(theta_route_product(
+                                b, a, k, n, family), want), (family, k, b, a)
+                            count += 1
+    assert count == 2 * 900
+
+
 def test_multiply_matches_theta_route_on_seeded_sums():
     # halves on one side, even numbers on the other: every product is
-    # integral, in both families, while the inputs carry Fractions
+    # integral, in both families, while the inputs carry Fractions; the
+    # memoized theta route must give what multiply-then-convert gives
     rng = random.Random(8)
     halves = (1, -2, Fraction(1, 2), Fraction(-3, 2), Fraction(4, 2))
     evens = (2, -4, 6)
@@ -766,6 +807,9 @@ def test_multiply_matches_theta_route_on_seeded_sums():
                     got = multiply(a, b, k, n, family)
                     assert exact(got, theta_route_product(a, b, k, n,
                                                           family)), \
+                        (family, k, n, a, b)
+                    assert exact(got, multiply_then_convert(a, b, k, n,
+                                                            family)), \
                         (family, k, n, a, b)
                     assert all(type(c) is int for c in got.values())
 
@@ -1202,6 +1246,13 @@ EDGE_CASES = [
     ("schur-conj-iterators",
      lambda: schur_conj_poly(iter((1,)), iter(()), 0, 2, 2, 2),
      {(1, 0): 1, (0, 1): 1}),
+    # an iterator argument once reached an index or len() after its
+    # check, and raised TypeError
+    ("root-compositions-iterator",
+     lambda: root_compositions(iter((1,)), 1), [(1, 1), (2, 0)]),
+    ("subpartitions-iterator", lambda: subpartitions(iter((1,))),
+     [(), (1,)]),
+    ("stanley-f-iterator", lambda: stanley_F(iter((2, 1))), {(1,): 1}),
 ]
 
 

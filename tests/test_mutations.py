@@ -66,10 +66,10 @@ def _drops_largest_monomial(right):
     return wrong
 
 
-def _drops_last_term(right):
-    # every Pieri row of two or more classes without its lex-largest
-    def wrong(lam, p, k, n):
-        got = right(lam, p, k, n)
+def _drops_largest_key(right):
+    # every result of two or more keys without its lex-largest
+    def wrong(*args):
+        got = right(*args)
         if len(got) >= 2:
             got = dict(got)
             del got[max(got)]
@@ -88,10 +88,11 @@ def _drops_last_strip(right):
 # (name, bindings to patch, fault, suites that must fail, text the
 # detail of each failing suite must contain)
 MUTATIONS = [
-    # _pf builds Schur's Pfaffian for q_basis_poly from two_special, and
-    # nothing else does, so only thcor's large-parts form can see it
+    # expand takes Schur's Pfaffians from two_special wherever the pair
+    # set is dense, as for theta(mu, 0); q_basis_poly has its own
+    # entries, so thcor's large-parts form still sees the fault at k = 0
     ("two-special-sign", [(raising, "two_special")], _two_special_flipped,
-     ("thcor",), ""),
+     ("thcor",), "k=0"),
     # theta.skew_S keeps its own binding, so only the polynomial legs
     # (p_det, q_det_poly, schur_conj_poly) move
     ("det-3x3-sign", [(formal, "det"), (polyeval, "det")], _det_flipped_at_3,
@@ -109,8 +110,15 @@ MUTATIONS = [
     ("reduce-polynomial-drops-largest", [(substitution, "reduce_polynomial")],
      _drops_largest_monomial, ("claims",), "fixed point evaluates nonzero"),
     # every product and Pieri call compiles its rows from _pieri
-    ("pieri-drops-term", [(cohomology, "_pieri")], _drops_last_term,
+    ("pieri-drops-term", [(cohomology, "_pieri")], _drops_largest_key,
      ("claims", "routes"), ""),
+    # _expand and _pf's own recursion look _pf up in raising's globals;
+    # at k = 0 every Giambelli formula of the sweep is a Pfaffian
+    ("pfaffian-drops-term", [(raising, "_pf")], _drops_largest_key,
+     ("giambelli-sweep",), ""),
+    # theta_route_product sums the memoized products of its classes
+    ("theta-product-drops-term", [(cohomology, "_theta_product")],
+     _drops_largest_key, ("routes",), ""),
     # mixed_expand's strip memo calls theta's binding; the memos are
     # emptied before the patch, so every expansion meets the fault
     ("horizontal-strips-drops-last", [(theta, "horizontal_strips")],

@@ -1,11 +1,14 @@
 import json
+import random
 from fractions import Fraction
+from functools import cache
 from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from isoschub.formal import add_into, sum_from_json, sum_to_json
+from isoschub import raising
+from isoschub.formal import add_into, pf, sum_from_json, sum_to_json
 from isoschub.partitions import k_strict_partitions, rect_partitions, strip
 from isoschub.raising import (
     c_set, diagonal_count, expand, is_valid_pairs, middle_row,
@@ -190,12 +193,88 @@ def test_splitting_identity(choices, lam):
         assert lhs == acc, (D, ij, lam)
 
 
+# Oracle of expand's Pfaffians: the alpha walk on every level, with no
+# Pfaffian taken for any pair set. D is restricted to the pairs that fit
+# lam, as expand restricts it; the walk restricts each child's.
+
+
+@cache
+def walk_expand(D, lam):
+    lam = strip(lam)
+    if not lam:
+        return {(): 1}
+    if lam[-1] < 0:
+        return {}
+    return raising._walk(frozenset(p for p in D if p[1] <= len(lam)), lam,
+                         walk_expand)
+
+
+def full_pairs(ell):
+    return frozenset((i, j) for j in range(2, ell + 1) for i in range(1, j))
+
+
 @pytest.mark.parametrize("lam", [lam for d in range(15)
                                  for lam in k_strict_partitions(d, 0)])
 def test_pfaffian_route_matches_expand(lam):
-    full = frozenset((i, j) for i in range(1, len(lam) + 1)
-                     for j in range(i + 1, len(lam) + 1))
-    assert pfaffian_expand(lam) == expand(full, lam)
+    assert pfaffian_expand(lam) == walk_expand(full_pairs(len(lam)), lam)
+
+
+def test_dense_pair_sets_match_the_walk():
+    # every Giambelli formula with k <= 3 and |lam| <= 14 whose pair set
+    # holds every pair i < j takes one Pfaffian in expand, and one with
+    # at most half as many pairs outside as in it a sum of Pfaffians
+    full = partial = 0
+    for k in range(4):
+        for d in range(15):
+            for lam in k_strict_partitions(d, k):
+                D = strict_pairs(c_set(lam, k))
+                outside = len(full_pairs(len(lam)) - D)
+                if len(lam) > 1 and 2 * outside <= len(D):
+                    assert expand(D, lam) == walk_expand(D, lam), (lam, k)
+                    full += not outside
+                    partial += bool(outside)
+    assert (full, partial) == (257, 103)
+
+
+def matchings(rows):
+    if not rows:
+        yield []
+        return
+    for b in rows[1:]:
+        for rest in matchings([r for r in rows[1:] if r != b]):
+            yield [(rows[0], b)] + rest
+
+
+def matching_pfaffian(mat):
+    # the textbook sum over perfect matchings of the rows, each signed by
+    # its number of crossings; 0 for an odd order
+    total = 0
+    for m in matchings(list(range(len(mat)))):
+        crossings = sum(1 for a, b in m for c, d in m if a < c < b < d)
+        term = (-1) ** crossings
+        for a, b in m:
+            term *= mat[a][b]
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_formal_pf_matches_the_matching_sum(n):
+    # integers as the formal sums {(): c}, so that a zero entry is {}
+    rng = random.Random(n)
+    for _ in range(5):
+        mat = [[0] * n for _ in range(n)]
+        for j in range(n):
+            for i in range(j):
+                mat[i][j] = rng.choice((0, 1, -1, 2, -3))
+                mat[j][i] = -mat[i][j]
+
+        def add(acc, x, sign):
+            add_into(acc, (), sign * x[()])
+
+        got = pf(list(range(n)), lambda a, b: {(): mat[a][b]} if mat[a][b]
+                 else {}, lambda e, m: {(): e[()] * m[()]}, add, {(): 1})
+        assert got.get((), 0) == matching_pfaffian(mat), mat
 
 
 def test_two_special_degenerate():

@@ -9,12 +9,13 @@ from isoschub.cohomology import pieri, pieri_match, stable_n
 from isoschub.formal import combine
 from isoschub.partitions import (get, is_k_strict, k_strict_partitions,
                                  strip, weight)
-from isoschub.raising import c_set, outside_rim
+from isoschub.raising import c_set, expand, outside_rim, strict_pairs
 from isoschub.substitution import (_check, apply_rule, build_forest, ef_values,
                                    ev, g_value, iota, modified_forest, r_boxes,
                                    rank_r, root_compositions, verify_claim1,
                                    verify_claim2, w_holds, x_holds)
 from test_partitions import partitions_of
+from test_raising import full_pairs, walk_expand
 
 
 # the level-0 S-sets read off one Pieri pair, with no forest: the oracle
@@ -310,6 +311,27 @@ def test_claim2_matches_per_leaf_oracle():
         fixed += got[1]
     # the sweep reaches both kinds of orbit
     assert 0 < fixed
+
+
+def test_leaf_expansions_match_the_walk():
+    # the expansion of every leaf vector of the claims forests, through
+    # expand, which takes Schur's Pfaffians wherever the pair set is
+    # dense enough, and through the alpha walk alone
+    vectors = set()
+    for lam, p, k in claims_sweep():
+        forest = build_forest(lam, p, k)
+        for D, mu, _, _ in list(forest["psi0"]) + list(forest["psi1"]):
+            vectors.add((strict_pairs(D), strip(mu)))
+    negative = full = partial = 0
+    for D, mu in vectors:
+        assert expand(D, mu) == walk_expand(D, mu), (sorted(D), mu)
+        inside = {p for p in D if p[1] <= len(mu)}
+        outside = len(full_pairs(len(mu)) - inside)
+        negative += min(mu, default=0) < 0
+        if len(mu) > 1 and 2 * outside <= len(inside):
+            full += not outside
+            partial += bool(outside)
+    assert (len(vectors), negative, full, partial) == (1604, 272, 380, 122)
 
 
 def _iota_keeps_s(lam, k, psi):

@@ -19,6 +19,7 @@ from isoschub.theta import (hat_theta, horizontal_strips, mixed_expand,
                             multiply, skew_S, straighten, theta, theta_sum,
                             to_hat_basis, to_theta_basis)
 from test_partitions import partitions_of
+from test_raising import full_pairs, walk_expand
 
 UNIT = {(): 1}
 
@@ -124,10 +125,11 @@ def test_theta_unitriangular():
 
 
 def test_theta_k0_is_pfaffian_route():
-    # both routes expand the same operator series for strict shapes
+    # theta(lam, 0) expands its full pair set by Schur's Pfaffian; the
+    # alpha walk alone expands the same operator series
     for d in range(9):
         for lam in k_strict_partitions(d, 0):
-            raw = pfaffian_expand(lam)
+            raw = walk_expand(full_pairs(len(lam)), lam)
             out = {}
             for key, c in raw.items():
                 combine(out, straighten(key, 0), c)
