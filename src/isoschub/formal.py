@@ -4,6 +4,9 @@ A formal sum maps hashable keys to nonzero scalars. Scalars are ints
 where possible and fractions.Fraction when a denominator appears; every
 helper below normalizes integral Fractions back to int and drops zeros,
 so equality of dicts is equality of elements.
+
+det and pf expand every determinant and Pfaffian of the package, over
+any ring of such sums given its product and its scaled sum.
 """
 
 from __future__ import annotations
@@ -79,36 +82,24 @@ def det(mat: list, mul, add, one: dict) -> dict:
     return minor(0, (1 << n) - 1)
 
 
-def pf(seq, pair, mul, add, one: dict) -> dict:
-    """Pfaffian of the skew matrix with entries pair(seq[i], seq[j]) above
-    the diagonal, expanded along the first row, each sub-Pfaffian (keyed
-    by its set of rows) computed once; 0 when seq has odd length. Entries,
-    mul, add and one are as in det."""
-    n = len(seq)
-    ent = {(i, j): pair(seq[i], seq[j]) for j in range(n) for i in range(j)}
-    memo: dict = {}
-
-    def sub(rows):
-        if not rows:
-            return one
-        got = memo.get(rows)
-        if got is not None:
-            return got
-        i = (rows & -rows).bit_length() - 1
-        rest = rows & (rows - 1)
-        acc: dict = {}
-        sign = 1
-        for j in range(i + 1, n):
-            if rest >> j & 1:
-                if ent[i, j]:
-                    minor = sub(rest & ~(1 << j))
-                    if minor:
-                        add(acc, mul(ent[i, j], minor), sign)
-                sign = -sign
-        memo[rows] = acc
-        return acc
-
-    return sub((1 << n) - 1)
+def pf(seq, pair, mul, add, sub) -> dict:
+    """One first-row step of the Pfaffian of the skew matrix with entries
+    pair(seq[i], seq[j]) above the diagonal, seq a nonempty tuple: the
+    sum over j >= 1 of (-1)^(j-1) pair(seq[0], seq[j]) sub(seq without
+    entries 0 and j), a falsy entry or sub-Pfaffian pruning its term.
+    sub gives and memoizes the shorter Pfaffians, the empty one 1; mul
+    and add are as in det."""
+    acc: dict = {}
+    a, rest = seq[0], seq[1:]
+    sign = 1
+    for j, b in enumerate(rest):
+        entry = pair(a, b)
+        if entry:
+            minor = sub(rest[:j] + rest[j + 1:])
+            if minor:
+                add(acc, mul(entry, minor), sign)
+        sign = -sign
+    return acc
 
 
 def jacobi_trudi(seq: list, lam, mu) -> list[list]:

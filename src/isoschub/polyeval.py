@@ -24,7 +24,7 @@ result once; matrix entries, minors, the q_r and the theta polynomials
 stay packed in between. A bound that is not an int raises ValueError.
 """
 
-from functools import partial
+from functools import cache, partial
 from math import isqrt
 
 # add_into is unused but stays bound: bench/tracing.TARGETS expects it here
@@ -244,9 +244,11 @@ def _q_pair(a: int, b: int, factors: dict, bound: int) -> dict:
 def q_basis_poly(mu, qs: list[dict], nv: int, bound: int) -> dict:
     """Schur Q-function of the strict partition mu in the x variables, as
     Schur's Pfaffian Pf(Q_(mu_i, mu_j)) over the packed ring, mu padded
-    with a 0 to even length. Its entries come from their own two-entry
-    rule (_q_pair), not from raising.two_special, which feeds theta(mu,
-    0) and so evaluate's mixed branch: each checks the other. Raises
+    with a 0 to even length: formal.pf's first-row step, each
+    sub-Pfaffian memoized for this call by its sequence. Its entries
+    come from their own two-entry rule (_q_pair), not from
+    raising.two_special, which feeds theta(mu, 0) and so evaluate's
+    mixed branch: each checks the other. Raises
     ValueError unless mu is strict and every key of the q_r it uses is
     nv exponents, none of degree <= bound negative, and qs runs to the
     largest q_r of degree <= bound that the Pfaffian uses, and nv is an
@@ -261,9 +263,14 @@ def q_basis_poly(mu, qs: list[dict], nv: int, bound: int) -> dict:
     need = min(seq[0] + seq[1], bound) if seq else -1
     _check_qs(qs, need)
     factors = {r: _pack(qs[r], nv, bound, width) for r in range(need + 1)}
-    q = pf(seq, partial(_q_pair, factors=factors, bound=bound),
-           partial(_mul, bound=bound), _add, {0: {0: 1}})
-    return _unpack(q, nv, width)
+    pair = partial(_q_pair, factors=factors, bound=bound)
+    mul = partial(_mul, bound=bound)
+
+    @cache
+    def sub(s):
+        return pf(s, pair, mul, _add, sub) if s else {0: {0: 1}}
+
+    return _unpack(sub(seq), nv, width)
 
 
 def _schur_conj(nu, mu, lo: int, hi: int, bound: int, width: int) -> dict:
@@ -291,10 +298,12 @@ def schur_conj_poly(nu, mu, lo: int, hi: int, nv: int, bound: int) -> dict:
 
 def q_det_poly(mu, qs: list[dict], nv: int, bound: int) -> dict:
     """The determinant det(q_{mu_i + j - i}) in the x variables. Raises
-    ValueError unless qs runs to q_r for r = min(mu_1 + l(mu) - 1,
-    bound), the largest index of an entry that truncation keeps."""
+    ValueError unless the parts of mu are ints and qs runs to q_r for r =
+    min(mu_1 + l(mu) - 1, bound), the largest index of an entry that
+    truncation keeps."""
     _width(bound)  # checks the bound before min() compares it
     mu = strip(mu)
+    check_ints(mu, "the parts")
     if mu:
         _check_qs(qs, min(mu[0] + len(mu) - 1, bound))
     return p_det(jacobi_trudi(qs, mu, ()), nv, bound)

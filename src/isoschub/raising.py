@@ -17,10 +17,11 @@ vector is the Pfaffian of the two-entry series two_special(lam_i,
 lam_j), lam padded with a 0 to even length (Macdonald III.8), and the
 operator above is that product times prod_{(i,j) not in D} (1 + R_ij).
 So the expansion is a sum of Pfaffians, one for each vector that the
-second product makes of lam, and one Pfaffian when D holds every pair
+second product makes of lam, a single one when D holds every pair
 i < j <= l. The sum is taken when l >= 2 and at most half as many
 pairs lie outside D as in it, each outside pair doubling the vectors;
-on a sparser D the walk is faster.
+on a sparser D the walk is faster. Each Pfaffian is formal.pf's
+first-row step over t_product, the product that skew_S shares.
 
 The alpha walk, for every other D: the recursion that eliminates the
 last entry of the sequence, summing over vectors alpha supported on
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from .formal import add_into
+from .formal import add_into, combine, pf
 from .partitions import check_ints, check_rect, get, strip
 
 
@@ -149,20 +150,15 @@ def _expand(D, lam):
                if (i, j) not in D]
     if ell == 1 or 2 * len(outside) > len(D):
         return _walk(D, lam, _expand)
-    seq = lam + (0,) if ell % 2 else lam
-    if not outside:
-        # one Pfaffian, shared with _pf's memo; _pf is looked up through
-        # the module globals, as the walk's children look up _expand
-        return _pf(seq)
-    return _pf_sum(outside, seq, ell)
+    return _pf_sum(outside, lam + (0,) if ell % 2 else lam, ell)
 
 
 def _pf_sum(outside, seq, ell):
     # R^D = prod_{i<j} (1 - R_ij)/(1 + R_ij) * prod_{(i,j) outside D}
     # (1 + R_ij): the second product makes each vector v of seq + sum_S
     # (e_i - e_j), S a set of outside pairs, m_v times; the sum of m_v
-    # times the Pfaffian of v. Entry ell is only ever lowered, so a v
-    # with 0 there has no term below it
+    # times the Pfaffian of v (of seq alone for a full D). Entry ell is
+    # only ever lowered, so a v with 0 there has no term below it
     vs = {seq: 1}
     for i, j in outside:
         nxt = dict(vs)
@@ -174,11 +170,9 @@ def _pf_sum(outside, seq, ell):
                 nxt[w] = get(w, 0) + m
         vs = nxt
     res: dict = {}
-    get = res.get
     for v, m in vs.items():
-        for key, c in _pf(v).items():
-            res[key] = get(key, 0) + m * c
-    return {key: c for key, c in res.items() if c}
+        combine(res, _pf(v), m)
+    return res
 
 
 def _walk(D, lam, sub):
@@ -239,7 +233,9 @@ def _alpha_walk(mu, r, in_d, pairs, child, pos, used, mcount, by_s, sub):
 
 def two_special(a: int, b: int) -> dict[tuple[int, ...], int]:
     """Expansion of the length-two fully inverted series: index pair (a, b).
-    A negative index is t_r = 0 and kills its term; t_0 = 1 drops out."""
+    A negative index is t_r = 0 and kills its term; t_0 = 1 drops out.
+    Raises ValueError unless a and b are ints."""
+    check_ints((a, b), "the indices")
     acc: dict = {}
     for i in range(max(-a, 0), b + 1):
         c = 1 if i == 0 else (2 if i % 2 == 0 else -2)
@@ -259,23 +255,23 @@ def pfaffian_expand(lam) -> dict[tuple[int, ...], int]:
     return dict(_pf(seq))
 
 
-@cache
-def _pf(seq):
-    # expansion along the first entry of an even-length integer vector,
-    # each entry pair through two_special; the empty Pfaffian is 1
-    if not seq:
-        return {(): 1}
+def t_product(f: dict, g: dict) -> dict:
+    """The product of two sums of weakly decreasing index tuples, keys
+    merged; a coefficient may cancel to 0."""
     res: dict = {}
     get = res.get
-    a, rest = seq[0], seq[1:]
-    for idx, b in enumerate(rest):
-        sub = _pf(rest[:idx] + rest[idx + 1:])
-        if not sub:
-            continue
-        sign = -1 if idx % 2 else 1
-        for k1, c1 in two_special(a, b).items():
-            c1 *= sign
-            for k2, c2 in sub.items():
-                key = tuple(sorted(k1 + k2, reverse=True))
-                res[key] = get(key, 0) + c1 * c2
-    return {key: c for key, c in res.items() if c}
+    for k1, c1 in f.items():
+        for k2, c2 in g.items():
+            key = tuple(sorted(k1 + k2, reverse=True))
+            res[key] = get(key, 0) + c1 * c2
+    return res
+
+
+@cache
+def _pf(seq):
+    # Schur's Pfaffian of an integer vector: one first-row step, the
+    # entries two_special and the sub-Pfaffians _pf itself, both through
+    # the module globals, each sub-Pfaffian shared by every vector
+    if not seq:
+        return {(): 1}
+    return pf(seq, two_special, t_product, combine, _pf)

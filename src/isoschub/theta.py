@@ -20,7 +20,7 @@ from itertools import chain
 from .formal import add_into, combine, det, jacobi_trudi, norm_scalar
 from .partitions import (check_ints, check_k, check_rect, fill_rows, get,
                          k_strict_partitions, strip, weight)
-from .raising import c_set, expand, strict_pairs
+from .raising import c_set, expand, strict_pairs, t_product
 
 
 def straighten(alpha, k: int) -> dict[tuple[int, ...], int]:
@@ -110,17 +110,12 @@ def hat_theta(r: int, k: int) -> dict[tuple[int, ...], int]:
 MAX_SKEW_ROWS = 8
 
 
-def _prepend(entry, minor):
-    # the one-index entry (r,) times a sum of sorted index tuples
-    return {tuple(sorted(entry + key, reverse=True)): c
-            for key, c in minor.items()}
-
-
 def skew_S(lam, mu, k: int) -> dict[tuple[int, ...], int]:
     """Determinant det(t_{lam_i - mu_j + j - i}) in the k-strict basis.
 
-    Expanded along the rows, each minor once, so an entry t_r with r < 0
-    prunes every term through it. Zero unless mu is contained in lam.
+    Expanded along the rows by formal.det over raising.t_product, each
+    minor once, so an entry t_r with r < 0 prunes every term through it.
+    Zero unless mu is contained in lam.
     Raises ValueError for k < 0, for an entry that is not an int and for
     more than MAX_SKEW_ROWS rows.
     """
@@ -134,8 +129,8 @@ def skew_S(lam, mu, k: int) -> dict[tuple[int, ...], int]:
     if n > MAX_SKEW_ROWS:
         raise ValueError("lambda has %d rows, more than the limit of %d for "
                          "a skew determinant" % (n, MAX_SKEW_ROWS))
-    mat = jacobi_trudi([(r,) for r in range(get(lam, 1) + n)], lam, mu)
-    return _straightened(det(mat, _prepend, combine, {(): 1}), k)
+    mat = jacobi_trudi([{(r,): 1} for r in range(get(lam, 1) + n)], lam, mu)
+    return _straightened(det(mat, t_product, combine, {(): 1}), k)
 
 
 def multiply(a: dict, b: dict, k: int) -> dict:
@@ -216,11 +211,15 @@ def to_hat_basis(e: dict, k: int) -> dict:
     (a_1, a_2, ...) span each graded piece over the rationals but are
     not dominance-triangular against the monomial basis, so each weight
     is resolved by a dense exact linear solve. Coefficients may be
-    non-integral Fractions.  Raises ValueError for k < 0.
+    non-integral Fractions.  Raises ValueError for k < 0 and for a key
+    outside the span: not a k-strict partition, or with a trailing zero.
     """
     check_k(k)
     by_weight: dict = defaultdict(dict)
     for key, c in e.items():
+        check_rect(key, k)
+        if key[-1:] == (0,):
+            raise ValueError("key %r has a trailing zero" % (key,))
         by_weight[weight(key)][key] = c
     out: dict = {}
     for d, target in sorted(by_weight.items()):

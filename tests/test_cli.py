@@ -495,57 +495,6 @@ def test_main_prints_what_argparse_alone_prints(capsys, monkeypatch):
         assert got == want, argv
 
 
-def test_theta_hat_suite_catches_a_dropped_term(capsys, monkeypatch):
-    # the suite's polynomial determinant leg must notice a hat_theta
-    # that lost one term, here only at r = 3, k = 2
-    right = cli.hat_theta
-
-    def dropped(r, k):
-        out = right(r, k)
-        if (r, k) == (3, 2):
-            del out[min(out)]
-        return out
-
-    monkeypatch.setattr(cli, "hat_theta", dropped)
-    code, out = run(["verify", "--suite", "theta-hat", "--format", "json"],
-                    capsys)
-    assert code == 1
-    suite = json.loads(out)["suites"][0]
-    assert suite["ok"] is False and suite["detail"] == "r=3 k=2"
-
-
-def test_theta_hat_suite_catches_wrong_straightening(capsys, monkeypatch):
-    # a straightening rule that loses a term breaks hat_theta and
-    # theta((1,)*r) alike; only a leg without straightening can tell
-    right = theta_ring._straightened
-
-    def wrong(poly, k):
-        out = right(poly, k)
-        keys = [sorted(key) for key in poly]
-        if any(a == b > k for s in keys for a, b in zip(s, s[1:])):
-            del out[max(out)]
-        return out
-
-    monkeypatch.setattr(theta_ring, "_straightened", wrong)
-    code, out = run(["verify", "--suite", "theta-hat", "--format", "json"],
-                    capsys)
-    assert code == 1
-    assert json.loads(out)["suites"][0]["ok"] is False
-
-
-def test_routes_suite_catches_a_doubled_family_b_boundary(monkeypatch):
-    # every route leaves the sigma basis through _leave, so comparing
-    # the two product routes cannot see a fault there; the duality leg must
-    right = cohomology._leave
-
-    def doubled(v, sp, family, shift, den):
-        return right(v, sp, family, shift - (family == "B"), den)
-
-    monkeypatch.setattr(cohomology, "_leave", doubled)
-    detail = dict(cli.SUITES)["routes"](1)
-    assert detail.startswith("duality family B"), detail
-
-
 def test_routes_suite_counts_the_basis(monkeypatch):
     # a basis that loses one class together with its Poincare dual still
     # pairs as a permutation matrix; only the count of the classes sees it

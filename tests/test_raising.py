@@ -269,11 +269,19 @@ def test_formal_pf_matches_the_matching_sum(n):
                 mat[i][j] = rng.choice((0, 1, -1, 2, -3))
                 mat[j][i] = -mat[i][j]
 
+        def entry(a, b):
+            return {(): mat[a][b]} if mat[a][b] else {}
+
         def add(acc, x, sign):
             add_into(acc, (), sign * x[()])
 
-        got = pf(list(range(n)), lambda a, b: {(): mat[a][b]} if mat[a][b]
-                 else {}, lambda e, m: {(): e[()] * m[()]}, add, {(): 1})
+        @cache
+        def sub(rows):
+            # the step on the rows left, the empty Pfaffian being 1
+            return pf(rows, entry, lambda e, m: {(): e[()] * m[()]}, add,
+                      sub) if rows else {(): 1}
+
+        got = sub(tuple(range(n)))
         assert got.get((), 0) == matching_pfaffian(mat), mat
 
 
