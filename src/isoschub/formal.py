@@ -6,7 +6,8 @@ helper below normalizes integral Fractions back to int and drops zeros,
 so equality of dicts is equality of elements.
 
 det and pf expand every determinant and Pfaffian of the package, over
-any ring of such sums given its product and its scaled sum.
+any ring of such sums given one multiply-accumulate: mul(acc, x, y,
+scale) adds scale * x * y into acc in place, dropping cancelled keys.
 """
 
 from __future__ import annotations
@@ -53,11 +54,11 @@ def scaled(f: dict, scale) -> dict:
     return {key: norm_scalar(scale * c) for key, c in f.items()}
 
 
-def det(mat: list, mul, add, one: dict) -> dict:
+def det(mat: list, mul, one: dict) -> dict:
     """Determinant of the square matrix mat expanded along the rows, each
-    minor (keyed by its set of columns) computed once. A falsy entry is
-    zero and prunes every term through it; mul(entry, minor) multiplies,
-    add(acc, x, sign) adds sign * x into the dict acc, one is 1."""
+    minor (keyed by its set of columns) computed once. A falsy entry or
+    minor is zero and prunes every term through it; mul(acc, entry,
+    minor, sign) adds sign * entry * minor into acc, and one is 1."""
     n = len(mat)
     memo: dict = {}
 
@@ -74,7 +75,7 @@ def det(mat: list, mul, add, one: dict) -> dict:
                 if mat[row][j]:
                     sub = minor(row + 1, cols & ~(1 << j))
                     if sub:
-                        add(acc, mul(mat[row][j], sub), sign)
+                        mul(acc, mat[row][j], sub, sign)
                 sign = -sign
         memo[cols] = acc
         return acc
@@ -82,13 +83,13 @@ def det(mat: list, mul, add, one: dict) -> dict:
     return minor(0, (1 << n) - 1)
 
 
-def pf(seq, pair, mul, add, sub) -> dict:
+def pf(seq, pair, mul, sub) -> dict:
     """One first-row step of the Pfaffian of the skew matrix with entries
     pair(seq[i], seq[j]) above the diagonal, seq a nonempty tuple: the
     sum over j >= 1 of (-1)^(j-1) pair(seq[0], seq[j]) sub(seq without
     entries 0 and j), a falsy entry or sub-Pfaffian pruning its term.
     sub gives and memoizes the shorter Pfaffians, the empty one 1; mul
-    and add are as in det."""
+    is as in det."""
     acc: dict = {}
     a, rest = seq[0], seq[1:]
     sign = 1
@@ -97,7 +98,7 @@ def pf(seq, pair, mul, add, sub) -> dict:
         if entry:
             minor = sub(rest[:j] + rest[j + 1:])
             if minor:
-                add(acc, mul(entry, minor), sign)
+                mul(acc, entry, minor, sign)
         sign = -sign
     return acc
 

@@ -21,13 +21,15 @@ compare per pair of degrees. Fields that would fit in a byte get a
 whole byte, so that int.from_bytes and int.to_bytes pack and unpack in
 C. Each public function packs its arguments once and unpacks its
 result once; matrix entries, minors, the q_r and the theta polynomials
-stay packed in between. A bound that is not an int raises ValueError.
+stay packed in between. The one packed product, _mul, adds scale * a *
+b into a packed sum in place, the multiply-accumulate that formal.det
+and formal.pf take. A bound that is not an int raises ValueError.
 """
 
 from functools import cache, partial
 from math import isqrt
 
-# add_into is unused but stays bound: bench/tracing.TARGETS expects it here
+# add_into and combine are unread: bench/tracing.TARGETS pins them here
 from .formal import add_into, combine, det, jacobi_trudi, norm_scalar, pf
 from .partitions import (check_ints, check_k, check_range, check_rect, get,
                          strip)
@@ -95,50 +97,29 @@ def _unpack(p: dict, nv: int, width: int) -> dict:
             for terms in p.values() for key, c in terms.items()}
 
 
-def _mul(a: dict, b: dict, bound: int) -> dict:
-    """The packed product a * b without its terms above degree bound."""
-    out: dict = {}
+def _mul(acc: dict, a: dict, b: dict, scale, bound: int) -> dict:
+    """acc += scale * a * b for packed values, in place, without the
+    terms above degree bound; a key or a degree that cancels is dropped.
+    Returns acc."""
     for d1, ta in a.items():
         room = bound - d1
         for d2, tb in b.items():
             if d2 > room:
                 continue
-            acc = out.setdefault(d1 + d2, {})
-            get = acc.get
+            terms = acc.setdefault(d1 + d2, {})
+            get = terms.get
             for k1, c1 in ta.items():
+                c1 *= scale
                 for k2, c2 in tb.items():
                     key = k1 + k2
-                    acc[key] = get(key, 0) + c1 * c2
-    for d, terms in list(out.items()):
-        if 0 in terms.values():
-            terms = {key: c for key, c in terms.items() if c}
-            if terms:
-                out[d] = terms
-            else:
-                del out[d]
-    return out
-
-
-def _add(acc: dict, p: dict, scale=1) -> dict:
-    """acc += scale * p for packed values, in place; returns acc."""
-    for d, terms in p.items():
-        got = acc.setdefault(d, {})
-        combine(got, terms, scale)
-        if not got:
-            del acc[d]
+                    v = get(key, 0) + c1 * c2
+                    if v:
+                        terms[key] = v
+                    else:
+                        terms.pop(key, None)
+            if not terms:
+                del acc[d1 + d2]
     return acc
-
-
-def _monomial(key, factors: dict, bound: int) -> dict:
-    """The packed product of factors[r] over the parts r of key; a part
-    missing from factors makes the product 0."""
-    p = {0: {0: 1}}
-    for r in key:
-        f = factors.get(r)
-        if not f:
-            return {}
-        p = _mul(p, f, bound)
-    return p
 
 
 def p_mul(a: dict, b: dict, bound: int) -> dict:
@@ -149,7 +130,8 @@ def p_mul(a: dict, b: dict, bound: int) -> dict:
     if not a or not b:
         return {}
     nv = len(next(iter(a)))
-    prod = _mul(_pack(a, nv, bound, width), _pack(b, nv, bound, width), bound)
+    prod = _mul({}, _pack(a, nv, bound, width), _pack(b, nv, bound, width),
+                1, bound)
     return _unpack(prod, nv, width)
 
 
@@ -203,7 +185,7 @@ def _check_qs(qs: list, need: int) -> None:
 
 def _det(mat: list[list[dict]], bound: int) -> dict:
     # formal.det over the packed ring truncated above bound
-    return det(mat, partial(_mul, bound=bound), _add, {0: {0: 1}})
+    return det(mat, partial(_mul, bound=bound), {0: {0: 1}})
 
 
 def p_det(mat: list[list[dict]], nv: int, bound: int) -> dict:
@@ -221,10 +203,17 @@ def p_det(mat: list[list[dict]], nv: int, bound: int) -> dict:
 
 
 def _monomial_sum(e: dict, factors: dict, bound: int) -> dict:
-    """The packed value of the sum e of monomials in the factors."""
+    """The packed value of the sum e of monomials in the factors, a part
+    missing from factors making its monomial 0. Each monomial takes the
+    product of its factors but the last, and the last one multiplies
+    straight into the sum."""
+    one = {0: {0: 1}}
     out: dict = {}
     for key, c in e.items():
-        _add(out, _monomial(key, factors, bound), c)
+        p = one
+        for r in key[:-1]:
+            p = _mul({}, p, factors.get(r, {}), 1, bound)
+        _mul(out, p, factors.get(key[-1], {}) if key else one, c, bound)
     return out
 
 
@@ -236,8 +225,8 @@ def _q_pair(a: int, b: int, factors: dict, bound: int) -> dict:
         for i in range(b + 1):
             qa, qb = factors.get(a + i), factors.get(b - i)
             if qa and qb:
-                _add(acc, _mul(qa, qb, bound),
-                     1 if i == 0 else (-2 if i % 2 else 2))
+                _mul(acc, qa, qb, 1 if i == 0 else (-2 if i % 2 else 2),
+                     bound)
     return acc
 
 
@@ -268,7 +257,7 @@ def q_basis_poly(mu, qs: list[dict], nv: int, bound: int) -> dict:
 
     @cache
     def sub(s):
-        return pf(s, pair, mul, _add, sub) if s else {0: {0: 1}}
+        return pf(s, pair, mul, sub) if s else {0: {0: 1}}
 
     return _unpack(sub(seq), nv, width)
 
@@ -349,7 +338,7 @@ def evaluate(e: dict, k: int, m: int) -> dict:
                 # theta through the module globals: a patched one is used
                 qp = qcache[mu] = _monomial_sum(theta(mu, 0), factors, top)
             sp = _schur_conj(nu, (), m, m + k, top, width)
-            _add(acc, _mul(qp, sp, top), c)
+            _mul(acc, qp, sp, c, top)
     else:
         ths = _series(range(m), range(m, m + k), top, width)
         acc = _monomial_sum(e, dict(enumerate(ths)), top)

@@ -21,7 +21,8 @@ second product makes of lam, a single one when D holds every pair
 i < j <= l. The sum is taken when l >= 2 and at most half as many
 pairs lie outside D as in it, each outside pair doubling the vectors;
 on a sparser D the walk is faster. Each Pfaffian is formal.pf's
-first-row step over t_product, the product that skew_S shares.
+first-row step over t_product, which adds each entry times its
+sub-Pfaffian straight into the sum, as in skew_S and theta.multiply.
 
 The alpha walk, for every other D: the recursion that eliminates the
 last entry of the sequence, summing over vectors alpha supported on
@@ -36,7 +37,7 @@ from __future__ import annotations
 from functools import cache
 
 from .formal import add_into, combine, pf
-from .partitions import check_ints, check_rect, get, strip
+from .partitions import check_ints, get, strip
 
 
 def is_valid_pairs(D, diagonal: bool = True) -> bool:
@@ -120,17 +121,27 @@ def diagonal_count(D) -> int:
 def expand(D, lam) -> dict[tuple[int, ...], int]:
     """Monomial expansion of the operator series applied to the sequence lam.
 
-    D is a strict-mode pair set; the pairs (i, j) with j <= len(lam) must
-    be downward closed and have i < j, and lam's entries must be ints, or
-    ValueError. Keys of the result are weakly decreasing tuples of
-    positive ints, the index multisets of the surviving monomials;
-    coefficients are ints. A D with at most half as many pairs i < j <=
-    len(lam) outside it as in it is expanded as a sum of Schur
-    Pfaffians, a single one when it holds them all; any other D by the
-    alpha walk, whose children take the same rule on their restricted D.
+    D is a strict-mode pair set: a collection of tuples (i, j) of ints,
+    of which those with j <= len(lam) must be downward closed and have
+    i < j; lam's entries must be ints; or ValueError. Keys of the result
+    are weakly decreasing tuples of positive ints, the index multisets of
+    the surviving monomials; coefficients are ints. A D with at most half
+    as many pairs i < j <= len(lam) outside it as in it is expanded as a
+    sum of Schur Pfaffians, a single one when it holds them all; any
+    other D by the alpha walk, whose children take the same rule on
+    their restricted D.
     """
     lam = strip(lam)
     check_ints(lam, "the entries")
+    try:
+        D = frozenset(D)
+        pairs = {(tuple, int, int)}.issuperset((type(p), *map(type, p))
+                                               for p in D)
+    except TypeError:  # D or a member not iterable, or one not hashable
+        pairs = False
+    if not pairs:
+        raise ValueError("expand wants a set of pairs (i, j) of ints, got %r"
+                         % (D,))
     Dr = frozenset(p for p in D if p[1] <= len(lam))
     if not is_valid_pairs(Dr, diagonal=False):
         raise ValueError("expand wants a downward-closed set of strict "
@@ -244,27 +255,21 @@ def two_special(a: int, b: int) -> dict[tuple[int, ...], int]:
     return acc
 
 
-def pfaffian_expand(lam) -> dict[tuple[int, ...], int]:
-    """Schur's Pfaffian of the strict partition lam: the expansion that
-    ``expand`` gives over the full strict triangle, from the same memo.
-    Raises ValueError unless lam is a strict partition.
-    """
-    lam = strip(lam)
-    check_rect(lam, 0)
-    seq = lam if len(lam) % 2 == 0 else lam + (0,)
-    return dict(_pf(seq))
-
-
-def t_product(f: dict, g: dict) -> dict:
-    """The product of two sums of weakly decreasing index tuples, keys
-    merged; a coefficient may cancel to 0."""
-    res: dict = {}
-    get = res.get
+def t_product(acc: dict, f: dict, g: dict, scale=1) -> dict:
+    """acc += scale * f * g for sums of index tuples, in place, each key
+    of the product the two keys merged into one weakly decreasing tuple;
+    a key that cancels is dropped. Returns acc."""
+    get = acc.get
     for k1, c1 in f.items():
+        c1 *= scale
         for k2, c2 in g.items():
             key = tuple(sorted(k1 + k2, reverse=True))
-            res[key] = get(key, 0) + c1 * c2
-    return res
+            v = get(key, 0) + c1 * c2
+            if v:
+                acc[key] = v
+            else:
+                acc.pop(key, None)
+    return acc
 
 
 @cache
@@ -274,4 +279,4 @@ def _pf(seq):
     # the module globals, each sub-Pfaffian shared by every vector
     if not seq:
         return {(): 1}
-    return pf(seq, two_special, t_product, combine, _pf)
+    return pf(seq, two_special, t_product, _pf)

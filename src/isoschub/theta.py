@@ -18,8 +18,9 @@ from heapq import heappop, heappush
 from itertools import chain
 
 from .formal import add_into, combine, det, jacobi_trudi, norm_scalar
-from .partitions import (check_ints, check_k, check_rect, fill_rows, get,
-                         k_strict_partitions, strip, weight)
+from .partitions import (check_ints, check_k, check_partition, check_range,
+                         check_rect, fill_rows, get, k_strict_partitions,
+                         strip, tupled, weight)
 from .raising import c_set, expand, strict_pairs, t_product
 
 
@@ -113,8 +114,9 @@ MAX_SKEW_ROWS = 8
 def skew_S(lam, mu, k: int) -> dict[tuple[int, ...], int]:
     """Determinant det(t_{lam_i - mu_j + j - i}) in the k-strict basis.
 
-    Expanded along the rows by formal.det over raising.t_product, each
-    minor once, so an entry t_r with r < 0 prunes every term through it.
+    Expanded along the rows by formal.det, each minor once, with
+    raising.t_product adding each entry times its minor straight into the
+    sum; an entry t_r with r < 0 prunes every term through it.
     Zero unless mu is contained in lam.
     Raises ValueError for k < 0, for an entry that is not an int and for
     more than MAX_SKEW_ROWS rows.
@@ -130,22 +132,18 @@ def skew_S(lam, mu, k: int) -> dict[tuple[int, ...], int]:
         raise ValueError("lambda has %d rows, more than the limit of %d for "
                          "a skew determinant" % (n, MAX_SKEW_ROWS))
     mat = jacobi_trudi([{(r,): 1} for r in range(get(lam, 1) + n)], lam, mu)
-    return _straightened(det(mat, t_product, combine, {(): 1}), k)
+    return _straightened(det(mat, t_product, {(): 1}), k)
 
 
 def multiply(a: dict, b: dict, k: int) -> dict:
-    """Product of two elements given in the k-strict monomial basis.
+    """Product of two elements given in the k-strict monomial basis:
+    raising.t_product's product of the two sums, straightened.
 
     Raises ValueError for k < 0 or an index that is not an int.
     """
     check_k(k)
     check_ints(chain.from_iterable(chain(a, b)), "the indices")
-    poly: dict = {}
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            key = ka + kb
-            poly[key] = poly.get(key, 0) + ca * cb
-    return _straightened(poly, k)
+    return _straightened(t_product({}, a, b), k)
 
 
 def to_theta_basis(e: dict, k: int) -> dict:
@@ -242,8 +240,13 @@ def horizontal_strips(nu, size: int, cap: int) -> list[tuple[int, ...]]:
     """Partitions rho >= nu adding a horizontal strip of the given size.
 
     Interlacing: nu_i <= rho_i <= nu_{i-1}, with rho_1 <= cap. Used for
-    the Pieri step e_size * s_{nu'} = sum s_{rho'}.
+    the Pieri step e_size * s_{nu'} = sum s_{rho'}. Raises ValueError
+    unless nu is a partition and size and cap are ints >= 0.
     """
+    nu = tupled(nu)
+    check_partition(nu)
+    check_range(size, "size")
+    check_range(cap, "cap")
     return fill_rows(nu + (0,), (cap,) + nu, sum(nu) + size)
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 import isoschub
-from isoschub import cohomology, substitution
+from isoschub import cohomology, raising, substitution
 from isoschub import theta as theta_ring
 from isoschub.cohomology import (giambelli, multiply, pieri, pieri_match,
                                  reduce_monomial, reduce_polynomial, stable_n,
@@ -27,12 +27,12 @@ from isoschub.partitions import (count_bases, get, in_rect,
                                  subpartitions, weight)
 from isoschub.polyeval import (e_list, evaluate, p_det, p_mul, q_basis_poly,
                                q_det_poly, q_list, schur_conj_poly, x_vars)
-from isoschub.raising import (c_set, diagonal_count, expand, pfaffian_expand,
-                              strict_pairs, two_special)
+from isoschub.raising import (c_set, diagonal_count, expand, strict_pairs,
+                              two_special)
 from isoschub.substitution import (apply_rule, build_forest, ev, iota,
                                    root_compositions, verify_claim2)
-from isoschub.theta import (hat_theta, mixed_expand, skew_S, straighten, theta,
-                            to_hat_basis)
+from isoschub.theta import (hat_theta, horizontal_strips, mixed_expand,
+                            skew_S, straighten, theta, to_hat_basis)
 from isoschub.weyl import (grassmannian_element, ktableaux, reduced_words,
                            right_factors, stanley_F)
 from test_substitution import pieri_S_sets
@@ -41,7 +41,6 @@ from test_substitution import pieri_S_sets
 # straight from the memo or through a family conversion.
 MEMOIZED = {
     "expand": (expand, (strict_pairs(c_set((3, 2, 1), 1)), (3, 2, 1))),
-    "pfaffian_expand": (pfaffian_expand, ((4, 2, 1),)),
     "straighten": (straighten, ((2, 2), 1)),
     "theta": (theta, ((3, 1), 1)),
     "pieri": (pieri, ((2, 1, 1), 1, 1, 7, "B")),
@@ -87,7 +86,7 @@ def test_clear_caches_empties_every_memo():
                       "--lambda", "2,1", "--mu", "2"],
                      ["verify", "--suite", "all", "--max-weight", "1"]):
             assert cli.main(argv) == 0
-    pfaffian_expand((4, 2, 1))
+    expand(frozenset({(1, 2), (1, 3), (2, 3)}), (4, 2, 1))
     # no command lists reduced words: ktableaux walks them
     reduced_words((2, -1))
     theta_route_product({(2, 1): 1}, {(1,): 1}, 1, 4, "C")
@@ -222,10 +221,25 @@ BAD_CALLS = {
     "forest-not-k-strict": lambda: build_forest((2, 2), 1, 1),
     "presentation-r-above": lambda: verify_presentation(1, 3, 9, "C"),
     "split-columns-not-k-strict": lambda: split_columns((2, 2), 1),
-    "pfaffian-not-strict": lambda: pfaffian_expand((2, 2)),
     "expand-diagonal-pair": lambda: expand(frozenset({(1, 1)}), (2, 1)),
     "expand-not-downward-closed":
         lambda: expand(frozenset({(2, 3)}), (3, 2, 1)),
+    # a pair set that is no set of pairs of ints raised TypeError, or
+    # answered: a float or bool index equals an int, and a triple beyond
+    # the length of lam was dropped unread
+    "expand-pair-set-none": lambda: expand(None, (2, 1)),
+    "expand-pair-int": lambda: expand({1}, (2, 1)),
+    "expand-pair-str-index": lambda: expand({(1, "a")}, (2, 1)),
+    "expand-pair-list": lambda: expand([[1, 2]], (2, 1)),
+    "expand-pair-triple": lambda: expand({(1, 2, 3)}, (1,)),
+    "expand-pair-float-index": lambda: expand({(1.0, 2)}, (2, 1)),
+    "expand-pair-bool-index": lambda: expand({(True, 2)}, (2, 1)),
+    # a float size or cap raised TypeError; a nu that is no partition
+    # gave [] (an iterator nu is read once: see EDGE_CASES)
+    "horizontal-strips-float-size": lambda: horizontal_strips((1,), 1.0, 3),
+    "horizontal-strips-float-cap": lambda: horizontal_strips((1,), 1, 3.0),
+    "horizontal-strips-not-partition":
+        lambda: horizontal_strips((1, 2), 1, 3),
     "theta-route-family":
         lambda: theta_route_product({(1,): 1}, {(1,): 1}, 1, 5, "D"),
     "multiply-family": lambda: multiply({(): 1}, {(1,): 1}, 1, 5, "D"),
@@ -1225,8 +1239,8 @@ def test_combine_zero_coefficients_and_zero_scale():
 # pinned here.
 EDGE_CASES = [
     ("expand-one-row", lambda: expand(frozenset(), (3,)), {(3,): 1}),
-    ("pfaffian-one-row", lambda: pfaffian_expand((5,)), {(5,): 1}),
-    ("pfaffian-empty", lambda: pfaffian_expand(()), {(): 1}),
+    ("pfaffian-one-row", lambda: raising._pf((5, 0)), {(5,): 1}),
+    ("pfaffian-empty", lambda: raising._pf(()), {(): 1}),
     # a negative index is t_r = 0, as in expand({(1, 2)}, (a, b)); it once
     # counted as t_0 = 1 and left {(2,): 1} and {(3,): 1, (2,): -2}
     ("two-special-negative-first", lambda: two_special(-1, 2), {}),
@@ -1266,6 +1280,9 @@ EDGE_CASES = [
     ("subpartitions-iterator", lambda: subpartitions(iter((1,))),
      [(), (1,)]),
     ("stanley-f-iterator", lambda: stanley_F(iter((2, 1))), {(1,): 1}),
+    # it raised TypeError from nu + (0,)
+    ("horizontal-strips-iterator",
+     lambda: horizontal_strips(iter((1,)), 1, 3), [(2,), (1, 1)]),
 ]
 
 

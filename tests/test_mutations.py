@@ -30,13 +30,11 @@ def _two_special_flipped(right):
 
 def _det_flipped_at_3(right):
     # every 3 x 3 determinant with the wrong sign
-    def wrong(mat, mul, add, one):
-        got = right(mat, mul, add, one)
+    def wrong(mat, mul, one):
+        got = right(mat, mul, one)
         if len(mat) != 3:
             return got
-        out: dict = {}
-        add(out, got, -1)
-        return out
+        return mul({}, got, one, -1)
     return wrong
 
 
@@ -80,13 +78,27 @@ def _drops_largest_key(right):
 def _pf_last_sign_flipped(right):
     # every first-row Pfaffian step over three or more entries with the
     # sign of its last term flipped
-    def wrong(seq, pair, mul, add, sub):
-        acc = right(seq, pair, mul, add, sub)
+    def wrong(seq, pair, mul, sub):
+        acc = right(seq, pair, mul, sub)
         if len(seq) >= 3:
             entry, minor = pair(seq[0], seq[-1]), sub(seq[1:-1])
             if entry and minor:
-                add(acc, mul(entry, minor), 2 if len(seq) % 2 else -2)
+                mul(acc, entry, minor, 2 if len(seq) % 2 else -2)
         return acc
+    return wrong
+
+
+def _t_product_ignores_scale(right):
+    # every theta-ring multiply-accumulate adds f * g, whatever its scale
+    def wrong(acc, f, g, scale=1):
+        return right(acc, f, g)
+    return wrong
+
+
+def _packed_mul_ignores_scale(right):
+    # every packed multiply-accumulate adds a * b, whatever its scale
+    def wrong(acc, a, b, scale, bound):
+        return right(acc, a, b, 1, bound)
     return wrong
 
 
@@ -157,6 +169,17 @@ MUTATIONS = [
      _pf_last_sign_flipped,
      {"giambelli-sweep": "R^lam reduced to", "claims": "", "routes": "",
       "thcor": ""}),
+    # _pf, skew_S and theta.multiply look t_product up in their module's
+    # globals; the Pfaffian step passes its signs as scales, so every
+    # Schur Pfaffian over four or more entries goes wrong
+    ("t-product-ignores-scale",
+     [(raising, "t_product"), (theta, "t_product")], _t_product_ignores_scale,
+     {"giambelli-sweep": "R^lam reduced to", "claims": "", "routes": ""}),
+    # p_det, q_basis_poly and evaluate multiply-accumulate through
+    # polyeval's _mul; the polynomial legs of theta-hat and thcor move
+    ("packed-mul-ignores-scale", [(polyeval, "_mul")],
+     _packed_mul_ignores_scale,
+     {"theta-hat": "r=3 k=1", "thcor": "small-parts regime"}),
     # stanley_F and bh_expand call weyl's binding, the ktableaux command
     # cli's; only the two suites that count tableaux can see it
     ("ktableaux-drops-last", [(weyl, "ktableaux"), (cli, "ktableaux")],

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from isoschub import raising
-from isoschub.formal import add_into, pf, sum_from_json, sum_to_json
+from isoschub.formal import add_into, det, pf, sum_from_json, sum_to_json
 from isoschub.partitions import k_strict_partitions, rect_partitions, strip
 from isoschub.raising import (
     c_set, diagonal_count, expand, is_valid_pairs, middle_row,
-    outer_corner_in_col, outer_corner_in_row, outside_rim,
-    pfaffian_expand, strict_pairs, two_special,
+    outer_corner_in_col, outer_corner_in_row, outside_rim, strict_pairs,
+    two_special,
 )
 from isoschub.weyl import bh_expand
 
@@ -216,7 +216,8 @@ def full_pairs(ell):
 @pytest.mark.parametrize("lam", [lam for d in range(15)
                                  for lam in k_strict_partitions(d, 0)])
 def test_pfaffian_route_matches_expand(lam):
-    assert pfaffian_expand(lam) == walk_expand(full_pairs(len(lam)), lam)
+    D = full_pairs(len(lam))
+    assert expand(D, lam) == walk_expand(D, lam)
 
 
 def test_dense_pair_sets_match_the_walk():
@@ -258,6 +259,45 @@ def matching_pfaffian(mat):
     return total
 
 
+def scalar_mul(acc, x, y, scale):
+    # the multiply-accumulate of the integers as the formal sums {(): c}
+    add_into(acc, (), scale * x[()] * y[()])
+    return acc
+
+
+def leibniz_det(mat):
+    # the signed sum over permutations of the columns
+    total = 0
+    for w in permutations(range(len(mat))):
+        inversions = sum(1 for i in range(len(w)) for j in range(i)
+                         if w[j] > w[i])
+        term = (-1) ** inversions
+        for i, j in enumerate(w):
+            term *= mat[i][j]
+        total += term
+    return total
+
+
+def scalar_det(mat):
+    # formal.det over the integers as the formal sums {(): c}, a zero
+    # entry {}
+    return det([[{(): x} if x else {} for x in row] for row in mat],
+               scalar_mul, {(): 1})
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_formal_det_matches_the_leibniz_sum(n):
+    rng = random.Random(n)
+    for _ in range(5):
+        mat = [[rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(n)]
+               for _ in range(n)]
+        want = leibniz_det(mat)
+        assert scalar_det(mat) == ({(): want} if want else {}), mat
+        if n >= 2:
+            # the first row twice: every term cancels, to the empty sum
+            assert scalar_det([mat[0], mat[0]] + mat[2:]) == {}, mat
+
+
 @pytest.mark.parametrize("n", range(8))
 def test_formal_pf_matches_the_matching_sum(n):
     # integers as the formal sums {(): c}, so that a zero entry is {}
@@ -272,14 +312,10 @@ def test_formal_pf_matches_the_matching_sum(n):
         def entry(a, b):
             return {(): mat[a][b]} if mat[a][b] else {}
 
-        def add(acc, x, sign):
-            add_into(acc, (), sign * x[()])
-
         @cache
         def sub(rows):
             # the step on the rows left, the empty Pfaffian being 1
-            return pf(rows, entry, lambda e, m: {(): e[()] * m[()]}, add,
-                      sub) if rows else {(): 1}
+            return pf(rows, entry, scalar_mul, sub) if rows else {(): 1}
 
         got = sub(tuple(range(n)))
         assert got.get((), 0) == matching_pfaffian(mat), mat
