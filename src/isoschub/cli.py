@@ -31,8 +31,8 @@ from .formal import combine, jacobi_trudi, scaled, sum_to_json
 from .partitions import (check_partition, check_range, count_bases, get,
                          in_rect, is_k_strict, k_strict_partitions,
                          rect_partitions, strip, subpartitions, weight)
-from .polyeval import (e_list, evaluate, p_det, p_mul, q_basis_poly,
-                       q_det_poly, q_list, schur_conj_poly, x_vars)
+from .polyeval import (e_list, evaluate, p_det, p_mul, q_basis_poly, q_list,
+                       x_vars)
 from .raising import c_set, expand, strict_pairs
 from .substitution import build_forest, modified_forest, verify_claim1, \
     verify_claim2
@@ -298,43 +298,35 @@ def _suite_stanley_corollary(mw):
     return None
 
 
-def _closed_form_a_holds(lam, k):
-    # no pair of parts exceeds the threshold: compare against the
-    # Jacobi-Trudi style sum over subshapes
-    lam = strip(lam)
-    bound = weight(lam)
-    m = x_vars(bound)
-    nv = m + k
-    qs = q_list(m, nv, bound)
-    rhs: dict = {}
-    for mu in subpartitions(lam):
-        sp = schur_conj_poly(lam, mu, m, m + k, nv, bound)
-        if sp:
-            combine(rhs, p_mul(q_det_poly(mu, qs, nv, bound), sp, bound))
-    return evaluate(mixed_expand(lam, k), k, m) == rhs
-
-
-def _closed_form_b_holds(lam, k):
-    # every pair of parts exceeds the threshold: strict subshapes with
-    # at most one row fewer
+def _closed_form_holds(lam, k, large):
+    # the mixed expansion of theta(lam, k) against a sum over subshapes mu
+    # of an x-part times an e-determinant in the y variables. Small parts,
+    # no pair of parts above the threshold: det(q_{mu_i + j - i}) times
+    # s_{lam'/mu'} = det(e_{lam_i - mu_j + j - i}) over every mu. Large
+    # parts, every pair above it: Q_mu times det(e_{lam_i - mu_j}) over the
+    # strict mu with at most one row fewer, the Jacobi-Trudi matrix of the
+    # rows lam_i + i over the columns mu_j + j
     lam = strip(lam)
     bound = weight(lam)
     m = x_vars(bound)
     nv = m + k
     ell = len(lam)
     qs = q_list(m, nv, bound)
-    top = lam[0] if lam else 1
-    es = e_list(m, m + k, nv, top)
+    es = e_list(m, nv, nv, get(lam, 1) + ell)
     rhs: dict = {}
     for mu in subpartitions(lam):
-        if not is_k_strict(mu, 0) or len(mu) < ell - 1:
+        if not large:
+            rows, cols = lam, mu
+        elif is_k_strict(mu, 0) and len(mu) >= ell - 1:
+            rows = [x + i for i, x in enumerate(lam)]
+            cols = [get(mu, j + 1) + j for j in range(ell)]
+        else:
             continue
-        # shifting lam_i by i and mu_j by j leaves the entry e_{lam_i - mu_j}
-        mat = jacobi_trudi(es, [x + i for i, x in enumerate(lam)],
-                           [get(mu, j + 1) + j for j in range(ell)])
-        det = p_det(mat, nv, bound)
-        if det:
-            combine(rhs, p_mul(q_basis_poly(mu, qs, nv, bound), det, bound))
+        epart = p_det(jacobi_trudi(es, rows, cols), nv, bound)
+        if epart:
+            xpart = (q_basis_poly(mu, qs, nv, bound) if large
+                     else p_det(jacobi_trudi(qs, mu, ()), nv, bound))
+            combine(rhs, p_mul(xpart, epart, bound))
     return evaluate(mixed_expand(lam, k), k, m) == rhs
 
 
@@ -347,12 +339,10 @@ _THCOR_B_POOL = [((1,), 0), ((2, 1), 0), ((3, 1), 0), ((3, 2), 0),
 
 
 def _suite_thcor(mw):
-    for lam, k in _THCOR_A_POOL:
-        if not _closed_form_a_holds(lam, k):
-            return "small-parts regime lam=%r k=%d" % (lam, k)
-    for lam, k in _THCOR_B_POOL:
-        if not _closed_form_b_holds(lam, k):
-            return "large-parts regime lam=%r k=%d" % (lam, k)
+    for regime, pool in (("small", _THCOR_A_POOL), ("large", _THCOR_B_POOL)):
+        for lam, k in pool:
+            if not _closed_form_holds(lam, k, regime == "large"):
+                return "%s-parts regime lam=%r k=%d" % (regime, lam, k)
     return None
 
 

@@ -8,7 +8,9 @@ are linearly independent, and Q_lam(x_1..x_m) = 0 once l(lam) > m
 weight <= d are equal iff their evaluations agree once m >= x_vars(d),
 the length of the longest strict partition of d (3 at d = 7, not 7).
 That makes evaluation a universal identity check for everything in
-this package.
+this package. The public helpers e_list, q_list, q_basis_poly, p_det
+and p_mul build the other leg of such a check from the same series and
+products, never from the theta ring.
 
 At the public boundary a polynomial is a sparse dict mapping exponent
 tuples of length m + k to integers (or Fractions). Inside the module it
@@ -31,8 +33,7 @@ from math import isqrt
 
 # add_into and combine are unread: bench/tracing.TARGETS pins them here
 from .formal import add_into, combine, det, jacobi_trudi, norm_scalar, pf
-from .partitions import (check_ints, check_k, check_range, check_rect, get,
-                         strip)
+from .partitions import check_ints, check_k, check_range, check_rect, strip
 from .theta import theta
 
 
@@ -177,12 +178,6 @@ def q_list(m: int, nv: int, top: int) -> list[dict]:
     return [_unpack(q, nv, width) for q in _series(range(m), (), top, width)]
 
 
-def _check_qs(qs: list, need: int) -> None:
-    # an entry past the end of qs would count as zero
-    if len(qs) <= need:
-        raise ValueError("need q_0..q_%d, got %d q" % (need, len(qs)))
-
-
 def _det(mat: list[list[dict]], bound: int) -> dict:
     # formal.det over the packed ring truncated above bound
     return det(mat, partial(_mul, bound=bound), {0: {0: 1}})
@@ -250,7 +245,8 @@ def q_basis_poly(mu, qs: list[dict], nv: int, bound: int) -> dict:
     # the largest q_r is q_{mu_1 + mu_2}, in the entry Q_(mu_1, mu_2); a
     # q_r above bound has no term left
     need = min(seq[0] + seq[1], bound) if seq else -1
-    _check_qs(qs, need)
+    if len(qs) <= need:  # an entry past the end of qs would count as zero
+        raise ValueError("need q_0..q_%d, got %d q" % (need, len(qs)))
     factors = {r: _pack(qs[r], nv, bound, width) for r in range(need + 1)}
     pair = partial(_q_pair, factors=factors, bound=bound)
     mul = partial(_mul, bound=bound)
@@ -260,42 +256,6 @@ def q_basis_poly(mu, qs: list[dict], nv: int, bound: int) -> dict:
         return pf(s, pair, mul, sub) if s else {0: {0: 1}}
 
     return _unpack(sub(seq), nv, width)
-
-
-def _schur_conj(nu, mu, lo: int, hi: int, bound: int, width: int) -> dict:
-    nu = strip(nu)
-    mu = strip(mu)
-    if len(mu) > len(nu):
-        return {}
-    es = _series((), range(lo, hi), get(nu, 1) + len(nu), width)
-    return _det(jacobi_trudi(es, nu, mu), bound)
-
-
-def schur_conj_poly(nu, mu, lo: int, hi: int, nv: int, bound: int) -> dict:
-    """Skew Schur class s_{nu'/mu'} in variables lo..hi-1.
-
-    Dual Jacobi-Trudi on the unconjugated rows: det(e_{nu_i - mu_j + j - i}).
-    Raises ValueError unless 0 <= lo <= hi <= nv and the parts, all ints.
-    """
-    _check_vars(lo, hi, nv)
-    # tuples first: the check would spend an iterator
-    nu, mu = tuple(nu), tuple(mu)
-    check_ints(nu + mu, "the parts")
-    width = _width(bound)
-    return _unpack(_schur_conj(nu, mu, lo, hi, bound, width), nv, width)
-
-
-def q_det_poly(mu, qs: list[dict], nv: int, bound: int) -> dict:
-    """The determinant det(q_{mu_i + j - i}) in the x variables. Raises
-    ValueError unless the parts of mu are ints and qs runs to q_r for r =
-    min(mu_1 + l(mu) - 1, bound), the largest index of an entry that
-    truncation keeps."""
-    _width(bound)  # checks the bound before min() compares it
-    mu = strip(mu)
-    check_ints(mu, "the parts")
-    if mu:
-        _check_qs(qs, min(mu[0] + len(mu) - 1, bound))
-    return p_det(jacobi_trudi(qs, mu, ()), nv, bound)
 
 
 def x_vars(weight: int) -> int:
@@ -311,7 +271,12 @@ def evaluate(e: dict, k: int, m: int) -> dict:
     """Evaluate a monomial-basis element or a mixed (mu, nu) element.
 
     Variables are x_1..x_m then y_1..y_k; exponent tuples have length
-    m + k. The series, the field width and every truncation stop at the
+    m + k. A monomial key (a, b, ...) is t_a t_b ... with the theta
+    polynomials of one series pass. A mixed key (mu, nu) is Q_mu in the
+    x variables, theta(mu, 0) over the q_r, times the Schur class
+    s_{nu'} in the y variables, the dual Jacobi-Trudi determinant
+    det(e_{nu_i + j - i}); the q and e series are built once per call.
+    The series, the field width and every truncation stop at the
     element's weight. By Macdonald III.8 the evaluation is injective on
     elements of weight at most d once m >= x_vars(d); with fewer x
     variables the Q-function of a longest strict partition of d is 0.
@@ -332,13 +297,13 @@ def evaluate(e: dict, k: int, m: int) -> dict:
         acc: dict = {}
         qcache: dict = {}
         factors = dict(enumerate(_series(range(m), (), top, width)))
+        es = _series((), range(m, m + k), top, width)
         for (mu, nu), c in e.items():
             qp = qcache.get(mu)
             if qp is None:
                 # theta through the module globals: a patched one is used
                 qp = qcache[mu] = _monomial_sum(theta(mu, 0), factors, top)
-            sp = _schur_conj(nu, (), m, m + k, top, width)
-            _mul(acc, qp, sp, c, top)
+            _mul(acc, qp, _det(jacobi_trudi(es, nu, ()), top), c, top)
     else:
         ths = _series(range(m), range(m, m + k), top, width)
         acc = _monomial_sum(e, dict(enumerate(ths)), top)

@@ -37,11 +37,32 @@ from __future__ import annotations
 from functools import cache
 
 from .formal import add_into, combine, pf
-from .partitions import check_ints, get, strip
+from .partitions import check_ints, check_k, check_range, get, strip
+
+
+def _pairs(D) -> frozenset:
+    # D as a frozenset of pairs (i, j) of ints, or ValueError: a float or
+    # bool index equals an int, and anything else raised TypeError
+    try:
+        pairs = frozenset(D)
+    except TypeError:  # D not iterable, or a member not hashable
+        pairs = (None,)
+    for p in pairs:
+        if type(p) is not tuple or len(p) != 2 or type(p[0]) is not int \
+                or type(p[1]) is not int:
+            raise ValueError("want a set of pairs (i, j) of ints, got %r"
+                             % (D,))
+    return pairs
 
 
 def is_valid_pairs(D, diagonal: bool = True) -> bool:
-    """Whether the set D is downward closed in the strict or full triangle."""
+    """Whether the set D is downward closed in the strict or full triangle.
+    Raises ValueError unless D is a set of pairs (i, j) of ints."""
+    return _closed(_pairs(D), diagonal)
+
+
+def _closed(D: frozenset, diagonal: bool) -> bool:
+    # is_valid_pairs on a D that _pairs has checked
     for i, j in D:
         if i < 1 or (i > j if diagonal else i >= j):
             return False
@@ -54,7 +75,8 @@ def is_valid_pairs(D, diagonal: bool = True) -> bool:
 
 
 def middle_row(D) -> int:
-    """Least i with (i, i) outside the set D."""
+    """Least i with (i, i) outside the set D of pairs of ints."""
+    D = _pairs(D)
     i = 1
     while (i, i) in D:
         i += 1
@@ -85,7 +107,10 @@ def outer_corner_in_row(D, row: int) -> tuple[int, int] | None:
 
 def outside_rim(D, jmax: int) -> list[tuple[int, int]]:
     """Pairs of the full triangle just outside the set D: first row, or
-    diagonal neighbor of a member."""
+    diagonal neighbor of a member. Raises ValueError unless D is a set of
+    pairs of ints and jmax an int >= 0."""
+    D = _pairs(D)
+    check_range(jmax, "jmax")
     out = []
     for j in range(1, jmax + 1):
         for i in range(1, j + 1):
@@ -102,20 +127,25 @@ def w_holds(mu, k: int, i: int, j: int) -> bool:
 
 
 def c_set(lam, k: int, t: int | None = None) -> frozenset[tuple[int, int]]:
-    """Pairs (i, j), i <= j <= t, for which w_holds(lam, k, i, j)."""
+    """Pairs (i, j), i <= j <= t, for which w_holds(lam, k, i, j). Raises
+    ValueError unless the parts and k are ints, k >= 0, and t is None or
+    an int >= 0."""
     lam = strip(lam)
+    check_ints(lam, "the parts")
+    check_k(k)
     if t is None:
         t = len(lam)
+    check_range(t, "t")
     return frozenset((i, j) for j in range(1, t + 1) for i in range(1, j + 1)
                      if w_holds(lam, k, i, j))
 
 
 def strict_pairs(D) -> frozenset[tuple[int, int]]:
-    return frozenset((i, j) for i, j in D if i < j)
+    return frozenset((i, j) for i, j in _pairs(D) if i < j)
 
 
 def diagonal_count(D) -> int:
-    return sum(1 for i, j in D if i == j)
+    return sum(1 for i, j in _pairs(D) if i == j)
 
 
 def expand(D, lam) -> dict[tuple[int, ...], int]:
@@ -133,17 +163,8 @@ def expand(D, lam) -> dict[tuple[int, ...], int]:
     """
     lam = strip(lam)
     check_ints(lam, "the entries")
-    try:
-        D = frozenset(D)
-        pairs = {(tuple, int, int)}.issuperset((type(p), *map(type, p))
-                                               for p in D)
-    except TypeError:  # D or a member not iterable, or one not hashable
-        pairs = False
-    if not pairs:
-        raise ValueError("expand wants a set of pairs (i, j) of ints, got %r"
-                         % (D,))
-    Dr = frozenset(p for p in D if p[1] <= len(lam))
-    if not is_valid_pairs(Dr, diagonal=False):
+    Dr = frozenset(p for p in _pairs(D) if p[1] <= len(lam))
+    if not _closed(Dr, diagonal=False):
         raise ValueError("expand wants a downward-closed set of strict "
                          "pairs, got %r" % (sorted(Dr),))
     return dict(_expand(Dr, lam))

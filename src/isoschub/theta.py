@@ -15,7 +15,6 @@ from collections import defaultdict
 from fractions import Fraction
 from functools import cache
 from heapq import heappop, heappush
-from itertools import chain
 
 from .formal import add_into, combine, det, jacobi_trudi, norm_scalar
 from .partitions import (check_ints, check_k, check_partition, check_range,
@@ -32,24 +31,28 @@ def straighten(alpha, k: int) -> dict[tuple[int, ...], int]:
     entry that is not an int.
     """
     check_k(k)
-    alpha = tuple(alpha)
-    check_ints(alpha, "the indices")
-    return _straightened({alpha: 1}, k)
+    return _straightened(_ordered({tuple(alpha): 1}), k)
+
+
+def _ordered(poly: dict) -> dict:
+    # raw index tuples by the ring's monomial rule: each key checked for
+    # ints and sorted descending, t_0 = 1 dropped, a t_r, r < 0, killing it
+    out: dict = {}
+    for key, c in poly.items():
+        check_ints(key, "the indices")
+        key = tuple(sorted(key, reverse=True))
+        if not key or key[-1] >= 0:
+            key = key[:key.index(0)] if 0 in key else key
+            out[key] = out.get(key, 0) + c
+    return out
 
 
 def _straightened(poly: dict, k) -> dict:
-    # a polynomial {index tuple: c} in the t_p in the k-strict basis, by
-    # the ring's monomial rule: t_0 = 1 drops out, a t_r with r < 0 kills
-    # its monomial. Rewriting a key's leftmost square gives lex-larger keys
+    # a polynomial {index tuple: c} in the t_p in the k-strict basis, each
+    # key weakly decreasing and positive, as _ordered, expand and t_product
+    # give them. Rewriting a key's leftmost square gives lex-larger keys
     # only, so the lex-least key of work is final when it is popped
-    work: dict = {}
-    for key, c in poly.items():
-        key = tuple(sorted(key, reverse=True))
-        if key and key[-1] <= 0:
-            if key[-1] < 0:
-                continue
-            key = key[:key.index(0)]
-        work[key] = work.get(key, 0) + c
+    work = dict(poly)
     heap = sorted(work)
     out: dict = {}
     while heap:
@@ -131,7 +134,8 @@ def skew_S(lam, mu, k: int) -> dict[tuple[int, ...], int]:
     if n > MAX_SKEW_ROWS:
         raise ValueError("lambda has %d rows, more than the limit of %d for "
                          "a skew determinant" % (n, MAX_SKEW_ROWS))
-    mat = jacobi_trudi([{(r,): 1} for r in range(get(lam, 1) + n)], lam, mu)
+    mat = jacobi_trudi([{(r,) if r else (): 1}
+                        for r in range(get(lam, 1) + n)], lam, mu)
     return _straightened(det(mat, t_product, {(): 1}), k)
 
 
@@ -142,8 +146,7 @@ def multiply(a: dict, b: dict, k: int) -> dict:
     Raises ValueError for k < 0 or an index that is not an int.
     """
     check_k(k)
-    check_ints(chain.from_iterable(chain(a, b)), "the indices")
-    return _straightened(t_product({}, a, b), k)
+    return _straightened(t_product({}, _ordered(a), _ordered(b)), k)
 
 
 def to_theta_basis(e: dict, k: int) -> dict:

@@ -26,8 +26,9 @@ from isoschub.partitions import (count_bases, get, in_rect,
                                  rect_partitions, split_columns,
                                  subpartitions, weight)
 from isoschub.polyeval import (e_list, evaluate, p_det, p_mul, q_basis_poly,
-                               q_det_poly, q_list, schur_conj_poly, x_vars)
-from isoschub.raising import (c_set, diagonal_count, expand, strict_pairs,
+                               q_list, x_vars)
+from isoschub.raising import (c_set, diagonal_count, expand, is_valid_pairs,
+                              middle_row, outside_rim, strict_pairs,
                               two_special)
 from isoschub.substitution import (apply_rule, build_forest, ev, iota,
                                    root_compositions, verify_claim2)
@@ -253,8 +254,6 @@ BAD_CALLS = {
     "q-list-negative-m": lambda: q_list(-1, 2, 2),
     "e-list-hi-above-nv": lambda: e_list(1, 4, 2, 2),
     "e-list-negative-lo": lambda: e_list(-1, 1, 2, 2),
-    "schur-conj-hi-above-nv":
-        lambda: schur_conj_poly((1,), (), 2, 4, 3, 1),
     "p-det-not-square": lambda: p_det([[{(1,): 1}], [{(1,): 1}]], 1, 2),
     # a key longer than the others, in byte fields and in wide ones, and
     # a negative exponent, which wide fields would borrow across
@@ -265,10 +264,9 @@ BAD_CALLS = {
                       1, 3),
     "p-mul-negative-exponent-wide":
         lambda: p_mul({(1, 0): 1}, {(2, -1): 1}, 300),
-    # q_0..q_2 where Q_(3) and det(q_3) need q_3: a short list gave 0
+    # q_0..q_2 where Q_(3) needs q_3: a short list gave 0
     "q-basis-poly-too-few-q":
         lambda: q_basis_poly((3,), q_list(2, 2, 2), 2, 3),
-    "q-det-poly-too-few-q": lambda: q_det_poly((3,), q_list(2, 2, 2), 2, 3),
     # a float coefficient, neither an int nor a Fraction
     "reduce-polynomial-float":
         lambda: reduce_polynomial({(1,): 0.5}, 1, 3, "C"),
@@ -380,7 +378,6 @@ BAD_CALLS = {
     "p-det-str-bound": lambda: p_det([[{(1,): 1}]], 1, "x"),
     "q-basis-poly-str-bound":
         lambda: q_basis_poly((2,), q_list(2, 2, 3), 2, "x"),
-    "q-det-poly-str-bound": lambda: q_det_poly((2,), q_list(2, 2, 3), 2, "x"),
     # nine rows; the limit raises before any minor is expanded
     "skew-S-too-many-rows": lambda: skew_S(tuple(range(9, 0, -1)), (), 1),
     # w0 of B_7: the walk stops past 50,000 of its 645,120 elements
@@ -392,12 +389,9 @@ BAD_CALLS = {
     "e-list-bool-lo": lambda: e_list(True, 1, 1, 2),
     "q-list-float-m": lambda: q_list(1.0, 1, 2),
     "q-list-str-nv": lambda: q_list(1, "2", 2),
-    "schur-conj-float-lo": lambda: schur_conj_poly((1,), (), 0.0, 1, 2, 2),
-    "schur-conj-float-part": lambda: schur_conj_poly((1.5,), (), 0, 1, 2, 2),
     "p-det-str-nv": lambda: p_det([[{(1,): 1}]], "1", 2),
     "q-basis-poly-str-nv":
         lambda: q_basis_poly((2,), q_list(2, 2, 3), "2", 3),
-    "q-det-poly-str-nv": lambda: q_det_poly((2,), q_list(2, 2, 3), "2", 3),
     # an int where a sequence belongs raised "not iterable"
     "ktableaux-int-shape": lambda: ktableaux((2, 1), shape=5),
     "reduce-monomial-int-beta": lambda: reduce_monomial(5, 1, 3, "C"),
@@ -416,11 +410,17 @@ BAD_CALLS = {
     # a key outside the span raised RuntimeError from the solve
     "to-hat-basis-not-k-strict": lambda: to_hat_basis({(2, 2): 1}, 1),
     "to-hat-basis-trailing-zero": lambda: to_hat_basis({(2, 0): 1}, 1),
-    # a float part raised TypeError from an index; a bool one answered
-    "q-det-poly-float-part":
-        lambda: q_det_poly((2.5,), q_list(1, 1, 3), 1, 3),
-    "q-det-poly-bool-part":
-        lambda: q_det_poly((True, 1), q_list(1, 1, 3), 1, 3),
+    # a pair set that is no set of pairs of ints, or a float jmax, raised
+    # TypeError; a float index or k, a negative k and a float part answered
+    "is-valid-pairs-int-member": lambda: is_valid_pairs({1}),
+    "strict-pairs-int-member": lambda: strict_pairs({1}),
+    "diagonal-count-int-member": lambda: diagonal_count({1}),
+    "outside-rim-float-jmax": lambda: outside_rim(frozenset(), 2.0),
+    "middle-row-none": lambda: middle_row(None),
+    "is-valid-pairs-float-index": lambda: is_valid_pairs({(1.0, 2)}, False),
+    "c-set-float-k": lambda: c_set((2, 1), 1.0),
+    "c-set-negative-k": lambda: c_set((2, 1), -1),
+    "c-set-float-part": lambda: c_set((1.5,), 1),
 }
 
 
@@ -1232,11 +1232,10 @@ def test_combine_zero_coefficients_and_zero_scale():
 
 # Edge inputs that the general step covers with no branch of its own: one
 # row, an empty determinant, a grow step on a diagonal corner, which
-# moves a unit onto its own slot, and a zero scale. Then three guards
-# that answer before the general step: mu longer than nu, whose 1 x 1
-# determinant would otherwise be e_0 = 1; a lam that is not k-strict;
-# and a zero scale in scaled. Each value and its coefficient types are
-# pinned here.
+# moves a unit onto its own slot, a zero scale and a t_0 in a factor.
+# Then two guards that answer before the general step: a lam that is not
+# k-strict and a zero scale in scaled. Each value and its coefficient
+# types are pinned here.
 EDGE_CASES = [
     ("expand-one-row", lambda: expand(frozenset(), (3,)), {(3,): 1}),
     ("pfaffian-one-row", lambda: raising._pf((5, 0)), {(5,): 1}),
@@ -1246,8 +1245,6 @@ EDGE_CASES = [
     ("two-special-negative-first", lambda: two_special(-1, 2), {}),
     ("two-special-negative-first-odd", lambda: two_special(-2, 3), {}),
     ("p-det-empty", lambda: p_det([], 2, 3), {(0, 0): 1}),
-    ("q-det-empty", lambda: q_det_poly((), q_list(2, 2, 3), 2, 3),
-     {(0, 0): 1}),
     ("hat-theta-0-k0", lambda: hat_theta(0, 0), {(): 1}),
     ("hat-theta-0-k2", lambda: hat_theta(0, 2), {(): 1}),
     ("grow-diagonal-corner",
@@ -1258,8 +1255,9 @@ EDGE_CASES = [
     ("combine-zero-scale",
      lambda: combine({(1,): 3, (2,): Fraction(1, 2)}, {(1,): 5, (3,): 1}, 0),
      {(1,): 3, (2,): Fraction(1, 2)}),
-    ("schur-conj-mu-longer",
-     lambda: schur_conj_poly((1,), (1, 1), 0, 2, 2, 2), {}),
+    # t_0 = 1 drops out of a raw factor before the product is straightened
+    ("theta-multiply-zero-index",
+     lambda: theta_ring.multiply({(1, 0): 1}, {(2,): 1}, 1), {(2, 1): 1}),
     ("pieri-match-not-k-strict", lambda: pieri_match((2, 2), (3, 2), 1),
      None),
     ("scaled-zero-scale", lambda: scaled({(1,): 3}, 0), {}),
@@ -1270,9 +1268,6 @@ EDGE_CASES = [
     ("pieri-match-iterators", lambda: pieri_match(iter((1,)), iter((2,)), 0),
      {"added": [(1, 2)], "removed": [], "mentioned": set(),
       "match_removed": [], "A": [(1, 2)], "components": [[(1, 2)]], "N": 1}),
-    ("schur-conj-iterators",
-     lambda: schur_conj_poly(iter((1,)), iter(()), 0, 2, 2, 2),
-     {(1, 0): 1, (0, 1): 1}),
     # an iterator argument once reached an index or len() after its
     # check, and raised TypeError
     ("root-compositions-iterator",

@@ -158,7 +158,7 @@ MUTATIONS = [
     ("two-special-sign", [(raising, "two_special")], _two_special_flipped,
      {"thcor": "k=0"}),
     # theta.skew_S keeps its own binding, so only the polynomial legs
-    # (p_det, q_det_poly, schur_conj_poly) move
+    # (p_det, and evaluate's Schur classes) move
     ("det-3x3-sign", [(formal, "det"), (polyeval, "det")], _det_flipped_at_3,
      {"theta-hat": "", "thcor": ""}),
     # raising._pf and q_basis_poly take the same first-row step, so the
@@ -180,6 +180,12 @@ MUTATIONS = [
     ("packed-mul-ignores-scale", [(polyeval, "_mul")],
      _packed_mul_ignores_scale,
      {"theta-hat": "r=3 k=1", "thcor": "small-parts regime"}),
+    # the theta-hat suite and thcor's closed forms take their determinants
+    # through cli's p_det; evaluate's Schur classes go through _det, so
+    # only the side of each identity that p_det builds moves
+    ("p-det-drops-largest", [(polyeval, "p_det"), (cli, "p_det")],
+     _drops_largest_key,
+     {"theta-hat": "r=1 k=1", "thcor": "small-parts regime"}),
     # stanley_F and bh_expand call weyl's binding, the ktableaux command
     # cli's; only the two suites that count tableaux can see it
     ("ktableaux-drops-last", [(weyl, "ktableaux"), (cli, "ktableaux")],

@@ -9,11 +9,11 @@ import pytest
 
 from isoschub import cli, polyeval
 from isoschub import theta as theta_ring
-from isoschub.formal import combine, scaled, sum_to_json
+from isoschub.formal import combine, jacobi_trudi, scaled, sum_to_json
 from isoschub.partitions import (get, is_k_strict, k_strict_partitions,
                                  subpartitions, weight)
 from isoschub.polyeval import (e_list, evaluate, p_det, p_mul, q_basis_poly,
-                               q_det_poly, q_list, schur_conj_poly, x_vars)
+                               q_list, x_vars)
 from isoschub.raising import c_set, expand, strict_pairs
 from isoschub.theta import (hat_theta, horizontal_strips, mixed_expand,
                             multiply, skew_S, straighten, theta, theta_sum,
@@ -416,6 +416,24 @@ def test_closed_form_all_pair_regime():
         assert all_pair_regime(lam, k) and is_k_strict(lam, 0), (lam, k)
 
 
+def test_closed_forms_hold_on_every_small_class():
+    # the thcor suite checks a pool of each regime; here every k-strict
+    # lam with k <= 2 and |lam| <= 6 that lies in a regime satisfies its
+    # closed form (one-row classes lie in both)
+    small, large = [], []
+    for k in range(3):
+        for d in range(1, 7):
+            for lam in k_strict_partitions(d, k):
+                if no_pair_regime(lam, k):
+                    small.append((lam, k))
+                if all_pair_regime(lam, k) and is_k_strict(lam, 0):
+                    large.append((lam, k))
+    assert (len(small), len(large)) == (47, 32)
+    for cases, is_large in ((small, False), (large, True)):
+        for lam, k in cases:
+            assert cli._closed_form_holds(lam, k, is_large), (lam, k)
+
+
 def test_skew_S_separates_variables():
     # the two-variable-family determinant splits as a sum over middle
     # shapes of a pure-x determinant times a skew Schur class in y
@@ -435,7 +453,8 @@ def test_skew_S_separates_variables():
                     xpart = {}
                     for key, c in skew_S(lam, nu, 0).items():
                         combine(xpart, q_monomial(key, qs, nv, bound), c)
-                    sp = schur_conj_poly(nu, mu, m, m + k, nv, bound)
+                    es = e_list(m, nv, nv, get(nu, 1) + len(nu))
+                    sp = p_det(jacobi_trudi(es, nu, mu), nv, bound)
                     if xpart and sp:
                         combine(rhs, p_mul(xpart, sp, bound))
                 assert lhs == rhs, (lam, mu, k)
@@ -576,9 +595,8 @@ def test_q_basis_poly_matches_pfaffian():
 
 
 def test_q_lists_may_stop_at_the_largest_q_used():
-    # q_basis_poly needs q_r up to the largest part of its Pfaffian and
-    # q_det_poly up to the corner index mu_1 + l(mu) - 1, each capped at
-    # the bound; a shorter list raises instead of giving a silent zero
+    # q_basis_poly needs q_r up to the largest part of its Pfaffian, capped
+    # at the bound; a shorter list raises instead of giving a silent zero
     for d in range(1, 7):
         qs = q_list(d, d, d)
         for mu in k_strict_partitions(d, 0):
@@ -589,16 +607,8 @@ def test_q_lists_may_stop_at_the_largest_q_used():
             assert q_basis_poly(mu, qs[:need + 1], d, d) == want, mu
             with pytest.raises(ValueError):
                 q_basis_poly(mu, qs[:need], d, d)
-        for mu in partitions_of(d):
-            need = mu[0] + len(mu) - 1
-            want = q_det_poly(mu, qs, d, d)
-            assert q_det_poly(mu, qs[:need + 1], d, d) == want, mu
-            with pytest.raises(ValueError):
-                q_det_poly(mu, qs[:need], d, d)
     # q_3 lies above bound 2, so q_0..q_2 are enough
-    qs = q_list(2, 2, 2)
-    assert q_basis_poly((2, 1), qs, 2, 2) == {}
-    assert q_det_poly((2, 1), qs, 2, 2) == {}
+    assert q_basis_poly((2, 1), q_list(2, 2, 2), 2, 2) == {}
 
 
 def test_theta_polynomials_are_the_convolution_of_q_and_e():
@@ -672,7 +682,7 @@ def test_thcor_fails_with_a_wrong_q_function(monkeypatch):
     detail = cli._suite_thcor(6)
     assert detail.startswith("small-parts regime"), detail
     held = [lam for lam, k in cli._THCOR_B_POOL
-            if cli._closed_form_b_holds(lam, k)]
+            if cli._closed_form_holds(lam, k, True)]
     assert held == [(1,)]
 
 
